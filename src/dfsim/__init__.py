@@ -9,8 +9,7 @@ from .cluster import expected_growth, grow_chain, verify_cluster_state_small
 from .coupling import (CouplingSet, SpectralParams, coupling_matrices,
                        dicke_coupling, spectral_params, xi_coefficient)
 from .dynamics import (DriveSpec, IntegrationError, JumpSet, Tone, Trajectory,
-                       build_h_eff, evolve_lindblad, evolve_nojump,
-                       jump_operators)
+                       evolve_lindblad, evolve_nojump, jump_operators)
 from .geometry import (DisorderSpec, Geometry, linear_array, linear_array_xi,
                        sample_disorder)
 from .hilbert import (CollectiveBasis, collective_eigenbasis, dfs4_states,
@@ -28,7 +27,7 @@ __all__ = [
     "DriveSpec", "Geometry", "IntegrationError", "JumpSet", "ProtocolError",
     "ProtocolResult", "ReadoutResult", "ScenarioBase", "SpectralParams",
     "SweepResult", "SweepSpec", "ToleranceTable", "Tone", "Trajectory",
-    "build_h_eff", "calibrate_detuning", "collective_eigenbasis",
+    "calibrate_detuning", "collective_eigenbasis",
     "coupling_matrices", "cphase4", "dfs4_states", "dicke_coupling",
     "effective_prep_coupling", "effective_rotation_couplings",
     "evolve_lindblad", "evolve_nojump", "expected_growth", "fidelity",

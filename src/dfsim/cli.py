@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import os
 import sys
@@ -22,12 +23,13 @@ import numpy as np
 
 from . import __version__
 from .cluster import expected_growth, grow_chain
-from .coupling import coupling_matrices, spectral_params
+from .coupling import coupling_matrices
 from .geometry import linear_array_xi
 from .protocols import (ProtocolError, calibrate_detuning, cphase4,
                         prepare_b, readout_coupling, readout_fluorescence,
                         rotate_logical)
-from .robustness import ScenarioBase, SweepSpec, sweep, tolerance_table
+from .robustness import (ScenarioBase, SweepSpec, prepare_merit_point,
+                         rotate_merit_point, sweep, tolerance_table)
 
 SCENARIOS = (
     "prep-fig2a",
@@ -54,10 +56,6 @@ _SECTION_KEYS = {
     "sweep": {"thresholds", "variances", "samples"},
     "cluster": {"p", "ops"},
 }
-
-_TYPES = ("prepare", "rotate", "readout", "cphase4", "merit-prepare",
-          "merit-rotate", "table-prepare", "table-rotate", "cluster-growth")
-
 
 class ConfigError(ValueError):
     pass
@@ -101,11 +99,9 @@ def _require(cfg, section: str, key: str) -> str:
 
 
 def _get_float(cfg, section, key, default=None):
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in [{section}]")
+    if default is not None and not cfg.has_option(section, key):
         return default
+    raw = _require(cfg, section, key)
     try:
         value = float(raw)
     except ValueError as exc:
@@ -115,12 +111,26 @@ def _get_float(cfg, section, key, default=None):
     return value
 
 
+def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
+    """Comma-separated list of finite numbers; empty items are skipped.
+    Only a list whose default is empty may be empty."""
+    raw = (_require(cfg, section, key) if default is None
+           else cfg.get(section, key, fallback=default))
+    try:
+        values = tuple(float(x) for x in raw.split(",") if x.strip())
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a list of "
+                          "numbers") from exc
+    if not (values or default == "") or not all(np.isfinite(values)):
+        raise ConfigError(f"[{section}] {key} = {raw!r} must list finite "
+                          "numbers")
+    return values
+
+
 def _get_int(cfg, section, key, default=None):
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in [{section}]")
+    if default is not None and not cfg.has_option(section, key):
         return default
+    raw = _require(cfg, section, key)
     try:
         return int(raw)
     except ValueError as exc:
@@ -153,20 +163,18 @@ def _geometry(cfg):
 
 
 def _k_dot_r(cfg, geometry):
-    raw = cfg.get("drive", "k_dot_r", fallback="auto")
-    if raw == "auto":
+    if cfg.get("drive", "k_dot_r", fallback="auto") == "auto":
         return geometry.xi12
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"k_dot_r = {raw!r} is not 'auto' or a number") from exc
+    return _get_float(cfg, "drive", "k_dot_r")
 
 
 def _t_end(cfg):
-    raw = cfg.get("run", "t_end", fallback="auto")
-    if raw == "auto":
+    if cfg.get("run", "t_end", fallback="auto") == "auto":
         return None
-    return float(raw)
+    t_end = _get_float(cfg, "run", "t_end")
+    if t_end <= 0:
+        raise ConfigError(f"[run] t_end = {t_end:g} must be positive")
+    return t_end
 
 
 def _fmt(value) -> str:
@@ -218,21 +226,27 @@ class _Output:
         return written
 
 
-def _run_prepare(cfg, out: _Output, rtol, t_end):
-    g = _geometry(cfg)
-    e_mu = _get_float(cfg, "drive", "e_mu")
-    kdr = _k_dot_r(cfg, g)
-    res = prepare_b(g, e_mu, t_end, k_dot_r=kdr, rtol=rtol)
+def _add_transfer(out: _Output, res, keys, merit_key: str) -> None:
+    """Trajectory CSV and summary lines of a preparation or rotation run."""
     traj = res.trajectory
     out.add_csv("trajectory",
                 ["time"] + [f"pop_{lab}" for lab in traj.labels] + ["norm"],
                 ([t] + list(p) + [w] for t, p, w in
                  zip(traj.times, traj.populations, traj.norms)))
-    for key in ("e_mu", "omega_mu", "k_dot_r", "gamma_b"):
+    for key in keys:
         out.add(key, res.params_used[key])
     out.add("fidelity", res.fidelity)
     out.add("t_pi", res.t_pi)
-    out.add("merit_inversions_per_lifetime", res.merit)
+    out.add(merit_key, res.merit)
+
+
+def _run_prepare(cfg, out: _Output, rtol, t_end, seed):
+    g = _geometry(cfg)
+    e_mu = _get_float(cfg, "drive", "e_mu")
+    kdr = _k_dot_r(cfg, g)
+    res = prepare_b(g, e_mu, t_end, k_dot_r=kdr, rtol=rtol)
+    _add_transfer(out, res, ("e_mu", "omega_mu", "k_dot_r", "gamma_b"),
+                  "merit_inversions_per_lifetime")
 
 
 def _run_rotate(cfg, out: _Output, rtol, t_end, seed):
@@ -247,20 +261,12 @@ def _run_rotate(cfg, out: _Output, rtol, t_end, seed):
         out.add("omega_delta_calibrated", wd_cal)
         wd = wd_cal
     res = rotate_logical(g, e_mu, e_nu, wd, t_end, k_dot_r=kdr, rtol=rtol)
-    traj = res.trajectory
-    out.add_csv("trajectory",
-                ["time"] + [f"pop_{lab}" for lab in traj.labels] + ["norm"],
-                ([t] + list(p) + [w] for t, p, w in
-                 zip(traj.times, traj.populations, traj.norms)))
-    for key in ("e_mu", "e_nu", "omega_delta", "k_dot_r",
-                "gamma_b", "gamma_c"):
-        out.add(key, res.params_used[key])
-    out.add("fidelity", res.fidelity)
-    out.add("t_pi", res.t_pi)
-    out.add("merit_rotations_per_lifetime", res.merit)
+    _add_transfer(out, res, ("e_mu", "e_nu", "omega_delta", "k_dot_r",
+                             "gamma_b", "gamma_c"),
+                  "merit_rotations_per_lifetime")
 
 
-def _run_readout(cfg, out: _Output, rtol, t_end):
+def _run_readout(cfg, out: _Output, rtol, t_end, seed):
     g = _geometry(cfg)
     e_mu = _get_float(cfg, "drive", "e_mu")
     kdr = _k_dot_r(cfg, g)
@@ -285,7 +291,7 @@ def _run_readout(cfg, out: _Output, rtol, t_end):
     out.add("gamma_g", gamma_g)
 
 
-def _run_cphase(cfg, out: _Output, rtol, t_end):
+def _run_cphase(cfg, out: _Output, rtol, t_end, seed):
     g = _geometry(cfg)
     if g.n != 4:
         raise ConfigError("cphase4 needs [geometry] n = 4")
@@ -304,10 +310,9 @@ def _run_cphase(cfg, out: _Output, rtol, t_end):
     out.add("leakage_flag", int(res.leakage_flag))
 
 
-def _run_merit_prepare(cfg, out: _Output, rtol):
+def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
     alpha = _get_float(cfg, "geometry", "alpha", 0.0)
-    xi_values = [float(x) for x in
-                 _require(cfg, "merit", "xi_values").split(",")]
+    xi_values = _get_floats(cfg, "merit", "xi_values")
     f_target = _get_float(cfg, "merit", "f_target", 0.98)
     rows = []
     for xi in xi_values:
@@ -321,10 +326,9 @@ def _run_merit_prepare(cfg, out: _Output, rtol):
             int(all(a[5] > b[5] for a, b in zip(rows, rows[1:]))))
 
 
-def _run_merit_rotate(cfg, out: _Output, rtol):
+def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
     alpha = _get_float(cfg, "geometry", "alpha", np.pi / 2)
-    xi_values = [float(x) for x in
-                 _require(cfg, "merit", "xi_values").split(",")]
+    xi_values = _get_floats(cfg, "merit", "xi_values")
     f_target = _get_float(cfg, "merit", "f_target", 0.98)
     e_mu = _get_float(cfg, "drive", "e_mu", 6.0)
     e_nu = _get_float(cfg, "drive", "e_nu", 15.0)
@@ -342,128 +346,6 @@ def _run_merit_rotate(cfg, out: _Output, rtol):
             int(all(a[5] > b[5] for a, b in zip(rows, rows[1:]))))
 
 
-def prepare_merit_point(xi: float, alpha: float, f_target: float,
-                        rtol: float = 1e-8) -> dict:
-    """Largest drive amplitude holding the preparation fidelity at the
-    target, and the figure of merit there.
-
-    The fidelity decreases with amplitude from its weak-drive limit, so the
-    crossing is found by doubling from a spectral-scale seed and bisecting.
-    """
-    g = linear_array_xi(xi, alpha=alpha)
-    sp = spectral_params(coupling_matrices(g))
-
-    def fid(e_mu: float):
-        return prepare_b(g, e_mu, rtol=rtol)
-
-    e_seed = sp.omega / 40.0
-    lo, res_lo = e_seed, fid(e_seed)
-    while res_lo.fidelity < f_target:
-        lo /= 2.0
-        res_lo = fid(lo)
-        if lo < e_seed / 64.0:
-            break
-    hi = lo * 2.0
-    res_hi = fid(hi)
-    while res_hi.fidelity >= f_target:
-        lo, res_lo = hi, res_hi
-        hi *= 2.0
-        res_hi = fid(hi)
-    while hi / lo > 1.004:
-        mid = np.sqrt(lo * hi)
-        res_mid = fid(mid)
-        if res_mid.fidelity >= f_target:
-            lo, res_lo = mid, res_mid
-        else:
-            hi = mid
-    return {"e_mu": lo, "t_pi": res_lo.t_pi, "fidelity": res_lo.fidelity,
-            "gamma_b": res_lo.params_used["gamma_b"],
-            "merit": res_lo.merit,
-            "gamma_b_t_pi": res_lo.params_used["gamma_b"] * res_lo.t_pi}
-
-
-def rotate_merit_point(xi: float, alpha: float, f_target: float,
-                       e_mu: float = 6.0, e_nu: float = 15.0,
-                       omega_delta: float = 170.0, xi_ref: float = 0.15,
-                       rtol: float = 1e-5, t_cap: float = 600.0) -> dict:
-    """Largest common amplitude scale holding the rotation fidelity at the
-    target, and the figure of merit there.
-
-    The chain's shift matrix is self-similar in the spacing (fixed
-    nearest/next-nearest ratio), so the whole drive configuration --
-    amplitudes and Raman offset -- is first scaled with the collective
-    splitting relative to the reference spacing ``xi_ref``; this keeps the
-    offset-to-gap ratio fixed and the transfer in the same regime at every
-    point.  The amplitude scale is then searched downward so that every
-    evaluated run is at least as fast as the returned one (the effective
-    rate grows with the amplitude product, making weak drives expensive).
-    """
-    from .protocols import rotation_rate_estimate
-    g = linear_array_xi(xi, alpha=alpha)
-    sp = spectral_params(coupling_matrices(g))
-    sp_ref = spectral_params(coupling_matrices(
-        linear_array_xi(xi_ref, alpha=alpha)))
-    lam = sp.omega / sp_ref.omega
-    e_mu, e_nu = e_mu * lam, e_nu * lam
-    omega_delta = omega_delta * lam
-    # The phase-gradient couplings carry an extra factor of the spacing, so
-    # the dressed two-photon resonance drifts slightly off the scaled
-    # offset; recalibrate in a narrow window.  The fidelity peak position
-    # is amplitude-independent (mismatch and rate both scale with the
-    # squared amplitude), so calibrating at double drive is cheap.
-    try:
-        omega_delta = calibrate_detuning(g, 2.0 * e_mu, 2.0 * e_nu,
-                                         omega_delta, window=0.08,
-                                         resolution=0.01, rtol=1e-4)
-    except ProtocolError:
-        pass
-
-    def attempt(scale: float):
-        est = rotation_rate_estimate(sp, e_mu * scale, e_nu * scale,
-                                     g.xi12, omega_delta)
-        if est <= 0 or np.pi / (2.0 * est) > t_cap:
-            return None
-        try:
-            return rotate_logical(g, e_mu * scale, e_nu * scale, omega_delta,
-                                  rtol=rtol)
-        except ProtocolError:
-            return None
-
-    results = {}
-    lo = None
-    hi = None
-    for s in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
-        res = attempt(s)
-        results[s] = res
-        if res is not None and res.fidelity >= f_target:
-            lo = s
-            break
-        hi = s
-    if lo is None:
-        usable = {s: r for s, r in results.items() if r is not None}
-        if not usable:
-            raise ProtocolError(f"rotation never converged at xi={xi}")
-        s = max(usable, key=lambda k: usable[k].fidelity)
-        return _merit_dict(s, usable[s], saturated=False)
-    res_lo = results[lo]
-    if hi is None:
-        return _merit_dict(lo, res_lo, saturated=True)
-    while hi / lo > 1.02:
-        mid = np.sqrt(lo * hi)
-        res_mid = attempt(mid)
-        if res_mid is not None and res_mid.fidelity >= f_target:
-            lo, res_lo = mid, res_mid
-        else:
-            hi = mid
-    return _merit_dict(lo, res_lo, saturated=True)
-
-
-def _merit_dict(scale, res, saturated: bool) -> dict:
-    gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
-    return {"scale": scale, "t_pi": res.t_pi, "fidelity": res.fidelity,
-            "gamma_mean": gm, "merit": res.merit, "saturated": saturated}
-
-
 def _sweep_base(cfg, protocol: str, rtol) -> ScenarioBase:
     g = _geometry(cfg)
     kdr = _k_dot_r(cfg, g)
@@ -476,14 +358,10 @@ def _sweep_base(cfg, protocol: str, rtol) -> ScenarioBase:
                         k_dot_r=kdr, protocol="rotate", rtol=rtol)
 
 
-def _run_table(cfg, out: _Output, protocol: str, rtol, seed):
+def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
     base = _sweep_base(cfg, protocol, rtol)
-    thresholds = tuple(float(x) for x in
-                       cfg.get("sweep", "thresholds",
-                               fallback="0.9,0.95,0.98").split(","))
-    variances = tuple(float(x) for x in
-                      cfg.get("sweep", "variances", fallback="").split(",")
-                      if x.strip())
+    thresholds = _get_floats(cfg, "sweep", "thresholds", "0.9,0.95,0.98")
+    variances = _get_floats(cfg, "sweep", "variances", "")
     samples = _get_int(cfg, "sweep", "samples", 100)
     table = tolerance_table(base, thresholds=thresholds,
                             position_variances=variances,
@@ -505,7 +383,7 @@ def _run_table(cfg, out: _Output, protocol: str, rtol, seed):
     out.add("nesting_valid", int(table.validate_nesting()))
 
 
-def _run_cluster(cfg, out: _Output, seed):
+def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
     p = _get_float(cfg, "cluster", "p")
     ops = _get_int(cfg, "cluster", "ops")
     run = grow_chain(p, ops, seed=seed)
@@ -520,6 +398,20 @@ def _run_cluster(cfg, out: _Output, seed):
     out.add("final_length", int(run.lengths[-1]))
 
 
+# Scenario type -> handler(cfg, out, rtol, t_end, seed).
+_HANDLERS = {
+    "prepare": _run_prepare,
+    "rotate": _run_rotate,
+    "readout": _run_readout,
+    "cphase4": _run_cphase,
+    "merit-prepare": _run_merit_prepare,
+    "merit-rotate": _run_merit_rotate,
+    "table-prepare": functools.partial(_run_table, "prepare"),
+    "table-rotate": functools.partial(_run_table, "rotate"),
+    "cluster-growth": _run_cluster,
+}
+
+
 def run(config_source: str, out_dir: str | None = None,
         seed: int | None = None, rtol: float | None = None) -> list[str]:
     """Execute one scenario config and write its outputs.
@@ -530,7 +422,7 @@ def run(config_source: str, out_dir: str | None = None,
     cfg, _ = _load_config(config_source)
     name = _require(cfg, "scenario", "name")
     kind = _require(cfg, "scenario", "type")
-    if kind not in _TYPES:
+    if kind not in _HANDLERS:
         raise ConfigError(f"unknown scenario type {kind!r}")
     run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
     run_rtol = rtol if rtol is not None else _get_float(cfg, "integrator",
@@ -550,24 +442,7 @@ def run(config_source: str, out_dir: str | None = None,
     out.add("seed", run_seed)
     out.add("rtol", run_rtol)
     start = time.perf_counter()
-    if kind == "prepare":
-        _run_prepare(cfg, out, run_rtol, t_end)
-    elif kind == "rotate":
-        _run_rotate(cfg, out, run_rtol, t_end, run_seed)
-    elif kind == "readout":
-        _run_readout(cfg, out, run_rtol, t_end)
-    elif kind == "cphase4":
-        _run_cphase(cfg, out, run_rtol, t_end)
-    elif kind == "merit-prepare":
-        _run_merit_prepare(cfg, out, run_rtol)
-    elif kind == "merit-rotate":
-        _run_merit_rotate(cfg, out, run_rtol)
-    elif kind == "table-prepare":
-        _run_table(cfg, out, "prepare", run_rtol, run_seed)
-    elif kind == "table-rotate":
-        _run_table(cfg, out, "rotate", run_rtol, run_seed)
-    elif kind == "cluster-growth":
-        _run_cluster(cfg, out, run_seed)
+    _HANDLERS[kind](cfg, out, run_rtol, t_end, run_seed)
     wall = time.perf_counter() - start
     return out.finalize(resolved_out, cfg, wall)
 

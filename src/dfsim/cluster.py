@@ -38,12 +38,6 @@ class GrowthRun:
     def stderr_growth(self) -> float:
         return float(self.increments.std(ddof=1) / np.sqrt(len(self.increments)))
 
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("op,length,increment\n")
-            for k in range(self.ops):
-                fh.write(f"{k + 1},{self.lengths[k]},{self.increments[k]}\n")
-
 
 def expected_growth(p: float) -> float:
     """Nominal growth per attachment attempt."""

@@ -29,14 +29,14 @@ class CouplingSet:
     delta  : real symmetric NxN coherent-shift matrix, zero diagonal
     gammas : real symmetric NxN damping matrix, diagonal equal to gamma
     gamma  : single-emitter decay rate (the rate unit, 1 by convention)
-    omega0 : resonant carrier frequency; kept symbolic (zero) because all
-             dynamics run in the frame rotating at the carrier
+
+    The carrier frequency does not appear: all dynamics run in the frame
+    rotating at the carrier.
     """
 
     delta: np.ndarray
     gammas: np.ndarray
     gamma: float = GAMMA
-    omega0: float = 0.0
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
-"""Time evolution engines: driven effective Hamiltonian, jump operators,
-no-jump (conditional) integration, and the full master equation.
+"""Time evolution engines: jump operators, no-jump (conditional)
+integration of the driven effective Hamiltonian, and the full master
+equation.
 
 Dynamics run in the frame rotating at the carrier frequency; tone
 frequencies are stored as detunings from the carrier in units of the
@@ -9,16 +10,14 @@ secular approximation is made in the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coupling import CouplingSet
-from .geometry import Geometry
-from .hilbert import (CollectiveBasis, collective_eigenbasis,
-                      lowering_operators, raising_operators,
-                      static_hamiltonian)
+from .hilbert import (CollectiveBasis, collective_eigenbasis, drive_operator,
+                      lowering_operators, static_hamiltonian)
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
@@ -51,7 +50,7 @@ class DriveSpec:
     tones: tuple[Tone, ...]
 
     @classmethod
-    def off(cls, n: int) -> "DriveSpec":
+    def off(cls) -> "DriveSpec":
         return cls(tones=())
 
     @classmethod
@@ -61,43 +60,6 @@ class DriveSpec:
     @classmethod
     def two_tone(cls, rabi1, det1, rabi2, det2, phases) -> "DriveSpec":
         return cls(tones=(Tone(rabi1, det1, phases), Tone(rabi2, det2, phases)))
-
-
-def axial_phases(g: Geometry, k_dot_r: float) -> np.ndarray:
-    """Per-emitter propagation phases for a wavevector along the chain,
-    normalised so adjacent emitters of the nominal chain differ by
-    ``k_dot_r``.  Zero means the wavevector is orthogonal to the chain."""
-    if k_dot_r == 0.0:
-        return np.zeros(g.n)
-    return k_dot_r * g.positions[:, 0] / g.spacing
-
-
-def drive_matrix(tone: Tone, n: int) -> np.ndarray:
-    """Raising-part drive operator A = E * sum_i e^{i phi_i} sigma_i^+.
-
-    The full interaction at time t is e^{-i w t} A + e^{+i w t} A^dag with
-    w the tone detuning, which makes a tone at detuning w resonant with an
-    upward transition of rotating-frame energy w.
-    """
-    sp = raising_operators(n)
-    if len(tone.phases) != n:
-        raise ValueError("tone phase list does not match emitter count")
-    return tone.rabi * sum(np.exp(1j * tone.phases[i]) * sp[i] for i in range(n))
-
-
-def build_h_eff(c: CouplingSet, d: DriveSpec, t: float,
-                decay: bool = True) -> np.ndarray:
-    """Driven effective Hamiltonian at time ``t``.
-
-    With ``decay`` the anti-Hermitian damping terms are included (no-jump
-    conditional generator); without, only the coherent part remains.
-    """
-    h = static_hamiltonian(c) if decay else _hermitian_static(c)
-    for tone in d.tones:
-        a = drive_matrix(tone, c.n)
-        ph = np.exp(-1j * tone.detuning * t)
-        h = h + ph * a + np.conj(ph) * a.conj().T
-    return h
 
 
 @dataclass(frozen=True)
@@ -151,35 +113,22 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def export_csv(self, path) -> None:
-        """Columns: time, one raw population per level, norm (or trace)."""
-        weight_name = "norm" if self.kind == "nojump" else "trace"
-        with open(path, "w", newline="\n") as fh:
-            cols = ["time"] + [f"pop_{lab}" for lab in self.labels] + [weight_name]
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(self.times):
-                row = [f"{t:.17g}"]
-                row += [f"{p:.17g}" for p in self.populations[k]]
-                row.append(f"{self.norms[k]:.17g}")
-                fh.write(",".join(row) + "\n")
-
-
-def _hermitian_static(c: CouplingSet) -> np.ndarray:
-    n = c.n
-    sm = lowering_operators(n)
-    sp = raising_operators(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                h += c.delta[i, j] * (sp[i] @ sm[j])
-    return h
-
 
 def _tone_arrays(c: CouplingSet, d: DriveSpec):
-    return [(drive_matrix(tone, c.n),
-             drive_matrix(tone, c.n).conj().T,
-             tone.detuning) for tone in d.tones]
+    """(A, A^dag, detuning) per tone, A the raising drive at the tone's
+    amplitude."""
+    out = []
+    for tone in d.tones:
+        if len(tone.phases) != c.n:
+            raise ValueError("tone phase list does not match emitter count")
+        a = tone.rabi * drive_operator(tone.phases)
+        out.append((a, a.conj().T, tone.detuning))
+    return out
+
+
+def _check_end(t_end: float) -> None:
+    if not t_end > 0:
+        raise ValueError(f"end time must be positive, got {t_end:g}")
 
 
 def _fast_scale(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis) -> float:
@@ -189,9 +138,14 @@ def _fast_scale(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis) -> float:
     return max(scale, 1.0)
 
 
-def _sample_count(t_end: float, fast: float) -> int:
-    n = int(t_end * fast * 8.0 / (2.0 * np.pi)) + 1
-    return int(min(max(n, 800), 60000))
+def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
+                  t_end: float, n_samples: int | None) -> np.ndarray:
+    """Even grid on [0, t_end]; by default eight samples per period of the
+    fastest frequency, clipped to [800, 60000]."""
+    if n_samples is None:
+        n = int(t_end * _fast_scale(c, d, basis) * 8.0 / (2.0 * np.pi)) + 1
+        n_samples = int(min(max(n, 800), 60000))
+    return np.linspace(0.0, t_end, n_samples)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
@@ -208,24 +162,19 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalised")
+    _check_end(t_end)
     basis = basis if basis is not None else collective_eigenbasis(c)
-    hs = static_hamiltonian(c) if decay else _hermitian_static(c)
+    hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
 
-    if tones:
-        def rhs(t, y):
-            out = hs @ y
-            for a, ad, det in tones:
-                ph = np.exp(-1j * det * t)
-                out += ph * (a @ y) + np.conj(ph) * (ad @ y)
-            return -1j * out
-    else:
-        def rhs(t, y):
-            return -1j * (hs @ y)
+    def rhs(t, y):
+        out = hs @ y
+        for a, ad, det in tones:
+            ph = np.exp(-1j * det * t)
+            out += ph * (a @ y) + np.conj(ph) * (ad @ y)
+        return -1j * out
 
-    if n_samples is None:
-        n_samples = _sample_count(t_end, _fast_scale(c, d, basis))
-    times = np.linspace(0.0, t_end, n_samples)
+    times = _sample_times(c, d, basis, t_end, n_samples)
     sol = solve_ivp(rhs, (0.0, t_end), psi0, method="RK45",
                     rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
@@ -255,6 +204,7 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
         raise ValueError("initial density matrix must have unit trace")
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-9:
         raise ValueError("initial density matrix must be positive semidefinite")
+    _check_end(t_end)
 
     basis = basis if basis is not None else collective_eigenbasis(c)
     hs = static_hamiltonian(c)
@@ -272,9 +222,7 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
             drho += j @ rho @ jd
         return drho.ravel()
 
-    if n_samples is None:
-        n_samples = _sample_count(t_end, _fast_scale(c, d, basis))
-    times = np.linspace(0.0, t_end, n_samples)
+    times = _sample_times(c, d, basis, t_end, n_samples)
     sol = solve_ivp(rhs, (0.0, t_end), rho0.ravel(), method="RK45",
                     rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
@@ -296,20 +244,20 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
                         tones: list[tuple[np.ndarray, np.ndarray]],
-                        t_end: float, rtol: float = 1e-7,
-                        atol: float = DEFAULT_ATOL,
-                        times: np.ndarray | None = None) -> np.ndarray:
+                        times: np.ndarray, rtol: float = 1e-7,
+                        atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Integrate a stack of independent no-jump problems in one solver call.
 
     psi0 : (B, dim) initial states
     hs   : (B, dim, dim) static Hamiltonians
     tones: list of (A, detunings) with A of shape (B, dim, dim) and
            detunings of shape (B,)
-    Returns final states (B, dim), or the sampled history (B, nt, dim) when
-    ``times`` is given.  Sharing one solver keeps the per-call overhead
-    small for parameter scans; the step controller tracks the least
-    forgiving member of the batch.
+    times: sample times from 0; the last one ends the integration
+    Returns the sampled history (B, nt, dim).  Sharing one solver keeps the
+    per-call overhead small for parameter scans; the step controller tracks
+    the least forgiving member of the batch.
     """
+    _check_end(times[-1])
     b, dim = psi0.shape
     tone_arrays = [(a, a.conj().transpose(0, 2, 1), det) for a, det in tones]
 
@@ -322,11 +270,8 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
             out += np.conj(ph)[:, None] * np.einsum("bij,bj->bi", ad, psi)
         return (-1j * out).ravel()
 
-    t_eval = times if times is not None else [t_end]
-    sol = solve_ivp(rhs, (0.0, t_end), psi0.ravel().astype(complex),
-                    method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, times[-1]), psi0.ravel().astype(complex),
+                    method="RK45", rtol=rtol, atol=atol, t_eval=times)
     if not sol.success:
         raise IntegrationError(f"batched integration failed: {sol.message}")
-    if times is not None:
-        return sol.y.reshape(b, dim, -1).transpose(0, 2, 1)
-    return sol.y[:, -1].reshape(b, dim)
+    return sol.y.reshape(b, dim, -1).transpose(0, 2, 1)

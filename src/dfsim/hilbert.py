@@ -58,20 +58,34 @@ def ground_state(n: int) -> np.ndarray:
     return psi
 
 
-def static_hamiltonian(c: CouplingSet) -> np.ndarray:
+def static_hamiltonian(c: CouplingSet, decay: bool = True) -> np.ndarray:
     """Drive-free effective Hamiltonian in the rotating frame: coherent pair
-    hopping plus the anti-Hermitian damping terms (diagonal and cross)."""
+    hopping plus, with ``decay``, the anti-Hermitian damping terms (diagonal
+    and cross).  Without ``decay`` only the coherent part remains."""
     n = c.n
     sm = lowering_operators(n)
     sp = raising_operators(n)
-    xi = c.complex_matrix()
+    coeff = c.complex_matrix() if decay else c.delta
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(n):
             if i != j:
-                h += xi[i, j] * (sp[i] @ sm[j])
-        h += -0.5j * c.gamma * (sp[i] @ sm[i])
+                h += coeff[i, j] * (sp[i] @ sm[j])
+        if decay:
+            h += -0.5j * c.gamma * (sp[i] @ sm[i])
     return h
+
+
+def drive_operator(phases) -> np.ndarray:
+    """Unit raising drive sum_i e^{i phi_i} sigma_i^+ for per-emitter
+    propagation phases; a tone of amplitude E contributes E times this.
+
+    The full interaction at time t is e^{-i w t} A + e^{+i w t} A^dag with
+    w the tone detuning, which makes a tone at detuning w resonant with an
+    upward transition of rotating-frame energy w.
+    """
+    sp = raising_operators(len(phases))
+    return sum(np.exp(1j * phases[i]) * sp[i] for i in range(len(phases)))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingSet, SpectralParams, coupling_matrices, spectral_params
-from .dynamics import DriveSpec, Tone, Trajectory, evolve_nojump
+from .dynamics import DriveSpec, Trajectory, evolve_nojump, evolve_nojump_batch
 from .geometry import Geometry
-from .hilbert import CollectiveBasis, collective_eigenbasis, fidelity, fidelity_raw, ground_state
+from .hilbert import (collective_eigenbasis, drive_operator, fidelity,
+                      fidelity_raw, ground_state, static_hamiltonian)
+
+
+# Raman-offset calibration: points per scan grid, and the step the
+# returned offset is snapped to.
+CALIBRATION_GRID = 11
+CALIBRATION_RESOLUTION = 0.01
 
 
 class ProtocolError(RuntimeError):
@@ -191,27 +198,22 @@ def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.n
 
 def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
               *, k_dot_r: float | None = None, decay: bool = False,
-              rtol: float = 1e-9, dynamics_geometry: Geometry | None = None,
-              n_samples: int | None = None) -> ProtocolResult:
+              rtol: float = 1e-9) -> ProtocolResult:
     """Drive the ground state into the lowest one-excitation level with a
     single tone tuned to that transition.
 
     ``k_dot_r`` is the adjacent-emitter propagation phase; the default is
     the dimensionless spacing (wavevector along the chain), which is the
-    configuration the published benchmark numbers correspond to.  With
-    ``dynamics_geometry`` the drive frequency stays fixed by the nominal
-    geometry while the evolution runs on the perturbed one.
+    configuration the published benchmark numbers correspond to.
     """
-    nominal = coupling_matrices(g)
-    sp = spectral_params(nominal)
+    coupling = coupling_matrices(g)
+    sp = spectral_params(coupling)
     w_mu = 0.5 * (sp.delta13 - sp.omega)
     kdr = g.xi12 if k_dot_r is None else k_dot_r
 
-    dyn_g = dynamics_geometry if dynamics_geometry is not None else g
-    coupling = coupling_matrices(dyn_g) if dynamics_geometry is not None else nominal
     basis = collective_eigenbasis(coupling)
     target = basis.vector("b")
-    phases = _phases_for(dyn_g.positions[:, 0], g.spacing, kdr)
+    phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
     drive = DriveSpec.single(e_mu, w_mu, phases)
 
     if t_end is None:
@@ -222,8 +224,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
         t_end = 1.8 * np.pi / (2.0 * est)
 
     traj = evolve_nojump(ground_state(g.n), coupling, drive, t_end,
-                         rtol=rtol, decay=decay, n_samples=n_samples,
-                         basis=basis)
+                         rtol=rtol, decay=decay, basis=basis)
     pop = traj.populations_renormalized[:, basis.index("b")]
     t_pi, j = find_first_inversion(traj.times, pop)
     psi = traj.states[j]
@@ -243,27 +244,23 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
 def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
                    omega_delta: float = 170.0, t_end: float | None = None,
                    *, k_dot_r: float | None = None, decay: bool = False,
-                   rtol: float = 1e-9,
-                   dynamics_geometry: Geometry | None = None,
-                   n_samples: int | None = None) -> ProtocolResult:
+                   rtol: float = 1e-9) -> ProtocolResult:
     """Two-tone Raman rotation between the two lowest one-excitation levels.
 
     Tone detunings are w_mu = omega_delta and
     w_nu = (3*delta13 - Omega)/2 + omega_delta, so both tones sit
     ``omega_delta`` above the shared upper level of the Raman pair.
     """
-    nominal = coupling_matrices(g)
-    sp = spectral_params(nominal)
+    coupling = coupling_matrices(g)
+    sp = spectral_params(coupling)
     kdr = g.xi12 if k_dot_r is None else k_dot_r
     w_mu = omega_delta
     w_nu = 0.5 * (3.0 * sp.delta13 - sp.omega) + omega_delta
 
-    dyn_g = dynamics_geometry if dynamics_geometry is not None else g
-    coupling = coupling_matrices(dyn_g) if dynamics_geometry is not None else nominal
     basis = collective_eigenbasis(coupling)
     psi0 = basis.vector("b")
     target = basis.vector("c")
-    phases = _phases_for(dyn_g.positions[:, 0], g.spacing, kdr)
+    phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
     drive = DriveSpec.two_tone(e_mu, w_mu, e_nu, w_nu, phases)
 
     if t_end is None:
@@ -276,8 +273,7 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
         t_end = 1.1 * np.pi / (2.0 * est)
 
     traj = evolve_nojump(psi0 / np.linalg.norm(psi0), coupling, drive, t_end,
-                         rtol=rtol, decay=decay, n_samples=n_samples,
-                         basis=basis)
+                         rtol=rtol, decay=decay, basis=basis)
     pop = traj.populations_renormalized[:, basis.index("c")]
     smooth = min(3.0 * 2.0 * np.pi / abs(omega_delta), t_end / 10.0)
     t_pi, j = find_first_inversion(traj.times, pop, smooth_window=smooth)
@@ -302,29 +298,26 @@ def _rotation_transfer_batch(g: Geometry, e_mu: float, e_nu: float,
                              t_end: float, rtol: float) -> np.ndarray:
     """Best transfer fidelity over one window for a batch of Raman
     detunings, integrated in a single solver call."""
-    from .dynamics import _hermitian_static, evolve_nojump_batch
-
     nominal = coupling_matrices(g)
     sp = spectral_params(nominal)
     basis = collective_eigenbasis(nominal)
     psi0 = basis.vector("b")
     left_c = basis.left[basis.index("c")]
     phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
-    hs = _hermitian_static(nominal)
+    hs = static_hamiltonian(nominal, decay=False)
     b = len(omega_deltas)
     dim = hs.shape[0]
 
-    a_mu = drive_matrix_for(phases) * e_mu
-    a_nu = drive_matrix_for(phases) * e_nu
+    unit = drive_operator(phases)
     det_mu = np.asarray(omega_deltas, dtype=float)
     det_nu = 0.5 * (3.0 * sp.delta13 - sp.omega) + det_mu
-    tones = [(np.broadcast_to(a_mu, (b, dim, dim)).copy(), det_mu),
-             (np.broadcast_to(a_nu, (b, dim, dim)).copy(), det_nu)]
+    tones = [(np.broadcast_to(amp * unit, (b, dim, dim)).copy(), det)
+             for amp, det in ((e_mu, det_mu), (e_nu, det_nu))]
     nt = int(min(max(t_end / 2e-3, 1000), 10000))
     times = np.linspace(0.0, t_end, nt)
     states = evolve_nojump_batch(np.broadcast_to(psi0, (b, dim)).copy(),
                                  np.broadcast_to(hs, (b, dim, dim)).copy(),
-                                 tones, t_end, rtol=rtol, times=times)
+                                 tones, times, rtol=rtol)
     amps = np.einsum("d,btd->bt", left_c, states)
     norms2 = np.sum(np.abs(states) ** 2, axis=2)
     pops = np.abs(amps) ** 2 / norms2
@@ -334,14 +327,14 @@ def _rotation_transfer_batch(g: Geometry, e_mu: float, e_nu: float,
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
                        omega_delta_nominal: float, *,
                        k_dot_r: float | None = None, window: float = 0.2,
-                       resolution: float = 0.01, rtol: float = 1e-5,
-                       grid_points: int = 11) -> float:
+                       rtol: float = 1e-5) -> float:
     """Scan the Raman detuning near its nominal value and return the value
     maximising the transfer fidelity over the first cycle.
 
     The scan covers ``+- window`` (relative) around the nominal value with
     two successive batched grids, then refines the flat-topped maximum with
-    a parabola through the winning bracket, snapped to ``resolution``.
+    a parabola through the winning bracket, snapped to
+    ``CALIBRATION_RESOLUTION``.
     Raises if the maximum sits at the scan edge.
     """
     if omega_delta_nominal == 0:
@@ -356,14 +349,14 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
 
     lo = omega_delta_nominal * (1.0 - window)
     hi = omega_delta_nominal * (1.0 + window)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, CALIBRATION_GRID)
     scores = _rotation_transfer_batch(g, e_mu, e_nu, grid, kdr, t_end, rtol)
     k = int(np.argmax(scores))
     if k in (0, len(grid) - 1):
         raise ProtocolError("no interior fidelity maximum in the detuning "
                             f"scan window [{lo:g}, {hi:g}]")
 
-    fine = np.linspace(grid[k - 1], grid[k + 1], grid_points)
+    fine = np.linspace(grid[k - 1], grid[k + 1], CALIBRATION_GRID)
     fine_scores = _rotation_transfer_batch(g, e_mu, e_nu, fine, kdr,
                                            t_end, rtol)
     j = int(np.argmax(fine_scores))
@@ -373,7 +366,8 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
     shift = float(np.clip(shift, -1.0, 1.0))
     best = fine[j] + shift * (fine[1] - fine[0])
-    return float(np.round(best / resolution) * resolution)
+    return float(np.round(best / CALIBRATION_RESOLUTION)
+                 * CALIBRATION_RESOLUTION)
 
 
 def readout_coupling(c: CouplingSet, e_mu: float,
@@ -461,7 +455,7 @@ def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
 
     f_vec = basis.vector("f")
     l_vec = basis.vector("l")
-    unit = drive_matrix_for(phases)
+    unit = drive_operator(phases)
     v_fl = complex(np.vdot(l_vec, e_pulse * (unit @ f_vec)))
     rabi = np.sqrt(4.0 * abs(v_fl) ** 2 + detuning_offset**2)
     if rabi == 0:
@@ -506,10 +500,3 @@ def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
         params_used={"e_pulse": e_pulse, "detuning_offset": detuning_offset,
                      "omega_tone": w_tone, "k_dot_r": kdr, "decay": decay},
     )
-
-
-def drive_matrix_for(phases: np.ndarray) -> np.ndarray:
-    """Unit-amplitude raising-part drive operator for given phases."""
-    tone = Tone(1.0, 0.0, phases)
-    from .dynamics import drive_matrix
-    return drive_matrix(tone, len(phases))

@@ -10,15 +10,20 @@ are batched into shared solver calls grouped by spectral scale.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import coupling_matrices, spectral_params
-from .dynamics import Tone, drive_matrix, evolve_nojump_batch
-from .geometry import DisorderSpec, Geometry, sample_disorder
-from .hilbert import collective_eigenbasis, ground_state
-from .protocols import ProtocolError, _phases_for, prepare_b, rotate_logical
+from .dynamics import evolve_nojump_batch
+from .geometry import DisorderSpec, Geometry, linear_array_xi, sample_disorder
+from .hilbert import (collective_eigenbasis, drive_operator, ground_state,
+                      static_hamiltonian)
+from .protocols import (ProtocolError, _phases_for, calibrate_detuning,
+                        prepare_b, rotate_logical, rotation_rate_estimate)
+
+log = logging.getLogger(__name__)
 
 AXES = ("rabi", "detuning", "position")
 PROTOCOLS = ("prepare", "rotate")
@@ -27,6 +32,14 @@ PROTOCOLS = ("prepare", "rotate")
 # factor are so far detuned that the transfer fidelity is effectively zero;
 # skipping their integration keeps pathological draws from stalling sweeps.
 SCALE_CUTOFF = 50.0
+
+# Tolerance crossings are bisected to this absolute deviation.
+TOLERANCE_RESOLUTION = 0.001
+
+# Rotation merit search: drives scale from this reference spacing, and those
+# whose estimated half cycle exceeds the time cap (1/gamma) are skipped.
+MERIT_XI_REF = 0.15
+MERIT_T_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,8 @@ class SweepSpec:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
+        if self.axis == "rabi" and min(self.values) < -1.0:
+            raise ValueError("rabi deviations must be at least -1")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -77,12 +92,6 @@ class SweepResult:
     base_fidelity: float
     base_t_pi: float
     swap_probability: np.ndarray | None = None
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("deviation,mean_fidelity,stderr\n")
-            for d, f, s in zip(self.deviations, self.mean_fidelity, self.stderr):
-                fh.write(f"{d:.17g},{f:.17g},{s:.17g}\n")
 
 
 @dataclass
@@ -133,15 +142,12 @@ class _BaseRun:
         self.kdr = g.xi12 if base.k_dot_r is None else base.k_dot_r
         if base.protocol == "prepare":
             res = prepare_b(g, base.e_mu, k_dot_r=self.kdr, rtol=base.rtol)
-            self.detunings = (0.5 * (self.sp.delta13 - self.sp.omega),)
             self.amplitudes = (base.e_mu,)
         else:
             res = rotate_logical(g, base.e_mu, base.e_nu, base.omega_delta,
                                  k_dot_r=self.kdr, rtol=base.rtol)
-            self.detunings = (base.omega_delta,
-                              0.5 * (3.0 * self.sp.delta13 - self.sp.omega)
-                              + base.omega_delta)
             self.amplitudes = (base.e_mu, base.e_nu)
+        self.detunings = self.drive_detunings(1.0)
         self.result = res
         self.t_pi = res.t_pi
         self.basis = collective_eigenbasis(self.nominal)
@@ -150,7 +156,7 @@ class _BaseRun:
         self.target = (self.basis.vector("b") if base.protocol == "prepare"
                        else self.basis.vector("c"))
         self.phases = _phases_for(g.positions[:, 0], g.spacing, self.kdr)
-        self.hamiltonian = _coherent_static(self.nominal)
+        self.hamiltonian = static_hamiltonian(self.nominal, decay=False)
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
@@ -171,21 +177,17 @@ class _BaseRun:
         rotation the Raman offset scales while the two-photon difference
         stays fixed by the level structure.
         """
+        sp = self.sp
         if self.base.protocol == "prepare":
-            return (self.detunings[0] * omega_scale,)
+            return (0.5 * (sp.delta13 - sp.omega) * omega_scale,)
         wd = self.base.omega_delta * omega_scale
-        return (wd, 0.5 * (3.0 * self.sp.delta13 - self.sp.omega) + wd)
-
-
-def _coherent_static(coupling) -> np.ndarray:
-    from .dynamics import _hermitian_static
-    return _hermitian_static(coupling)
+        return (wd, 0.5 * (3.0 * sp.delta13 - sp.omega) + wd)
 
 
 def _batched_fidelities(h_stack, tone_stacks, psi0_stack, targets, times,
                         rtol):
-    states = evolve_nojump_batch(psi0_stack, h_stack, tone_stacks,
-                                 float(times[-1]), rtol=rtol, times=times)
+    states = evolve_nojump_batch(psi0_stack, h_stack, tone_stacks, times,
+                                 rtol=rtol)
     norms2 = np.sum(np.abs(states) ** 2, axis=2)
     overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
     return (overlaps / norms2).max(axis=1)
@@ -200,6 +202,7 @@ def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
     h_stack = np.broadcast_to(run.hamiltonian, (b, dim, dim)).copy()
     psi0 = np.broadcast_to(run.initial, (b, dim)).copy()
     targets = np.broadcast_to(run.target, (b, dim)).copy()
+    unit = drive_operator(run.phases)
     tone_stacks = []
     n_tones = len(run.amplitudes)
     for k in range(n_tones):
@@ -215,8 +218,7 @@ def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
             else:
                 amp = run.amplitudes[k]
                 det = run.drive_detunings(1.0 + dev)[k]
-            a_list.append(drive_matrix(Tone(amp, det, run.phases),
-                                       run.base.geometry.n))
+            a_list.append(amp * unit)
             det_list.append(det)
         tone_stacks.append((np.array(a_list), np.array(det_list)))
     return _batched_fidelities(h_stack, tone_stacks, psi0, targets,
@@ -252,7 +254,8 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
             psi0 = basis.vector("b")
             target = basis.vector("c")
         phases = _phases_for(gg.positions[:, 0], g.spacing, run.kdr)
-        prepared[idx] = (_coherent_static(coupling), psi0, target, phases)
+        prepared[idx] = (static_hamiltonian(coupling, decay=False), psi0,
+                         target, drive_operator(phases))
         buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1e-12))),
                            []).append(idx)
 
@@ -263,9 +266,7 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
         targets = np.array([prepared[i][2] for i in members])
         tone_stacks = []
         for k, amp in enumerate(run.amplitudes):
-            a_list = [drive_matrix(Tone(amp, run.detunings[k],
-                                        prepared[i][3]), g.n)
-                      for i in members]
+            a_list = [amp * prepared[i][3] for i in members]
             tone_stacks.append((np.array(a_list),
                                 np.full(len(members), run.detunings[k])))
         f = _batched_fidelities(h_stack, tone_stacks, psi0.reshape(-1, dim),
@@ -302,14 +303,14 @@ def sweep(spec: SweepSpec, base: ScenarioBase) -> SweepResult:
 
 
 def tolerance(base: ScenarioBase, axis: str, threshold: float,
-              resolution: float = 0.001, run: _BaseRun | None = None) -> float:
+              run: _BaseRun | None = None) -> float:
     """Symmetric half-width of the deviation window keeping the fidelity at
     the nominal inversion time above ``threshold``.
 
     The fidelity optimum sits slightly off the nominal drive (the drive
     dresses the levels), so the passing window is asymmetric about zero;
     the quoted control level is half its total width.  Each crossing is
-    located by bisection to ``resolution``.
+    located by bisection to ``TOLERANCE_RESOLUTION``.
     """
     if axis == "position":
         raise ValueError("position tolerances come from a variance grid")
@@ -323,12 +324,12 @@ def tolerance(base: ScenarioBase, axis: str, threshold: float,
         raise ProtocolError(f"base fidelity below threshold {threshold}")
 
     def crossing(sign: float) -> float:
-        lo, hi = 0.0, resolution
+        lo, hi = 0.0, TOLERANCE_RESOLUTION
         while fidelity_at(sign * hi) >= threshold:
             lo, hi = hi, hi * 2.0
             if hi > 1.0:
                 return 1.0
-        while hi - lo > resolution:
+        while hi - lo > TOLERANCE_RESOLUTION:
             mid = 0.5 * (lo + hi)
             if fidelity_at(sign * mid) >= threshold:
                 lo = mid
@@ -375,3 +376,125 @@ def tolerance_table(base: ScenarioBase,
         table.rows.append(ToleranceRow(axis="position", tolerances=tols,
                                        note="; ".join(notes)))
     return table
+
+
+def prepare_merit_point(xi: float, alpha: float, f_target: float,
+                        rtol: float = 1e-8) -> dict:
+    """Largest drive amplitude holding the preparation fidelity at the
+    target, and the figure of merit there.
+
+    The fidelity decreases with amplitude from its weak-drive limit, so the
+    crossing is found by doubling from a spectral-scale seed and bisecting.
+    """
+    g = linear_array_xi(xi, alpha=alpha)
+    sp = spectral_params(coupling_matrices(g))
+
+    def fid(e_mu: float):
+        return prepare_b(g, e_mu, rtol=rtol)
+
+    e_seed = sp.omega / 40.0
+    lo, res_lo = e_seed, fid(e_seed)
+    while res_lo.fidelity < f_target:
+        lo /= 2.0
+        res_lo = fid(lo)
+        if lo < e_seed / 64.0:
+            break
+    hi = lo * 2.0
+    res_hi = fid(hi)
+    while res_hi.fidelity >= f_target:
+        lo, res_lo = hi, res_hi
+        hi *= 2.0
+        res_hi = fid(hi)
+    while hi / lo > 1.004:
+        mid = np.sqrt(lo * hi)
+        res_mid = fid(mid)
+        if res_mid.fidelity >= f_target:
+            lo, res_lo = mid, res_mid
+        else:
+            hi = mid
+    return {"e_mu": lo, "t_pi": res_lo.t_pi, "fidelity": res_lo.fidelity,
+            "gamma_b": res_lo.params_used["gamma_b"],
+            "merit": res_lo.merit,
+            "gamma_b_t_pi": res_lo.params_used["gamma_b"] * res_lo.t_pi}
+
+
+def rotate_merit_point(xi: float, alpha: float, f_target: float,
+                       e_mu: float = 6.0, e_nu: float = 15.0,
+                       omega_delta: float = 170.0,
+                       rtol: float = 1e-5) -> dict:
+    """Largest common amplitude scale holding the rotation fidelity at the
+    target, and the figure of merit there.
+
+    The chain's shift matrix is self-similar in the spacing (fixed
+    nearest/next-nearest ratio), so the whole drive configuration --
+    amplitudes and Raman offset -- is first scaled with the collective
+    splitting relative to the reference spacing ``MERIT_XI_REF``; this keeps
+    the offset-to-gap ratio fixed and the transfer in the same regime at
+    every point.  The amplitude scale is then searched downward so that
+    every evaluated run is at least as fast as the returned one (the
+    effective rate grows with the amplitude product, making weak drives
+    expensive).
+    """
+    g = linear_array_xi(xi, alpha=alpha)
+    sp = spectral_params(coupling_matrices(g))
+    sp_ref = spectral_params(coupling_matrices(
+        linear_array_xi(MERIT_XI_REF, alpha=alpha)))
+    lam = sp.omega / sp_ref.omega
+    e_mu, e_nu = e_mu * lam, e_nu * lam
+    omega_delta = omega_delta * lam
+    # The phase-gradient couplings carry an extra factor of the spacing, so
+    # the dressed two-photon resonance drifts slightly off the scaled
+    # offset; recalibrate in a narrow window.  The fidelity peak position
+    # is amplitude-independent (mismatch and rate both scale with the
+    # squared amplitude), so calibrating at double drive is cheap.
+    try:
+        omega_delta = calibrate_detuning(g, 2.0 * e_mu, 2.0 * e_nu,
+                                         omega_delta, window=0.08, rtol=1e-4)
+    except ProtocolError as exc:
+        log.warning("rotate_merit_point: calibration failed at xi=%g, "
+                    "keeping the scaled offset %g: %s", xi, omega_delta, exc)
+
+    def attempt(scale: float):
+        est = rotation_rate_estimate(sp, e_mu * scale, e_nu * scale,
+                                     g.xi12, omega_delta)
+        if est <= 0 or np.pi / (2.0 * est) > MERIT_T_CAP:
+            return None
+        try:
+            return rotate_logical(g, e_mu * scale, e_nu * scale, omega_delta,
+                                  rtol=rtol)
+        except ProtocolError:
+            return None
+
+    results = {}
+    lo = None
+    hi = None
+    for s in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
+        res = attempt(s)
+        results[s] = res
+        if res is not None and res.fidelity >= f_target:
+            lo = s
+            break
+        hi = s
+    if lo is None:
+        usable = {s: r for s, r in results.items() if r is not None}
+        if not usable:
+            raise ProtocolError(f"rotation never converged at xi={xi}")
+        s = max(usable, key=lambda k: usable[k].fidelity)
+        return _merit_dict(s, usable[s], saturated=False)
+    res_lo = results[lo]
+    if hi is None:
+        return _merit_dict(lo, res_lo, saturated=True)
+    while hi / lo > 1.02:
+        mid = np.sqrt(lo * hi)
+        res_mid = attempt(mid)
+        if res_mid is not None and res_mid.fidelity >= f_target:
+            lo, res_lo = mid, res_mid
+        else:
+            hi = mid
+    return _merit_dict(lo, res_lo, saturated=True)
+
+
+def _merit_dict(scale, res, saturated: bool) -> dict:
+    gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
+    return {"scale": scale, "t_pi": res.t_pi, "fidelity": res.fidelity,
+            "gamma_mean": gm, "merit": res.merit, "saturated": saturated}

@@ -101,3 +101,39 @@ class TestConfigValidation:
         cfg.write_text("[scenario]\nname = x\ntype = mystery\n")
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end", ["-1", "0", "inf", "soon"])
+    def test_rejects_bad_end_time(self, tmp_path, t_end):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nname = x\ntype = prepare\n"
+                       "[geometry]\nxi12 = 0.5\nalpha = 0\n"
+                       "[drive]\ne_mu = 1.0\n"
+                       f"[run]\nt_end = {t_end}\n")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="t_end"):
+            run(str(cfg), out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,section,key,value", [
+        ("prepare", "run", "t_end", "0.9,high"),
+        ("prepare", "drive", "k_dot_r", "nan"),
+        ("merit-prepare", "merit", "xi_values", "0.9,high"),
+        ("merit-prepare", "merit", "xi_values", ","),
+        ("table-prepare", "sweep", "thresholds", "0.9,high"),
+        ("table-prepare", "sweep", "thresholds", "0.9,nan"),
+        ("table-prepare", "sweep", "variances", "0.9,high"),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, kind,
+                                      section, key, value):
+        sections = {"scenario": {"name": "x", "type": kind},
+                    "geometry": {"xi12": "0.5", "alpha": "0"},
+                    "drive": {"e_mu": "1.0"}}
+        sections.setdefault(section, {})[key] = value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dfsim import (CouplingSet, DriveSpec, build_h_eff, collective_eigenbasis,
+from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, evolve_lindblad,
                    evolve_nojump, jump_operators, linear_array_xi)
-from dfsim.hilbert import (ground_state, lowering_operators,
+from dfsim.coupling import spectral_params
+from dfsim.dynamics import _tone_arrays, evolve_nojump_batch
+from dfsim.hilbert import (drive_operator, ground_state, lowering_operators,
                            raising_operators, static_hamiltonian)
 
 
 def fig2a_system():
     g = linear_array_xi(0.5, alpha=0.0)
     c = coupling_matrices(g)
-    from dfsim.coupling import spectral_params
     sp = spectral_params(c)
     w_mu = 0.5 * (sp.delta13 - sp.omega)
     phases = np.array([-1.0, 0.0, 1.0]) * 0.5
@@ -26,32 +27,65 @@ def gamma_operator(c):
                for i in range(c.n) for j in range(c.n))
 
 
+def h_eff(c, d, t, decay=True):
+    """Driven effective Hamiltonian at time t, assembled from the same
+    operators the engines integrate."""
+    h = static_hamiltonian(c, decay)
+    for a, ad, det in _tone_arrays(c, d):
+        ph = np.exp(-1j * det * t)
+        h = h + ph * a + np.conj(ph) * ad
+    return h
+
+
 class TestBuildHeff:
+    """The driven effective Hamiltonian from static_hamiltonian and
+    drive_operator."""
+
     def test_zero_drive_equals_static(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
-        h = build_h_eff(c, DriveSpec.off(3), t=0.3)
-        assert np.allclose(h, static_hamiltonian(c), atol=1e-14)
+        assert _tone_arrays(c, DriveSpec.off()) == []
+        h = h_eff(c, DriveSpec.off(), t=0.3)
+        assert np.array_equal(h, static_hamiltonian(c))
 
     def test_single_tone_couples_each_flip(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
-        d = DriveSpec.single(0.7, -5.0, np.zeros(3))
-        h = build_h_eff(c, d, t=0.0)
+        phases = np.array([-0.4, 0.1, 0.9])
+        d = DriveSpec.single(0.7, -5.0, phases)
+        h = h_eff(c, d, t=0.0)
         for q in range(3):
             row = int("".join("1" if k == q else "0" for k in range(3)), 2)
-            assert h[row, 0] == pytest.approx(0.7, abs=1e-14)
+            assert h[row, 0] == pytest.approx(0.7 * np.exp(1j * phases[q]),
+                                              abs=1e-14)
+            assert h[0, row] == pytest.approx(0.7 * np.exp(-1j * phases[q]),
+                                              abs=1e-14)
 
     def test_two_tone_interference_is_time_dependent(self):
         c = coupling_matrices(linear_array_xi(0.15, alpha=np.pi / 2))
         d = DriveSpec.two_tone(6.0, 170.0, 15.0, -101.0, np.zeros(3))
-        h1 = build_h_eff(c, d, t=0.0)
-        h2 = build_h_eff(c, d, t=0.01)
+        h1 = h_eff(c, d, t=0.0)
+        h2 = h_eff(c, d, t=0.01)
         assert not np.allclose(h1, h2)
 
     def test_coherent_variant_is_hermitian(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
         d = DriveSpec.single(1.0, -20.0, np.zeros(3))
-        h = build_h_eff(c, d, t=0.2, decay=False)
+        h = h_eff(c, d, t=0.2, decay=False)
         assert np.allclose(h, h.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("xi", [0.05, 0.15, 0.5, 1.3])
+    def test_coherent_part_is_hermitian_part(self, n, xi):
+        c = coupling_matrices(linear_array_xi(xi, n=n, alpha=np.pi / 3))
+        h = static_hamiltonian(c)
+        assert np.array_equal(static_hamiltonian(c, decay=False),
+                              0.5 * (h + h.conj().T))
+
+    def test_drive_operator_is_phased_collective_raising(self):
+        phases = np.array([0.3, -1.2, 2.0, 0.7])
+        sp = raising_operators(4)
+        want = sum(np.exp(1j * phi) * op for phi, op in zip(phases, sp))
+        assert np.allclose(drive_operator(phases), want, atol=1e-15)
+        assert np.array_equal(drive_operator(np.zeros(4)), sum(sp))
 
 
 class TestJumpOperators:
@@ -81,7 +115,7 @@ class TestJumpOperators:
 class TestNoJump:
     def test_ground_state_stationary(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
-        traj = evolve_nojump(ground_state(3), c, DriveSpec.off(3), 2.0)
+        traj = evolve_nojump(ground_state(3), c, DriveSpec.off(), 2.0)
         assert np.max(np.abs(traj.states - traj.states[0])) < 1e-9
         assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
 
@@ -129,13 +163,35 @@ class TestNoJump:
         with pytest.raises(ValueError):
             evolve_nojump(0.5 * ground_state(3), c, d, 1.0)
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_rejects_nonpositive_end_time(self, t_end):
+        c, d = fig2a_system()
+        with pytest.raises(ValueError, match="end time"):
+            evolve_nojump(ground_state(3), c, d, t_end)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_batch_rejects_nonpositive_end_time(self, t_end):
+        c, d = fig2a_system()
+        a, _, det = _tone_arrays(c, d)[0]
+        with pytest.raises(ValueError, match="end time"):
+            evolve_nojump_batch(ground_state(3)[None],
+                                static_hamiltonian(c)[None],
+                                [(a[None], np.array([det]))],
+                                np.linspace(0.0, t_end, 5))
+
+    def test_rejects_phase_count_mismatch(self):
+        c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
+        d = DriveSpec.single(1.0, -5.0, np.zeros(4))
+        with pytest.raises(ValueError, match="phase list"):
+            evolve_nojump(ground_state(3), c, d, 1.0)
+
 
 class TestLindblad:
     def test_ground_state_stationary(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[0, 0] = 1.0
-        traj = evolve_lindblad(rho0, c, DriveSpec.off(3), 5.0)
+        traj = evolve_lindblad(rho0, c, DriveSpec.off(), 5.0)
         assert np.max(np.abs(traj.states[-1] - rho0)) < 1e-9
 
     @pytest.mark.parametrize("system", ["equal-couplings", "chain"])
@@ -150,7 +206,7 @@ class TestLindblad:
             c = coupling_matrices(linear_array_xi(0.1, alpha=0.0))
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[7, 7] = 1.0
-        traj = evolve_lindblad(rho0, c, DriveSpec.off(3), 1.5, rtol=1e-9)
+        traj = evolve_lindblad(rho0, c, DriveSpec.off(), 1.5, rtol=1e-9)
         sm = lowering_operators(3)
         number = sum(m.conj().T @ m for m in sm)
         n_t = np.einsum("tij,ji->t", traj.states, number).real
@@ -163,7 +219,7 @@ class TestLindblad:
         basis = collective_eigenbasis(c)
         cvec = basis.vector("c")
         rho0 = np.outer(cvec, cvec.conj())
-        traj = evolve_lindblad(rho0, c, DriveSpec.off(3), 100.0, rtol=1e-9)
+        traj = evolve_lindblad(rho0, c, DriveSpec.off(), 100.0, rtol=1e-9)
         assert traj.trace_error < 1e-6
         assert np.max(np.abs(traj.states[-1] - rho0)) < 1e-6
 
@@ -173,6 +229,22 @@ class TestLindblad:
         rho0[0, 0] = 1.0
         traj = evolve_lindblad(rho0, c, d, 10.0, rtol=1e-10, atol=1e-13)
         assert traj.trace_error < 1e-9
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_rejects_nonpositive_end_time(self, t_end):
+        c, d = fig2a_system()
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(ValueError, match="end time"):
+            evolve_lindblad(rho0, c, d, t_end)
+
+    def test_rejects_phase_count_mismatch(self):
+        c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
+        d = DriveSpec.single(1.0, -5.0, np.zeros(2))
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(ValueError, match="phase list"):
+            evolve_lindblad(rho0, c, d, 1.0)
 
     def test_validates_initial_state(self):
         c, d = fig2a_system()
@@ -195,8 +267,7 @@ class TestLindblad:
 
         hs = static_hamiltonian(c)
         tone = d.tones[0]
-        from dfsim.dynamics import drive_matrix
-        a = drive_matrix(tone, 3)
+        a = tone.rabi * drive_operator(tone.phases)
 
         def rhs(t, y):
             rho = y.reshape(8, 8)

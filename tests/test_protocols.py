@@ -7,8 +7,10 @@ from dfsim import (collective_eigenbasis, coupling_matrices, dicke_coupling,
                    jump_operators, linear_array_xi, prepare_b,
                    readout_coupling, readout_fluorescence, rotate_logical,
                    spectral_params)
-from dfsim.protocols import (ProtocolError, cphase4, find_first_inversion,
-                             rotation_rate_estimate)
+from dfsim.hilbert import (drive_operator, excitation_numbers,
+                           static_hamiltonian)
+from dfsim.protocols import (ProtocolError, _phases_for, cphase4,
+                             find_first_inversion, rotation_rate_estimate)
 
 
 @pytest.fixture(scope="module")
@@ -267,17 +269,15 @@ class TestCphase4:
         g4, res = cphase_run
         c = coupling_matrices(g4)
         basis = collective_eigenbasis(c)
-        from dfsim.hilbert import excitation_numbers
-        from dfsim.protocols import _phases_for, drive_matrix_for
-        from dfsim.dynamics import _hermitian_static
         phases = _phases_for(g4.positions[:, 0], g4.spacing,
                              res.params_used["k_dot_r"])
-        a = drive_matrix_for(phases) * res.params_used["e_pulse"]
+        a = drive_operator(phases) * res.params_used["e_pulse"]
         n_op = np.diag(excitation_numbers(4).astype(complex))
         w = res.params_used["omega_tone"]
-        h_rot = _hermitian_static(c) - w * n_op + a + a.conj().T
+        h0 = static_hamiltonian(c, decay=False)
+        h_rot = h0 - w * n_op + a + a.conj().T
         u = scipy.linalg.expm(-1j * h_rot * res.t_gate)
-        u_free = scipy.linalg.expm(-1j * _hermitian_static(c) * res.t_gate)
+        u_free = scipy.linalg.expm(-1j * h0 * res.t_gate)
         for lab in "cbgf":
             v = basis.vector(lab)
             # Transforming back from the tone frame restores the phase

@@ -1,8 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
-from dfsim import ScenarioBase, SweepSpec, linear_array_xi, sweep, tolerance
-from dfsim.robustness import tolerance_table
+from dfsim import (ProtocolError, ScenarioBase, SweepSpec, linear_array_xi,
+                   sweep, tolerance)
+from dfsim import robustness
+from dfsim.robustness import rotate_merit_point, tolerance_table
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,11 @@ class TestSweep:
         f = res.mean_fidelity
         assert f[2] == max(f)
         assert f[0] < f[2] and f[4] < f[2]
+
+    def test_rejects_negative_amplitude(self, prep_base):
+        with pytest.raises(ValueError):
+            sweep(SweepSpec(protocol="prepare", axis="rabi", values=(-1.5,)),
+                  prep_base)
 
     def test_detuning_errors_reduce_fidelity(self, prep_base):
         spec = SweepSpec(protocol="prepare", axis="detuning",
@@ -83,3 +92,18 @@ class TestTolerance:
     def test_position_rejected_for_bisection(self, prep_base):
         with pytest.raises(ValueError):
             tolerance(prep_base, "position", 0.95)
+
+
+def test_rotate_merit_point_logs_calibration_failure(monkeypatch, caplog):
+    def fail(*args, **kwargs):
+        raise ProtocolError("no interior fidelity maximum")
+
+    monkeypatch.setattr(robustness, "calibrate_detuning", fail)
+    monkeypatch.setattr(robustness, "rotate_logical", fail)
+    with caplog.at_level(logging.WARNING, logger="dfsim.robustness"):
+        with pytest.raises(ProtocolError, match="never converged"):
+            rotate_merit_point(0.1, np.pi / 2, 0.98)
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert any("xi=0.1" in m and "no interior fidelity maximum" in m
+               for m in warnings)
