@@ -29,7 +29,7 @@ from .protocols import (ProtocolError, calibrate_detuning, cphase4,
                         prepare_b, readout_coupling, readout_fluorescence,
                         rotate_logical)
 from .robustness import (ScenarioBase, SweepSpec, prepare_merit_point,
-                         rotate_merit_point, sweep, tolerance_table)
+                         rotate_merit_point, tolerance_table)
 
 SCENARIOS = (
     "prep-fig2a",
@@ -56,6 +56,21 @@ _SECTION_KEYS = {
     "sweep": {"thresholds", "variances", "samples"},
     "cluster": {"p", "ops"},
 }
+
+# Every number read from a config must be finite.  Some keys also have a
+# range that the library never sees or checks only once a solve is under
+# way (a negative amplitude reaches `Tone`'s check inside a protocol call).
+# (section, key) -> (accepts value, what it must be)
+_FINITE = (np.isfinite, "finite")
+_POSITIVE = (lambda v: 0 < v < np.inf, "finite and positive")
+_AMPLITUDE = (lambda v: 0 <= v < np.inf, "finite and nonnegative")
+_FRACTION = (lambda v: 0 < v < 1, "inside (0, 1)")
+_RANGES = {("geometry", "r_nm"): _POSITIVE, ("run", "t_end"): _POSITIVE,
+           ("geometry", "lambda0_nm"): _POSITIVE,
+           ("merit", "xi_values"): _POSITIVE, ("merit", "f_target"): _FRACTION,
+           ("sweep", "thresholds"): _FRACTION, ("drive", "e_mu"): _AMPLITUDE,
+           ("drive", "e_nu"): _AMPLITUDE, ("drive", "e_pulse"): _AMPLITUDE}
+
 
 class ConfigError(ValueError):
     pass
@@ -106,9 +121,7 @@ def _get_float(cfg, section, key, default=None):
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite")
-    return value
+    return _in_range(section, key, value)
 
 
 def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
@@ -121,10 +134,25 @@ def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a list of "
                           "numbers") from exc
-    if not (values or default == "") or not all(np.isfinite(values)):
-        raise ConfigError(f"[{section}] {key} = {raw!r} must list finite "
-                          "numbers")
-    return values
+    if not (values or default == ""):
+        raise ConfigError(f"[{section}] {key} = {raw!r} lists no numbers")
+    return tuple(_in_range(section, key, v) for v in values)
+
+
+def _in_range(section, key, value: float) -> float:
+    accepts, expected = _RANGES.get((section, key), _FINITE)
+    if not accepts(value):
+        raise ConfigError(f"[{section}] {key} = {value:g} must be {expected}")
+    return value
+
+
+def _checked(section: str, build, *args, **kwargs):
+    """Call a library function that checks config values before it does
+    any work; the ValueError it raises for a bad value is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _get_int(cfg, section, key, default=None):
@@ -156,25 +184,14 @@ def _geometry(cfg):
     else:
         r_nm = _get_float(cfg, "geometry", "r_nm")
         lam = _get_float(cfg, "geometry", "lambda0_nm")
-        if r_nm <= 0 or lam <= 0:
-            raise ConfigError("r_nm and lambda0_nm must be positive")
         xi12 = 2.0 * np.pi * r_nm / lam
-    return linear_array_xi(xi12, n=n, alpha=alpha)
+    return _checked("geometry", linear_array_xi, xi12, n=n, alpha=alpha)
 
 
 def _k_dot_r(cfg, geometry):
     if cfg.get("drive", "k_dot_r", fallback="auto") == "auto":
         return geometry.xi12
     return _get_float(cfg, "drive", "k_dot_r")
-
-
-def _t_end(cfg):
-    if cfg.get("run", "t_end", fallback="auto") == "auto":
-        return None
-    t_end = _get_float(cfg, "run", "t_end")
-    if t_end <= 0:
-        raise ConfigError(f"[run] t_end = {t_end:g} must be positive")
-    return t_end
 
 
 def _fmt(value) -> str:
@@ -363,6 +380,9 @@ def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
     thresholds = _get_floats(cfg, "sweep", "thresholds", "0.9,0.95,0.98")
     variances = _get_floats(cfg, "sweep", "variances", "")
     samples = _get_int(cfg, "sweep", "samples", 100)
+    if variances:
+        _checked("sweep", SweepSpec, protocol, "position", variances,
+                 samples, seed)
     table = tolerance_table(base, thresholds=thresholds,
                             position_variances=variances,
                             samples=samples, seed=seed)
@@ -373,20 +393,19 @@ def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
             v = row.tolerances.get(t)
             rows.append([row.axis, t, "" if v is None else v])
     out.add_csv("tolerances", ["axis", "threshold", "tolerance"], rows)
-    for v in variances:
-        spec = SweepSpec(protocol=protocol, axis="position", values=(v,),
-                         samples=samples, seed=seed)
-        res = sweep(spec, base)
-        out.add(f"mean_fidelity_v_{v:g}", float(res.mean_fidelity[0]))
-        out.add(f"stderr_v_{v:g}", float(res.stderr[0]))
-        out.add(f"swap_probability_v_{v:g}", float(res.swap_probability[0]))
+    disorder = table.position
+    for k, v in enumerate(variances):
+        out.add(f"mean_fidelity_v_{v:g}", float(disorder.mean_fidelity[k]))
+        out.add(f"stderr_v_{v:g}", float(disorder.stderr[k]))
+        out.add(f"swap_probability_v_{v:g}",
+                float(disorder.swap_probability[k]))
     out.add("nesting_valid", int(table.validate_nesting()))
 
 
 def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
     p = _get_float(cfg, "cluster", "p")
     ops = _get_int(cfg, "cluster", "ops")
-    run = grow_chain(p, ops, seed=seed)
+    run = _checked("cluster", grow_chain, p, ops, seed=seed)
     out.add_csv("growth", ["op", "length", "increment"],
                 ([k + 1, int(run.lengths[k]), int(run.increments[k])]
                  for k in range(run.ops)))
@@ -425,9 +444,12 @@ def run(config_source: str, out_dir: str | None = None,
     if kind not in _HANDLERS:
         raise ConfigError(f"unknown scenario type {kind!r}")
     run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
+    if run_seed < 0:
+        raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")
     run_rtol = rtol if rtol is not None else _get_float(cfg, "integrator",
                                                         "rtol", 1e-9)
-    t_end = _t_end(cfg)
+    t_end = (None if cfg.get("run", "t_end", fallback="auto") == "auto"
+             else _get_float(cfg, "run", "t_end"))
     resolved_out = (out_dir or cfg.get("run", "out", fallback=None)
                     or os.environ.get(ENV_OUTDIR) or "out")
     cfg["run"] = {**(dict(cfg["run"]) if cfg.has_section("run") else {}),

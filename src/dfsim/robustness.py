@@ -5,17 +5,19 @@ A sweep perturbs one control axis of a base protocol, re-evolves to the
 unperturbed inversion time, and records the fidelity there.  Control-field
 frequencies never track position errors.  Sample evaluations are
 independent; position draws use a per-sample split of the seed stream and
-are batched into shared solver calls grouped by spectral scale.
+are batched into shared solver calls grouped by spectral scale.  Every
+variance of a sweep draws from the sweep's seed, so a variance's draws
+depend only on (seed, variance) and variances share common random numbers.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_matrices, spectral_params
+from .coupling import CouplingSet, coupling_matrices, spectral_params
 from .dynamics import evolve_nojump_batch
 from .geometry import DisorderSpec, Geometry, linear_array_xi, sample_disorder
 from .hilbert import (collective_eigenbasis, drive_operator, ground_state,
@@ -79,6 +81,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         if self.axis == "rabi" and min(self.values) < -1.0:
             raise ValueError("rabi deviations must be at least -1")
+        if self.axis == "position" and min(self.values) < 0.0:
+            raise ValueError("position variances must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -105,7 +109,9 @@ class ToleranceRow:
 class ToleranceTable:
     protocol: str
     thresholds: tuple
-    rows: list[ToleranceRow] = field(default_factory=list)
+    rows: list[ToleranceRow]
+    # The position-disorder sweep behind the position row, if there is one.
+    position: SweepResult | None
 
     def validate_nesting(self) -> bool:
         """Tighter fidelity targets must not allow larger deviations."""
@@ -132,7 +138,7 @@ class ToleranceTable:
 
 class _BaseRun:
     """Nominal protocol run plus everything needed to re-evolve with a
-    perturbed drive."""
+    perturbed drive or a displaced geometry."""
 
     def __init__(self, base: ScenarioBase):
         g = base.geometry
@@ -149,26 +155,29 @@ class _BaseRun:
             self.amplitudes = (base.e_mu, base.e_nu)
         self.detunings = self.drive_detunings(1.0)
         self.result = res
-        self.t_pi = res.t_pi
-        self.basis = collective_eigenbasis(self.nominal)
-        self.initial = (ground_state(g.n) if base.protocol == "prepare"
-                        else self.basis.vector("b"))
-        self.target = (self.basis.vector("b") if base.protocol == "prepare"
-                       else self.basis.vector("c"))
-        self.phases = _phases_for(g.positions[:, 0], g.spacing, self.kdr)
-        self.hamiltonian = static_hamiltonian(self.nominal, decay=False)
+        self.nominal_member = self.member(g, self.nominal)
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
         # window spanning a few ripple periods around the nominal t_pi.
-        if base.protocol == "rotate":
-            self.eval_window = 3.0 * 2.0 * np.pi / abs(base.omega_delta)
-        else:
-            self.eval_window = 0.01 * self.t_pi
+        window = (3.0 * 2.0 * np.pi / abs(base.omega_delta)
+                  if base.protocol == "rotate" else 0.01 * res.t_pi)
+        self.eval_times = np.linspace(max(res.t_pi - window, 0.0),
+                                      res.t_pi + window, 81)
 
-    def eval_times(self, points: int = 81) -> np.ndarray:
-        return np.linspace(max(self.t_pi - self.eval_window, 0.0),
-                           self.t_pi + self.eval_window, points)
+    def member(self, g: Geometry, coupling: CouplingSet) -> tuple:
+        """Batch member for emitters at ``g``: coherent H0, initial state,
+        target state and unit drive, whose wavevector the nominal spacing
+        fixes (control fields do not track position errors)."""
+        basis = collective_eigenbasis(coupling)
+        if self.base.protocol == "prepare":
+            psi0, target = ground_state(g.n), basis.vector("b")
+        else:
+            psi0, target = basis.vector("b"), basis.vector("c")
+        phases = _phases_for(g.positions[:, 0], self.base.geometry.spacing,
+                             self.kdr)
+        return (static_hamiltonian(coupling, decay=False), psi0, target,
+                drive_operator(phases))
 
     def drive_detunings(self, omega_scale: float) -> tuple:
         """Tone detunings with the swept frequency scaled.
@@ -184,9 +193,17 @@ class _BaseRun:
         return (wd, 0.5 * (3.0 * sp.delta13 - sp.omega) + wd)
 
 
-def _batched_fidelities(h_stack, tone_stacks, psi0_stack, targets, times,
-                        rtol):
-    states = evolve_nojump_batch(psi0_stack, h_stack, tone_stacks, times,
+def _batched_fidelities(run: _BaseRun, members, drives: list,
+                        rtol: float) -> np.ndarray:
+    """Best fidelity in the evaluation window for each batch member, all in
+    one solve; member ``i`` is driven at the tone amplitudes and detunings
+    ``drives[i]``."""
+    h_stack, psi0, targets, units = (np.array(x) for x in zip(*members))
+    tone_stacks = [(np.array([amps[k] * unit
+                              for (amps, _), unit in zip(drives, units)]),
+                    np.array([dets[k] for _, dets in drives]))
+                   for k in range(len(run.amplitudes))]
+    states = evolve_nojump_batch(psi0, h_stack, tone_stacks, run.eval_times,
                                  rtol=rtol)
     norms2 = np.sum(np.abs(states) ** 2, axis=2)
     overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
@@ -197,32 +214,20 @@ def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
                      rtol: float) -> np.ndarray:
     """Fidelity at the nominal inversion time for each drive deviation,
     evaluated in one batched solve."""
-    b = len(deviations)
-    dim = 2 ** run.base.geometry.n
-    h_stack = np.broadcast_to(run.hamiltonian, (b, dim, dim)).copy()
-    psi0 = np.broadcast_to(run.initial, (b, dim)).copy()
-    targets = np.broadcast_to(run.target, (b, dim)).copy()
-    unit = drive_operator(run.phases)
-    tone_stacks = []
-    n_tones = len(run.amplitudes)
-    for k in range(n_tones):
-        a_list, det_list = [], []
-        for dev in deviations:
-            if axis == "rabi":
-                # A single-tone sweep scales the amplitude directly; a
-                # two-tone sweep reports the product deviation, so each
-                # amplitude takes the square root of it.
-                scale = (1.0 + dev) if n_tones == 1 else np.sqrt(1.0 + dev)
-                amp = run.amplitudes[k] * scale
-                det = run.detunings[k]
-            else:
-                amp = run.amplitudes[k]
-                det = run.drive_detunings(1.0 + dev)[k]
-            a_list.append(amp * unit)
-            det_list.append(det)
-        tone_stacks.append((np.array(a_list), np.array(det_list)))
-    return _batched_fidelities(h_stack, tone_stacks, psi0, targets,
-                               run.eval_times(), rtol)
+    drives = []
+    for dev in deviations:
+        if axis == "rabi":
+            # A single-tone sweep scales the amplitude directly; a two-tone
+            # sweep reports the product deviation, so each amplitude takes
+            # the square root of it.
+            scale = ((1.0 + dev) if len(run.amplitudes) == 1
+                     else np.sqrt(1.0 + dev))
+            drives.append(([amp * scale for amp in run.amplitudes],
+                           run.detunings))
+        else:
+            drives.append((run.amplitudes, run.drive_detunings(1.0 + dev)))
+    return _batched_fidelities(run, [run.nominal_member] * len(deviations),
+                               drives, rtol)
 
 
 def _position_fidelities(run: _BaseRun, variance: float, samples: int,
@@ -230,76 +235,52 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     """Per-sample fidelities under position disorder, plus the fraction of
     draws whose emitter order swapped along the chain."""
     g = run.base.geometry
-    spec = DisorderSpec(variance=variance, samples=samples, seed=seed)
-    geoms = sample_disorder(g, spec)
+    geoms = sample_disorder(g, DisorderSpec(variance=variance,
+                                            samples=samples, seed=seed))
     order = np.argsort(g.positions[:, 0])
     swaps = np.array([not np.array_equal(np.argsort(gg.positions[:, 0]), order)
                       for gg in geoms])
 
     nominal_scale = max(1.0, float(np.max(np.abs(run.nominal.delta))))
     fids = np.zeros(samples)
-    buckets: dict[int, list[int]] = {}
-    prepared = {}
+    buckets: dict[int, list] = {}
     for idx, gg in enumerate(geoms):
         coupling = coupling_matrices(gg)
         scale = float(np.max(np.abs(coupling.delta)))
         if scale > SCALE_CUTOFF * nominal_scale:
-            fids[idx] = 0.0
             continue
-        basis = collective_eigenbasis(coupling)
-        if run.base.protocol == "prepare":
-            psi0 = ground_state(g.n)
-            target = basis.vector("b")
-        else:
-            psi0 = basis.vector("b")
-            target = basis.vector("c")
-        phases = _phases_for(gg.positions[:, 0], g.spacing, run.kdr)
-        prepared[idx] = (static_hamiltonian(coupling, decay=False), psi0,
-                         target, drive_operator(phases))
         buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1e-12))),
-                           []).append(idx)
+                           []).append((idx, run.member(gg, coupling)))
 
-    dim = 2 ** g.n
-    for members in buckets.values():
-        h_stack = np.array([prepared[i][0] for i in members])
-        psi0 = np.array([prepared[i][1] for i in members])
-        targets = np.array([prepared[i][2] for i in members])
-        tone_stacks = []
-        for k, amp in enumerate(run.amplitudes):
-            a_list = [amp * prepared[i][3] for i in members]
-            tone_stacks.append((np.array(a_list),
-                                np.full(len(members), run.detunings[k])))
-        f = _batched_fidelities(h_stack, tone_stacks, psi0.reshape(-1, dim),
-                                targets, run.eval_times(), rtol)
-        fids[members] = f
+    for bucket in buckets.values():
+        idx, members = zip(*bucket)
+        drives = [(run.amplitudes, run.detunings)] * len(idx)
+        fids[list(idx)] = _batched_fidelities(run, members, drives, rtol)
     return fids, float(swaps.mean())
+
+
+def _sweep(run: _BaseRun, spec: SweepSpec) -> SweepResult:
+    """``sweep`` on an existing base run."""
+    values = np.asarray(spec.values, dtype=float)
+    rtol = run.base.rtol
+    if spec.axis != "position":
+        fids = _grid_fidelities(run, spec.axis, values, rtol)
+        return SweepResult(spec, values, fids, np.zeros_like(fids),
+                           run.result.fidelity, run.result.t_pi)
+    draws = [_position_fidelities(run, v, spec.samples, spec.seed, rtol)
+             for v in values]
+    means = np.array([f.mean() for f, _ in draws])
+    errs = np.array([f.std(ddof=1) / np.sqrt(len(f)) if len(f) > 1 else 0.0
+                     for f, _ in draws])
+    return SweepResult(spec, values, means, errs, run.result.fidelity,
+                       run.result.t_pi, np.array([s for _, s in draws]))
 
 
 def sweep(spec: SweepSpec, base: ScenarioBase) -> SweepResult:
     """Fidelity-versus-deviation curve for one control axis."""
     if spec.protocol != base.protocol:
         raise ValueError("sweep and base protocol disagree")
-    run = _BaseRun(base)
-    values = np.asarray(spec.values, dtype=float)
-    if spec.axis == "position":
-        means, errs, swaps = [], [], []
-        for k, v in enumerate(values):
-            fids, swap = _position_fidelities(run, v, spec.samples,
-                                              spec.seed + k, base.rtol)
-            means.append(fids.mean())
-            errs.append(fids.std(ddof=1) / np.sqrt(len(fids))
-                        if len(fids) > 1 else 0.0)
-            swaps.append(swap)
-        return SweepResult(spec=spec, deviations=values,
-                           mean_fidelity=np.array(means),
-                           stderr=np.array(errs),
-                           base_fidelity=run.result.fidelity,
-                           base_t_pi=run.t_pi,
-                           swap_probability=np.array(swaps))
-    fids = _grid_fidelities(run, spec.axis, values, base.rtol)
-    return SweepResult(spec=spec, deviations=values, mean_fidelity=fids,
-                       stderr=np.zeros_like(fids),
-                       base_fidelity=run.result.fidelity, base_t_pi=run.t_pi)
+    return _sweep(_BaseRun(base), spec)
 
 
 def tolerance(base: ScenarioBase, axis: str, threshold: float,
@@ -349,33 +330,29 @@ def tolerance_table(base: ScenarioBase,
     Position entries report the largest listed variance whose Monte Carlo
     mean fidelity stays above each threshold; when emitter ordering swaps
     in a noticeable fraction of draws the variance is meaningless and the
-    swap probability is reported in the row note instead.
+    swap probability is reported in the row note instead.  The position
+    sweep the row comes from is returned with the table.
     """
     run = _BaseRun(base)
-    table = ToleranceTable(protocol=base.protocol, thresholds=thresholds)
-    for axis in ("rabi", "detuning"):
-        tols = {t: tolerance(base, axis, t, run=run) for t in thresholds}
-        table.rows.append(ToleranceRow(axis=axis, tolerances=tols))
-    if position_variances:
-        means, swaps = {}, {}
-        for k, v in enumerate(sorted(position_variances)):
-            fids, swap = _position_fidelities(run, v, samples, seed + k,
-                                              base.rtol)
-            means[v] = fids.mean()
-            swaps[v] = swap
-        tols = {}
-        notes = []
-        for t in thresholds:
-            passing = [v for v in means if means[v] >= t]
-            best = max(passing) if passing else None
-            if best is not None and swaps[best] > 0.05:
-                notes.append(f"F>{t:g}: swap probability {swaps[best]:.2f}")
-                tols[t] = None
-            else:
-                tols[t] = best
-        table.rows.append(ToleranceRow(axis="position", tolerances=tols,
-                                       note="; ".join(notes)))
-    return table
+    rows = [ToleranceRow(axis=axis, tolerances={
+                t: tolerance(base, axis, t, run=run) for t in thresholds})
+            for axis in ("rabi", "detuning")]
+    if not position_variances:
+        return ToleranceTable(base.protocol, thresholds, rows, None)
+    res = _sweep(run, SweepSpec(base.protocol, "position",
+                                tuple(position_variances), samples, seed))
+    means = dict(zip(res.spec.values, res.mean_fidelity))
+    swaps = dict(zip(res.spec.values, res.swap_probability))
+    tols, notes = {}, []
+    for t in thresholds:
+        best = max((v for v in means if means[v] >= t), default=None)
+        if best is not None and swaps[best] > 0.05:
+            notes.append(f"F>{t:g}: swap probability {swaps[best]:.2f}")
+            best = None
+        tols[t] = best
+    rows.append(ToleranceRow(axis="position", tolerances=tols,
+                             note="; ".join(notes)))
+    return ToleranceTable(base.protocol, thresholds, rows, res)
 
 
 def prepare_merit_point(xi: float, alpha: float, f_target: float,

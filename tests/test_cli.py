@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from dfsim import dynamics
 from dfsim.cli import ConfigError, list_scenarios, main, run
 
 
@@ -28,13 +29,19 @@ class TestRun:
         assert "cluster-growth_summary.txt" in names
         assert "cluster-growth_manifest.cfg" in names
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("name,outputs", [
+        ("cluster-growth", ("growth.csv", "summary.txt")),
+        ("tbl", ("tolerances.csv", "table.txt", "summary.txt")),
+    ])
+    def test_byte_identical_reruns(self, tmp_path, table_cfg, name, outputs):
+        source = table_cfg if name == "tbl" else name
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run("cluster-growth", out_dir=str(a))
-        run("cluster-growth", out_dir=str(b))
-        for name in ("cluster-growth_growth.csv", "cluster-growth_summary.txt"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        run(source, out_dir=str(a))
+        run(source, out_dir=str(b))
+        for suffix in outputs:
+            file = f"{name}_{suffix}"
+            assert (a / file).read_bytes() == (b / file).read_bytes()
 
     def test_manifest_round_trip(self, tmp_path):
         first = tmp_path / "first"
@@ -122,12 +129,41 @@ class TestConfigValidation:
         ("table-prepare", "sweep", "thresholds", "0.9,high"),
         ("table-prepare", "sweep", "thresholds", "0.9,nan"),
         ("table-prepare", "sweep", "variances", "0.9,high"),
+        ("prepare", "drive", "e_mu", "-1.0"),
+        ("rotate", "drive", "e_nu", "-1.0"),
+        ("cphase4", "drive", "e_pulse", "-1.0"),
+        ("table-prepare", "sweep", "samples", "0"),
+        ("table-prepare", "sweep", "variances", "-0.1"),
+        ("table-prepare", "sweep", "thresholds", "0.9,1.5"),
+        ("table-prepare", "sweep", "thresholds", "0"),
+        ("table-prepare", "sweep", "thresholds", "1"),
+        ("prepare", "geometry", "n", "5"),
+        ("prepare", "geometry", "xi12", "0"),
+        ("prepare", "geometry", "xi12", "-0.5"),
+        ("cluster-growth", "cluster", "p", "1.5"),
+        ("cluster-growth", "cluster", "ops", "0"),
+        ("merit-prepare", "merit", "xi_values", "0.5,-0.1"),
+        ("merit-prepare", "merit", "f_target", "1.5"),
+        ("table-prepare", "run", "seed", "-1"),
+        ("cluster-growth", "run", "seed", "-1"),
     ])
-    def test_malformed_numbers_exit_2(self, tmp_path, capsys, kind,
-                                      section, key, value):
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      kind, section, key, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the config check")
+
+        monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+        # Every other key the scenario type reads is present and valid, so
+        # the run can only fail on the key under test.
         sections = {"scenario": {"name": "x", "type": kind},
-                    "geometry": {"xi12": "0.5", "alpha": "0"},
-                    "drive": {"e_mu": "1.0"}}
+                    "geometry": {"xi12": "0.5", "alpha": "0",
+                                 "n": "4" if kind == "cphase4" else "3"},
+                    "drive": {"e_mu": "1.0", "e_nu": "1.0",
+                              "omega_delta": "170.0", "e_pulse": "1.0",
+                              "detuning_offset": "0.0"},
+                    "merit": {"xi_values": "0.5"},
+                    "sweep": {"variances": "0.005"},
+                    "cluster": {"p": "0.5", "ops": "10"}}
         sections.setdefault(section, {})[key] = value
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("".join(
@@ -135,5 +171,6 @@ class TestConfigValidation:
             for name, keys in sections.items()))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and f"[{section}]" in err
         assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dfsim import dynamics
 from dfsim import (collective_eigenbasis, coupling_matrices, dicke_coupling,
                    effective_prep_coupling, effective_rotation_couplings,
                    jump_operators, linear_array_xi, prepare_b,
@@ -75,6 +76,22 @@ class TestPrepareB:
     def test_coherent_run_conserves_norm(self, fig2a):
         _, res = fig2a
         assert np.max(np.abs(res.trajectory.norms - 1.0)) < 1e-8
+
+    def test_inversion_converged_in_sample_grid(self, fig2a, monkeypatch):
+        # Twice as many samples (every old one kept) must not move t_pi or F
+        # beyond the precision t_pi is quoted at.
+        grid = dynamics._sample_times
+
+        def doubled(c, d, basis, t_end, n_samples):
+            n = len(grid(c, d, basis, t_end, n_samples))
+            return np.linspace(0.0, t_end, 2 * n - 1)
+
+        monkeypatch.setattr(dynamics, "_sample_times", doubled)
+        g, res = fig2a
+        fine = prepare_b(g, 1.0)
+        assert len(fine.trajectory.times) == 2 * len(res.trajectory.times) - 1
+        assert fine.t_pi == pytest.approx(res.t_pi, rel=1e-4)
+        assert fine.fidelity == pytest.approx(res.fidelity, rel=1e-4)
 
     def test_decaying_run_reports_conditional_fidelity(self):
         g = linear_array_xi(0.5, alpha=0.0)

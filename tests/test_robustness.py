@@ -5,7 +5,7 @@ import pytest
 
 from dfsim import (ProtocolError, ScenarioBase, SweepSpec, linear_array_xi,
                    sweep, tolerance)
-from dfsim import robustness
+from dfsim import cli, robustness
 from dfsim.robustness import rotate_merit_point, tolerance_table
 
 
@@ -72,9 +72,64 @@ class TestSweep:
             SweepSpec(protocol="prepare", axis="phase", values=(0.1,))
         with pytest.raises(ValueError):
             SweepSpec(protocol="prepare", axis="rabi", values=())
+        with pytest.raises(ValueError, match="variances"):
+            SweepSpec(protocol="prepare", axis="position", values=(0.1, -0.1))
         with pytest.raises(ValueError):
             ScenarioBase(geometry=linear_array_xi(0.5), e_mu=1.0,
                          protocol="rotate")
+
+
+class TestSweepEngine:
+    def test_table_run_draws_each_variance_once(self, tmp_path, monkeypatch,
+                                                table_cfg):
+        draws, runs, tables = [], [], []
+        draw = robustness._position_fidelities
+        table = cli.tolerance_table
+
+        def counted_draw(run, variance, samples, seed, rtol):
+            draws.append((variance, seed))
+            return draw(run, variance, samples, seed, rtol)
+
+        class CountedRun(robustness._BaseRun):
+            def __init__(self, base):
+                runs.append(base)
+                super().__init__(base)
+
+        def kept_table(*args, **kwargs):
+            tables.append(table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(robustness, "_position_fidelities", counted_draw)
+        monkeypatch.setattr(robustness, "_BaseRun", CountedRun)
+        monkeypatch.setattr(cli, "tolerance_table", kept_table)
+        cli.run(table_cfg, out_dir=str(tmp_path / "out"))
+        # One base run, and every variance drawn once from the run seed.
+        assert len(runs) == 1
+        assert draws == [(1e-6, 7), (0.005, 7)]
+        summary = dict(line.split(" = ") for line in
+                       (tmp_path / "out" / "tbl_summary.txt").read_text()
+                       .splitlines())
+        disorder = tables[0].position
+        assert list(disorder.spec.values) == [1e-6, 0.005]
+        for k, v in enumerate(disorder.spec.values):
+            assert float(summary[f"mean_fidelity_v_{v:g}"]) \
+                == disorder.mean_fidelity[k]
+            assert float(summary[f"stderr_v_{v:g}"]) == disorder.stderr[k]
+            assert float(summary[f"swap_probability_v_{v:g}"]) \
+                == disorder.swap_probability[k]
+
+    def test_variance_draws_do_not_depend_on_the_list(self):
+        base = ScenarioBase(geometry=linear_array_xi(0.5, alpha=0.0),
+                            e_mu=1.0, protocol="prepare", rtol=1e-5)
+
+        def position(values):
+            return sweep(SweepSpec(protocol="prepare", axis="position",
+                                   values=values, samples=3, seed=11), base)
+
+        pair, alone = position((1e-6, 0.005)), position((0.005,))
+        assert pair.mean_fidelity[1] == alone.mean_fidelity[0]
+        assert pair.stderr[1] == alone.stderr[0]
+        assert pair.swap_probability[1] == alone.swap_probability[0]
 
 
 class TestTolerance:
