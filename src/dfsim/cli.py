@@ -67,6 +67,7 @@ _AMPLITUDE = (lambda v: 0 <= v < np.inf, "finite and nonnegative")
 _FRACTION = (lambda v: 0 < v < 1, "inside (0, 1)")
 _RANGES = {("geometry", "r_nm"): _POSITIVE, ("run", "t_end"): _POSITIVE,
            ("geometry", "lambda0_nm"): _POSITIVE,
+           ("integrator", "rtol"): _POSITIVE,
            ("merit", "xi_values"): _POSITIVE, ("merit", "f_target"): _FRACTION,
            ("sweep", "thresholds"): _FRACTION, ("drive", "e_mu"): _AMPLITUDE,
            ("drive", "e_nu"): _AMPLITUDE, ("drive", "e_pulse"): _AMPLITUDE}
@@ -125,8 +126,8 @@ def _get_float(cfg, section, key, default=None):
 
 
 def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
-    """Comma-separated list of finite numbers; empty items are skipped.
-    Only a list whose default is empty may be empty."""
+    """Comma-separated list of distinct finite numbers; empty items are
+    skipped.  Only a list whose default is empty may be empty."""
     raw = (_require(cfg, section, key) if default is None
            else cfg.get(section, key, fallback=default))
     try:
@@ -136,6 +137,8 @@ def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
                           "numbers") from exc
     if not (values or default == ""):
         raise ConfigError(f"[{section}] {key} = {raw!r} lists no numbers")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"[{section}] {key} = {raw!r} repeats a value")
     return tuple(_in_range(section, key, v) for v in values)
 
 
@@ -446,8 +449,8 @@ def run(config_source: str, out_dir: str | None = None,
     run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
     if run_seed < 0:
         raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")
-    run_rtol = rtol if rtol is not None else _get_float(cfg, "integrator",
-                                                        "rtol", 1e-9)
+    run_rtol = (_in_range("integrator", "rtol", rtol) if rtol is not None
+                else _get_float(cfg, "integrator", "rtol", 1e-9))
     t_end = (None if cfg.get("run", "t_end", fallback="auto") == "auto"
              else _get_float(cfg, "run", "t_end"))
     resolved_out = (out_dir or cfg.get("run", "out", fallback=None)

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingSet, SpectralParams, coupling_matrices, spectral_params
-from .dynamics import DriveSpec, Trajectory, evolve_nojump, evolve_nojump_batch
+from .dynamics import (DriveSpec, Tone, Trajectory, evolve_nojump,
+                       evolve_nojump_batch)
 from .geometry import Geometry
-from .hilbert import (collective_eigenbasis, drive_operator, fidelity,
-                      fidelity_raw, ground_state, static_hamiltonian)
+from .hilbert import (CollectiveBasis, collective_eigenbasis, drive_operator,
+                      fidelity, fidelity_raw, ground_state, static_hamiltonian)
 
 
 # Raman-offset calibration: points per scan grid, and the step the
@@ -178,14 +179,20 @@ def find_first_inversion(times: np.ndarray, pops: np.ndarray,
     a = max(idx - 2 * w, 1)
     b = min(idx + 2 * w + 1, len(pops) - 1)
     j = a + int(np.argmax(pops[a:b]))
-    if 0 < j < len(pops) - 1:
-        y0, y1, y2 = pops[j - 1], pops[j], pops[j + 1]
+    return _parabola_peak(times, pops, j), j
+
+
+def _parabola_peak(x: np.ndarray, y: np.ndarray, j: int) -> float:
+    """Vertex of the parabola through the samples around ``y[j]`` on the
+    even grid ``x``, kept within one step of ``x[j]``; ``x[j]`` itself at
+    either end of the grid."""
+    shift = 0.0
+    if 0 < j < len(y) - 1:
+        y0, y1, y2 = y[j - 1], y[j], y[j + 1]
         denom = y0 - 2.0 * y1 + y2
-        shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-        shift = float(np.clip(shift, -1.0, 1.0))
-    else:
-        shift = 0.0
-    return float(times[j] + shift * dt), j
+        if denom != 0:
+            shift = float(np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0))
+    return float(x[j] + shift * (x[1] - x[0]))
 
 
 def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.ndarray:
@@ -194,6 +201,88 @@ def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.n
     if k_dot_r == 0.0:
         return np.zeros(len(positions_x))
     return k_dot_r * positions_x / spacing
+
+
+class _Transfer:
+    """A transfer protocol on a nominal geometry: the preparation (ground
+    state -> b, one tone) or the logical rotation (b -> c, two tones).
+
+    The swept ``frequency`` is the preparation tone or the Raman offset.
+    Drive phases and tone detunings come from the nominal geometry, so a
+    member built for displaced emitters keeps them: control fields do not
+    track position errors.
+    """
+
+    def __init__(self, protocol: str, g: Geometry, amplitudes: tuple,
+                 omega_delta: float | None, k_dot_r: float | None):
+        self.protocol = protocol
+        self.geometry = g
+        self.coupling = coupling_matrices(g)
+        self.sp = sp = spectral_params(self.coupling)
+        self.kdr = g.xi12 if k_dot_r is None else k_dot_r
+        self.amplitudes = amplitudes
+        self.target = "b" if protocol == "prepare" else "c"
+        self.frequency = (0.5 * (sp.delta13 - sp.omega)
+                          if protocol == "prepare" else omega_delta)
+
+    def detunings(self, frequency) -> tuple:
+        """Tone detunings at the swept frequency.  The rotation's second
+        tone keeps the two-photon difference the nominal levels fix."""
+        if self.protocol == "prepare":
+            return (frequency,)
+        sp = self.sp
+        return (frequency, 0.5 * (3.0 * sp.delta13 - sp.omega) + frequency)
+
+    def phases(self, g: Geometry) -> np.ndarray:
+        return _phases_for(g.positions[:, 0], self.geometry.spacing, self.kdr)
+
+    def states(self, g: Geometry, basis: CollectiveBasis) -> tuple:
+        """Initial and target state of emitters at ``g``."""
+        initial = (ground_state(g.n) if self.protocol == "prepare"
+                   else basis.vector("b"))
+        return initial, basis.vector(self.target)
+
+    def member(self, g: Geometry, coupling: CouplingSet) -> tuple:
+        """Batch member for emitters at ``g``: coherent H0, initial state,
+        target state and unit drive."""
+        psi0, target = self.states(g, collective_eigenbasis(coupling))
+        return (static_hamiltonian(coupling, decay=False), psi0, target,
+                drive_operator(self.phases(g)))
+
+    def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
+            decay: bool, rtol: float) -> tuple:
+        """Evolve the nominal drive from the initial state and locate the
+        first inversion into the target level (smoothed over ``smooth``):
+        (trajectory, t_pi, fidelity, raw fidelity)."""
+        g = self.geometry
+        phases = self.phases(g)
+        drive = DriveSpec(tuple(
+            Tone(amp, det, phases) for amp, det in
+            zip(self.amplitudes, self.detunings(self.frequency))))
+        psi0, target = self.states(g, basis)
+        traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
+                             drive, t_end, rtol=rtol, decay=decay,
+                             basis=basis)
+        pop = traj.populations_renormalized[:, basis.index(self.target)]
+        t_pi, j = find_first_inversion(traj.times, pop, smooth_window=smooth)
+        psi = traj.states[j]
+        return traj, t_pi, fidelity(psi, target), fidelity_raw(psi, target)
+
+
+def _batched_fidelities(members: list, drives: list, times: np.ndarray,
+                        rtol: float) -> np.ndarray:
+    """Best fidelity over ``times`` for each batch member, all in one
+    solve; member ``i`` (from ``_Transfer.member``) is driven at the tone
+    amplitudes and detunings ``drives[i]``."""
+    h_stack, psi0, targets, units = (np.array(x) for x in zip(*members))
+    tone_stacks = [(np.array([amps[k] * unit
+                              for (amps, _), unit in zip(drives, units)]),
+                    np.array([dets[k] for _, dets in drives]))
+                   for k in range(len(drives[0][0]))]
+    states = evolve_nojump_batch(psi0, h_stack, tone_stacks, times, rtol=rtol)
+    norms2 = np.sum(np.abs(states) ** 2, axis=2)
+    overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
+    return (overlaps / norms2).max(axis=1)
 
 
 def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
@@ -206,38 +295,26 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
     the dimensionless spacing (wavevector along the chain), which is the
     configuration the published benchmark numbers correspond to.
     """
-    coupling = coupling_matrices(g)
-    sp = spectral_params(coupling)
-    w_mu = 0.5 * (sp.delta13 - sp.omega)
-    kdr = g.xi12 if k_dot_r is None else k_dot_r
-
-    basis = collective_eigenbasis(coupling)
-    target = basis.vector("b")
-    phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
-    drive = DriveSpec.single(e_mu, w_mu, phases)
-
+    tr = _Transfer("prepare", g, (e_mu,), None, k_dot_r)
+    basis = collective_eigenbasis(tr.coupling)
     if t_end is None:
-        est = abs(effective_prep_coupling(sp, e_mu, kdr))
+        est = abs(effective_prep_coupling(tr.sp, e_mu, tr.kdr))
         if est == 0:
             raise ProtocolError("estimated preparation coupling vanishes; "
                                 "pass t_end explicitly")
         t_end = 1.8 * np.pi / (2.0 * est)
 
-    traj = evolve_nojump(ground_state(g.n), coupling, drive, t_end,
-                         rtol=rtol, decay=decay, basis=basis)
-    pop = traj.populations_renormalized[:, basis.index("b")]
-    t_pi, j = find_first_inversion(traj.times, pop)
-    psi = traj.states[j]
+    traj, t_pi, f, f_raw = tr.run(basis, t_end, 0.0, decay, rtol)
     gamma_b = basis.linewidth("b")
     return ProtocolResult(
-        fidelity=fidelity(psi, target),
-        fidelity_raw=fidelity_raw(psi, target),
+        fidelity=f,
+        fidelity_raw=f_raw,
         t_pi=t_pi,
         merit=1.0 / (gamma_b * t_pi),
         trajectory=traj,
-        params_used={"e_mu": e_mu, "omega_mu": w_mu, "k_dot_r": kdr,
-                     "gamma_b": gamma_b, "decay": decay, "rtol": rtol,
-                     "t_end": t_end},
+        params_used={"e_mu": e_mu, "omega_mu": tr.frequency,
+                     "k_dot_r": tr.kdr, "gamma_b": gamma_b, "decay": decay,
+                     "rtol": rtol, "t_end": t_end},
     )
 
 
@@ -251,20 +328,10 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
     w_nu = (3*delta13 - Omega)/2 + omega_delta, so both tones sit
     ``omega_delta`` above the shared upper level of the Raman pair.
     """
-    coupling = coupling_matrices(g)
-    sp = spectral_params(coupling)
-    kdr = g.xi12 if k_dot_r is None else k_dot_r
-    w_mu = omega_delta
-    w_nu = 0.5 * (3.0 * sp.delta13 - sp.omega) + omega_delta
-
-    basis = collective_eigenbasis(coupling)
-    psi0 = basis.vector("b")
-    target = basis.vector("c")
-    phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
-    drive = DriveSpec.two_tone(e_mu, w_mu, e_nu, w_nu, phases)
-
+    tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta, k_dot_r)
+    basis = collective_eigenbasis(tr.coupling)
     if t_end is None:
-        est = rotation_rate_estimate(sp, e_mu, e_nu, kdr, omega_delta)
+        est = rotation_rate_estimate(tr.sp, e_mu, e_nu, tr.kdr, omega_delta)
         if est == 0:
             raise ProtocolError("estimated rotation rate vanishes (zero "
                                 "propagation-phase gradient?); pass t_end")
@@ -272,56 +339,22 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
         # rate, so a window of one estimated half-cycle is generous.
         t_end = 1.1 * np.pi / (2.0 * est)
 
-    traj = evolve_nojump(psi0 / np.linalg.norm(psi0), coupling, drive, t_end,
-                         rtol=rtol, decay=decay, basis=basis)
-    pop = traj.populations_renormalized[:, basis.index("c")]
     smooth = min(3.0 * 2.0 * np.pi / abs(omega_delta), t_end / 10.0)
-    t_pi, j = find_first_inversion(traj.times, pop, smooth_window=smooth)
-    psi = traj.states[j]
+    traj, t_pi, f, f_raw = tr.run(basis, t_end, smooth, decay, rtol)
+    w_mu, w_nu = tr.detunings(omega_delta)
     gamma_b = basis.linewidth("b")
     gamma_c = basis.linewidth("c")
     return ProtocolResult(
-        fidelity=fidelity(psi, target),
-        fidelity_raw=fidelity_raw(psi, target),
+        fidelity=f,
+        fidelity_raw=f_raw,
         t_pi=t_pi,
         merit=2.0 / ((gamma_b + gamma_c) * t_pi),
         trajectory=traj,
         params_used={"e_mu": e_mu, "e_nu": e_nu, "omega_delta": omega_delta,
-                     "omega_mu": w_mu, "omega_nu": w_nu, "k_dot_r": kdr,
+                     "omega_mu": w_mu, "omega_nu": w_nu, "k_dot_r": tr.kdr,
                      "gamma_b": gamma_b, "gamma_c": gamma_c, "decay": decay,
                      "rtol": rtol, "t_end": t_end},
     )
-
-
-def _rotation_transfer_batch(g: Geometry, e_mu: float, e_nu: float,
-                             omega_deltas: np.ndarray, kdr: float,
-                             t_end: float, rtol: float) -> np.ndarray:
-    """Best transfer fidelity over one window for a batch of Raman
-    detunings, integrated in a single solver call."""
-    nominal = coupling_matrices(g)
-    sp = spectral_params(nominal)
-    basis = collective_eigenbasis(nominal)
-    psi0 = basis.vector("b")
-    left_c = basis.left[basis.index("c")]
-    phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
-    hs = static_hamiltonian(nominal, decay=False)
-    b = len(omega_deltas)
-    dim = hs.shape[0]
-
-    unit = drive_operator(phases)
-    det_mu = np.asarray(omega_deltas, dtype=float)
-    det_nu = 0.5 * (3.0 * sp.delta13 - sp.omega) + det_mu
-    tones = [(np.broadcast_to(amp * unit, (b, dim, dim)).copy(), det)
-             for amp, det in ((e_mu, det_mu), (e_nu, det_nu))]
-    nt = int(min(max(t_end / 2e-3, 1000), 10000))
-    times = np.linspace(0.0, t_end, nt)
-    states = evolve_nojump_batch(np.broadcast_to(psi0, (b, dim)).copy(),
-                                 np.broadcast_to(hs, (b, dim, dim)).copy(),
-                                 tones, times, rtol=rtol)
-    amps = np.einsum("d,btd->bt", left_c, states)
-    norms2 = np.sum(np.abs(states) ** 2, axis=2)
-    pops = np.abs(amps) ** 2 / norms2
-    return pops.max(axis=1)
 
 
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
@@ -339,33 +372,33 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     """
     if omega_delta_nominal == 0:
         raise ValueError("nominal detuning must be nonzero")
-    kdr = g.xi12 if k_dot_r is None else k_dot_r
+    tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta_nominal, k_dot_r)
 
     probe = rotate_logical(g, e_mu, e_nu, omega_delta_nominal,
-                           k_dot_r=kdr, rtol=10.0 * rtol)
+                           k_dot_r=tr.kdr, rtol=10.0 * rtol)
     # Detunings at the low scan edge slow the transfer; size the window so
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
+    times = np.linspace(0.0, t_end, int(min(max(t_end / 2e-3, 1000), 10000)))
+    member = tr.member(g, tr.coupling)
+
+    def scores(offsets: np.ndarray) -> np.ndarray:
+        return _batched_fidelities(
+            [member] * len(offsets),
+            [(tr.amplitudes, tr.detunings(w)) for w in offsets], times, rtol)
 
     lo = omega_delta_nominal * (1.0 - window)
     hi = omega_delta_nominal * (1.0 + window)
     grid = np.linspace(lo, hi, CALIBRATION_GRID)
-    scores = _rotation_transfer_batch(g, e_mu, e_nu, grid, kdr, t_end, rtol)
-    k = int(np.argmax(scores))
+    k = int(np.argmax(scores(grid)))
     if k in (0, len(grid) - 1):
         raise ProtocolError("no interior fidelity maximum in the detuning "
                             f"scan window [{lo:g}, {hi:g}]")
 
     fine = np.linspace(grid[k - 1], grid[k + 1], CALIBRATION_GRID)
-    fine_scores = _rotation_transfer_batch(g, e_mu, e_nu, fine, kdr,
-                                           t_end, rtol)
-    j = int(np.argmax(fine_scores))
-    j = min(max(j, 1), len(fine) - 2)
-    y0, y1, y2 = fine_scores[j - 1], fine_scores[j], fine_scores[j + 1]
-    denom = y0 - 2.0 * y1 + y2
-    shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-    shift = float(np.clip(shift, -1.0, 1.0))
-    best = fine[j] + shift * (fine[1] - fine[0])
+    fine_scores = scores(fine)
+    j = min(max(int(np.argmax(fine_scores)), 1), len(fine) - 2)
+    best = _parabola_peak(fine, fine_scores, j)
     return float(np.round(best / CALIBRATION_RESOLUTION)
                  * CALIBRATION_RESOLUTION)
 

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingSet, coupling_matrices, spectral_params
-from .dynamics import evolve_nojump_batch
+from .coupling import coupling_matrices, spectral_params
 from .geometry import DisorderSpec, Geometry, linear_array_xi, sample_disorder
-from .hilbert import (collective_eigenbasis, drive_operator, ground_state,
-                      static_hamiltonian)
-from .protocols import (ProtocolError, _phases_for, calibrate_detuning,
-                        prepare_b, rotate_logical, rotation_rate_estimate)
+from .protocols import (ProtocolError, _batched_fidelities, _Transfer,
+                        calibrate_detuning, prepare_b, rotate_logical,
+                        rotation_rate_estimate)
 
 log = logging.getLogger(__name__)
 
@@ -137,25 +135,23 @@ class ToleranceTable:
 
 
 class _BaseRun:
-    """Nominal protocol run plus everything needed to re-evolve with a
-    perturbed drive or a displaced geometry."""
+    """Nominal protocol run plus its transfer definition, from which runs
+    with a perturbed drive or a displaced geometry are built."""
 
     def __init__(self, base: ScenarioBase):
         g = base.geometry
         self.base = base
-        self.nominal = coupling_matrices(g)
-        self.sp = spectral_params(self.nominal)
-        self.kdr = g.xi12 if base.k_dot_r is None else base.k_dot_r
         if base.protocol == "prepare":
-            res = prepare_b(g, base.e_mu, k_dot_r=self.kdr, rtol=base.rtol)
-            self.amplitudes = (base.e_mu,)
+            res = prepare_b(g, base.e_mu, k_dot_r=base.k_dot_r, rtol=base.rtol)
+            amplitudes = (base.e_mu,)
         else:
             res = rotate_logical(g, base.e_mu, base.e_nu, base.omega_delta,
-                                 k_dot_r=self.kdr, rtol=base.rtol)
-            self.amplitudes = (base.e_mu, base.e_nu)
-        self.detunings = self.drive_detunings(1.0)
+                                 k_dot_r=base.k_dot_r, rtol=base.rtol)
+            amplitudes = (base.e_mu, base.e_nu)
         self.result = res
-        self.nominal_member = self.member(g, self.nominal)
+        self.transfer = _Transfer(base.protocol, g, amplitudes,
+                                  base.omega_delta, base.k_dot_r)
+        self.nominal_member = self.transfer.member(g, self.transfer.coupling)
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
@@ -165,49 +161,12 @@ class _BaseRun:
         self.eval_times = np.linspace(max(res.t_pi - window, 0.0),
                                       res.t_pi + window, 81)
 
-    def member(self, g: Geometry, coupling: CouplingSet) -> tuple:
-        """Batch member for emitters at ``g``: coherent H0, initial state,
-        target state and unit drive, whose wavevector the nominal spacing
-        fixes (control fields do not track position errors)."""
-        basis = collective_eigenbasis(coupling)
-        if self.base.protocol == "prepare":
-            psi0, target = ground_state(g.n), basis.vector("b")
-        else:
-            psi0, target = basis.vector("b"), basis.vector("c")
-        phases = _phases_for(g.positions[:, 0], self.base.geometry.spacing,
-                             self.kdr)
-        return (static_hamiltonian(coupling, decay=False), psi0, target,
-                drive_operator(phases))
-
-    def drive_detunings(self, omega_scale: float) -> tuple:
-        """Tone detunings with the swept frequency scaled.
-
-        For preparation the single tone frequency scales directly; for
-        rotation the Raman offset scales while the two-photon difference
-        stays fixed by the level structure.
-        """
-        sp = self.sp
-        if self.base.protocol == "prepare":
-            return (0.5 * (sp.delta13 - sp.omega) * omega_scale,)
-        wd = self.base.omega_delta * omega_scale
-        return (wd, 0.5 * (3.0 * sp.delta13 - sp.omega) + wd)
-
-
-def _batched_fidelities(run: _BaseRun, members, drives: list,
-                        rtol: float) -> np.ndarray:
-    """Best fidelity in the evaluation window for each batch member, all in
-    one solve; member ``i`` is driven at the tone amplitudes and detunings
-    ``drives[i]``."""
-    h_stack, psi0, targets, units = (np.array(x) for x in zip(*members))
-    tone_stacks = [(np.array([amps[k] * unit
-                              for (amps, _), unit in zip(drives, units)]),
-                    np.array([dets[k] for _, dets in drives]))
-                   for k in range(len(run.amplitudes))]
-    states = evolve_nojump_batch(psi0, h_stack, tone_stacks, run.eval_times,
-                                 rtol=rtol)
-    norms2 = np.sum(np.abs(states) ** 2, axis=2)
-    overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
-    return (overlaps / norms2).max(axis=1)
+    def drive(self, amplitude_scale: float, frequency_scale: float) -> tuple:
+        """Tone amplitudes and detunings with the nominal amplitudes and
+        swept frequency scaled."""
+        tr = self.transfer
+        return ([amp * amplitude_scale for amp in tr.amplitudes],
+                tr.detunings(tr.frequency * frequency_scale))
 
 
 def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
@@ -220,14 +179,13 @@ def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
             # A single-tone sweep scales the amplitude directly; a two-tone
             # sweep reports the product deviation, so each amplitude takes
             # the square root of it.
-            scale = ((1.0 + dev) if len(run.amplitudes) == 1
+            scale = ((1.0 + dev) if len(run.transfer.amplitudes) == 1
                      else np.sqrt(1.0 + dev))
-            drives.append(([amp * scale for amp in run.amplitudes],
-                           run.detunings))
+            drives.append(run.drive(scale, 1.0))
         else:
-            drives.append((run.amplitudes, run.drive_detunings(1.0 + dev)))
-    return _batched_fidelities(run, [run.nominal_member] * len(deviations),
-                               drives, rtol)
+            drives.append(run.drive(1.0, 1.0 + dev))
+    return _batched_fidelities([run.nominal_member] * len(deviations),
+                               drives, run.eval_times, rtol)
 
 
 def _position_fidelities(run: _BaseRun, variance: float, samples: int,
@@ -241,7 +199,8 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     swaps = np.array([not np.array_equal(np.argsort(gg.positions[:, 0]), order)
                       for gg in geoms])
 
-    nominal_scale = max(1.0, float(np.max(np.abs(run.nominal.delta))))
+    nominal_scale = max(1.0, float(np.max(np.abs(
+        run.transfer.coupling.delta))))
     fids = np.zeros(samples)
     buckets: dict[int, list] = {}
     for idx, gg in enumerate(geoms):
@@ -250,12 +209,12 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
         if scale > SCALE_CUTOFF * nominal_scale:
             continue
         buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1e-12))),
-                           []).append((idx, run.member(gg, coupling)))
+                           []).append((idx, run.transfer.member(gg, coupling)))
 
     for bucket in buckets.values():
         idx, members = zip(*bucket)
-        drives = [(run.amplitudes, run.detunings)] * len(idx)
-        fids[list(idx)] = _batched_fidelities(run, members, drives, rtol)
+        fids[list(idx)] = _batched_fidelities(
+            members, [run.drive(1.0, 1.0)] * len(idx), run.eval_times, rtol)
     return fids, float(swaps.mean())
 
 

@@ -146,6 +146,11 @@ class TestConfigValidation:
         ("merit-prepare", "merit", "f_target", "1.5"),
         ("table-prepare", "run", "seed", "-1"),
         ("cluster-growth", "run", "seed", "-1"),
+        ("prepare", "integrator", "rtol", "-1"),
+        ("prepare", "integrator", "rtol", "0"),
+        ("merit-prepare", "merit", "xi_values", "0.5, 0.50"),
+        ("table-prepare", "sweep", "thresholds", "0.9, 0.95, 0.9"),
+        ("table-prepare", "sweep", "variances", "1e-6, 1e-6"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, monkeypatch,
                                       kind, section, key, value):
@@ -173,4 +178,17 @@ class TestConfigValidation:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"[{section}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_rejects_bad_tolerance_flag(self, tmp_path, capsys, monkeypatch,
+                                        tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the config check")
+
+        monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+        out = tmp_path / "out"
+        assert main(["run", "prep-fig2a", "--out", str(out), "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[integrator] rtol" in err
         assert not out.exists()

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 
 from dfsim import dynamics
-from dfsim import (collective_eigenbasis, coupling_matrices, dicke_coupling,
-                   effective_prep_coupling, effective_rotation_couplings,
-                   jump_operators, linear_array_xi, prepare_b,
-                   readout_coupling, readout_fluorescence, rotate_logical,
-                   spectral_params)
+from dfsim import (calibrate_detuning, collective_eigenbasis,
+                   coupling_matrices, dicke_coupling, effective_prep_coupling,
+                   effective_rotation_couplings, jump_operators,
+                   linear_array_xi, prepare_b, readout_coupling,
+                   readout_fluorescence, rotate_logical, spectral_params)
 from dfsim.hilbert import (drive_operator, excitation_numbers,
                            static_hamiltonian)
 from dfsim.protocols import (ProtocolError, _phases_for, cphase4,
@@ -168,6 +168,20 @@ class TestRotateLogical:
         _, res = fig3a
         gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
         assert res.merit == pytest.approx(1.0 / (gm * res.t_pi), rel=1e-12)
+
+
+class TestCalibration:
+    # A strong drive on the rot-fig3a array keeps the scan short.
+    G = linear_array_xi(0.15, alpha=np.pi / 2)
+
+    def test_scan_finds_recorded_offset(self):
+        assert calibrate_detuning(self.G, 24.0, 60.0, 170.0) \
+            == pytest.approx(149.83, abs=1e-9)
+
+    def test_maximum_outside_window_raises(self):
+        # The maximum at 149.83 lies below the +-5% window around 170.
+        with pytest.raises(ProtocolError, match="no interior"):
+            calibrate_detuning(self.G, 24.0, 60.0, 170.0, window=0.05)
 
 
 class TestFirstInversion:

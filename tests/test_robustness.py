@@ -15,10 +15,22 @@ def prep_base():
                         protocol="prepare", rtol=1e-7)
 
 
+@pytest.fixture(scope="module")
+def rot_base():
+    return ScenarioBase(geometry=linear_array_xi(0.15, alpha=np.pi / 2),
+                        e_mu=24.0, e_nu=60.0, omega_delta=170.0,
+                        protocol="rotate", rtol=1e-5)
+
+
 class TestSweep:
-    def test_zero_deviation_reproduces_base(self, prep_base):
-        spec = SweepSpec(protocol="prepare", axis="rabi", values=(0.0,))
-        res = sweep(spec, prep_base)
+    @pytest.mark.parametrize("base_name", ["prep_base", "rot_base"])
+    def test_zero_deviation_reproduces_base(self, request, base_name):
+        # The sweep rebuilds the protocol's states, drive and tones from the
+        # shared transfer definition; at zero deviation it must land on the
+        # protocol's own fidelity.
+        base = request.getfixturevalue(base_name)
+        spec = SweepSpec(protocol=base.protocol, axis="rabi", values=(0.0,))
+        res = sweep(spec, base)
         assert res.mean_fidelity[0] == pytest.approx(res.base_fidelity,
                                                      abs=5e-4)
 
