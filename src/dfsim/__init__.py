@@ -17,8 +17,8 @@ from .hilbert import (CollectiveBasis, collective_eigenbasis, dfs4_states,
 from .protocols import (CPhaseResult, ProtocolError, ProtocolResult,
                         ReadoutResult, calibrate_detuning, cphase4,
                         effective_prep_coupling, effective_rotation_couplings,
-                        prepare_b, readout_coupling, readout_contrast,
-                        readout_fluorescence, rotate_logical)
+                        prepare_b, readout_coupling, readout_fluorescence,
+                        rotate_logical)
 from .robustness import (ScenarioBase, SweepSpec, SweepResult, ToleranceTable,
                          sweep, tolerance, tolerance_table)
 
@@ -32,7 +32,7 @@ __all__ = [
     "effective_prep_coupling", "effective_rotation_couplings",
     "evolve_lindblad", "evolve_nojump", "expected_growth", "fidelity",
     "fidelity_raw", "grow_chain", "jump_operators", "linear_array",
-    "linear_array_xi", "prepare_b", "readout_coupling", "readout_contrast",
+    "linear_array_xi", "prepare_b", "readout_coupling",
     "readout_fluorescence", "rotate_logical", "sample_disorder",
     "spectral_params", "sweep", "tolerance", "tolerance_table",
     "verify_cluster_state_small", "xi_coefficient",

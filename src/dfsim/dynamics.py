@@ -6,21 +6,43 @@ Dynamics run in the frame rotating at the carrier frequency; tone
 frequencies are stored as detunings from the carrier in units of the
 single-emitter decay rate.  The two-tone interference is kept exactly; no
 secular approximation is made in the engine.
+
+No-jump evolution under one tone or none, and the master equation, are
+integrated with adaptive RK45 over the whole window.  A two-tone drive is
+propagated through one beat period instead (Floquet propagation): the
+drive-free Hamiltonian conserves the excitation number N, so in the frame
+rotating at tone 1 the generator H0 - w1 N + A1 + A1^dag
++ e^{-i D t} A2 + h.c. is periodic with the beat D = w2 - w1.  The
+propagator U(s) over one period T = 2 pi/|D| is integrated once (DOP853
+with dense output, at the requested tolerance divided by the number of
+periods), and the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0,
+with the powers of U(T) taken from its eigendecomposition.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coupling import CouplingSet
-from .hilbert import (CollectiveBasis, collective_eigenbasis, drive_operator,
-                      lowering_operators, static_hamiltonian)
+from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
+                      drive_operator, excitation_numbers, lowering_operators,
+                      static_hamiltonian)
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
+
+# Two-tone propagation: the floor of the per-period tolerance, and the
+# number of propagator entries evaluated per dense-output chunk (larger
+# chunks save little time; 2**15 added about 2 MiB to the peak memory of a
+# benchmark pass over the bundled scenarios).
+PERIOD_RTOL_FLOOR = 1e-13
+CHUNK_ENTRIES = 2**13
+
+_log = logging.getLogger("dfsim.dynamics")
 
 
 class IntegrationError(RuntimeError):
@@ -148,12 +170,97 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
     return np.linspace(0.0, t_end, n_samples)
 
 
+def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
+    """Function of an array of period counts n (m,) returning the states
+    U(T)^n psi0 as (B, dim, m).  Powers come from the eigendecomposition
+    of U(T); with an ill-conditioned eigenvector matrix the states are
+    stepped one period at a time instead."""
+    lam, vecs = np.linalg.eig(u_t)
+    cond = float(np.max(np.linalg.cond(vecs)))
+    if cond <= CONDITION_LIMIT:
+        coef = np.linalg.solve(vecs, psi0[:, :, None])
+        log_lam = np.log(lam)[:, :, None]
+        return lambda n: vecs @ (np.exp(log_lam * n) * coef)
+    _log.warning("period propagator eigenvectors ill-conditioned "
+                 "(cond %.3g > %.3g); stepping %d periods one by one",
+                 cond, CONDITION_LIMIT, counts.max())
+    needed = np.unique(counts)
+    table = np.empty(psi0.shape + (len(needed),), dtype=complex)
+    psi, done = psi0, 0
+    for k, n in enumerate(needed):
+        for _ in range(n - done):
+            psi = np.einsum("bij,bj->bi", u_t, psi)
+        table[:, :, k], done = psi, n
+    return lambda n: table[:, :, np.searchsorted(needed, n)]
+
+
+def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
+                     tones: list[tuple[np.ndarray, np.ndarray]],
+                     times: np.ndarray, rtol: float,
+                     atol: float) -> np.ndarray:
+    """Sampled states (B, nt, dim) of a stack of two-tone no-jump problems,
+    from one integrated beat period (see the module docstring).
+
+    Arguments as for ``evolve_nojump_batch`` with exactly two tones; every
+    member must have the same beat between its two tones.  With no beat,
+    or a period no shorter than the window, the window itself is
+    integrated.
+    """
+    (a1, det1), (a2, det2) = tones
+    beats = det2 - det1
+    delta = float(beats[0])
+    if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
+        raise ValueError("batch members must share the beat between the "
+                         "two tones")
+    b, dim = psi0.shape
+    t_end = float(times[-1])
+    number = excitation_numbers(dim.bit_length() - 1)
+    static = (hs + a1 + a1.conj().transpose(0, 2, 1)
+              - det1[:, None, None] * np.diag(number))
+    a2d = a2.conj().transpose(0, 2, 1)
+    period = 2.0 * np.pi / abs(delta) if delta else np.inf
+    n_periods = int(np.ceil(t_end / period)) if period < t_end else 1
+    span = period if n_periods > 1 else t_end
+
+    def rhs(t, y):
+        ph = np.exp(-1j * delta * t)
+        gen = static + ph * a2 + np.conj(ph) * a2d
+        return (-1j * (gen @ y.reshape(b, dim, dim))).ravel()
+
+    sol = solve_ivp(rhs, (0.0, span),
+                    np.broadcast_to(np.eye(dim, dtype=complex),
+                                    (b, dim, dim)).ravel(),
+                    method="DOP853", dense_output=True,
+                    rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR), atol=atol)
+    if not sol.success:
+        raise IntegrationError(f"period integration failed: {sol.message}")
+    counts = np.minimum(np.floor(times / span), n_periods - 1).astype(int)
+    phase_in_period = times - counts * span
+    powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim),
+                            psi0.astype(complex), counts)
+
+    # Samples in period-phase order, so that each chunk of the dense
+    # output touches few solver steps.
+    out = np.empty((b, len(times), dim), dtype=complex)
+    order = np.argsort(phase_in_period, kind="stable")
+    chunk = max(1, CHUNK_ENTRIES // (b * dim * dim))
+    for lo in range(0, len(order), chunk):
+        idx = order[lo:lo + chunk]
+        u_s = sol.sol(phase_in_period[idx]).reshape(b, dim, dim, len(idx))
+        psi = np.einsum("bijm,bjm->bmi", u_s, powers(counts[idx]))
+        frame = np.exp(-1j * det1[:, None, None] * times[idx][None, :, None]
+                       * number[None, None, :])
+        out[:, idx] = frame * psi
+    return out
+
+
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
                   t_end: float, rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL, decay: bool = True,
                   n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
-    """Integrate i dpsi/dt = H_eff(t) psi with adaptive step control.
+    """Integrate i dpsi/dt = H_eff(t) psi with adaptive step control:
+    RK45 for at most one tone, one beat period for two tones.
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -166,22 +273,27 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     basis = basis if basis is not None else collective_eigenbasis(c)
     hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
-
-    def rhs(t, y):
-        out = hs @ y
-        for a, ad, det in tones:
-            ph = np.exp(-1j * det * t)
-            out += ph * (a @ y) + np.conj(ph) * (ad @ y)
-        return -1j * out
-
     times = _sample_times(c, d, basis, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), psi0, method="RK45",
-                    rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise IntegrationError(f"no-jump integration failed: {sol.message} "
-                               f"(t reached {sol.t[-1] if len(sol.t) else 0.0:g} "
-                               f"of {t_end:g})")
-    states = sol.y.T
+    if len(tones) == 2:
+        states = _evolve_two_tone(
+            psi0[None], hs[None],
+            [(a[None], np.array([det])) for a, _, det in tones],
+            times, rtol, atol)[0]
+    else:
+        def rhs(t, y):
+            out = hs @ y
+            for a, ad, det in tones:
+                ph = np.exp(-1j * det * t)
+                out += ph * (a @ y) + np.conj(ph) * (ad @ y)
+            return -1j * out
+
+        sol = solve_ivp(rhs, (0.0, t_end), psi0, method="RK45",
+                        rtol=rtol, atol=atol, t_eval=times)
+        if not sol.success:
+            raise IntegrationError(
+                f"no-jump integration failed: {sol.message} (t reached "
+                f"{sol.t[-1] if len(sol.t) else 0.0:g} of {t_end:g})")
+        states = sol.y.T
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,
@@ -255,9 +367,12 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     times: sample times from 0; the last one ends the integration
     Returns the sampled history (B, nt, dim).  Sharing one solver keeps the
     per-call overhead small for parameter scans; the step controller tracks
-    the least forgiving member of the batch.
+    the least forgiving member of the batch.  Two tones are propagated
+    through one beat period, which all members must share.
     """
     _check_end(times[-1])
+    if len(tones) == 2:
+        return _evolve_two_tone(psi0, hs, tones, times, rtol, atol)
     b, dim = psi0.shape
     tone_arrays = [(a, a.conj().transpose(0, 2, 1), det) for a, det in tones]
 

@@ -454,16 +454,6 @@ def readout_fluorescence(g: Geometry, e_mu: float = 1.0, logical: int = 1,
     )
 
 
-def readout_contrast(g: Geometry, e_mu: float = 1.0, t_end: float = 5.0,
-                     **kwargs) -> tuple[float, float, float]:
-    """Emission probabilities of the bright and dark logical values and
-    their difference."""
-    bright = readout_fluorescence(g, e_mu, logical=1, t_end=t_end, **kwargs)
-    dark = readout_fluorescence(g, e_mu, logical=0, t_end=t_end, **kwargs)
-    return (bright.emission_probability, dark.emission_probability,
-            bright.emission_probability - dark.emission_probability)
-
-
 LEAKAGE_THRESHOLD = 0.05
 
 

@@ -1,10 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, evolve_lindblad,
                    evolve_nojump, jump_operators, linear_array_xi)
+from dfsim import dynamics
 from dfsim.coupling import spectral_params
 from dfsim.dynamics import _tone_arrays, evolve_nojump_batch
 from dfsim.hilbert import (drive_operator, ground_state, lowering_operators,
@@ -184,6 +189,116 @@ class TestNoJump:
         d = DriveSpec.single(1.0, -5.0, np.zeros(4))
         with pytest.raises(ValueError, match="phase list"):
             evolve_nojump(ground_state(3), c, d, 1.0)
+
+
+def raman_system(xi, alpha, e_mu, e_nu, omega_delta):
+    """A rotation-style two-tone drive on a three-emitter array: tone 1 at
+    ``omega_delta``, tone 2 one two-photon difference above it."""
+    g = linear_array_xi(xi, alpha=alpha)
+    c = coupling_matrices(g)
+    sp = spectral_params(c)
+    beat = 0.5 * (3.0 * sp.delta13 - sp.omega)
+    d = DriveSpec.two_tone(e_mu, omega_delta, e_nu, beat + omega_delta,
+                           xi * np.array([-1.0, 0.0, 1.0]))
+    psi0 = collective_eigenbasis(c).vector("b")
+    return c, d, psi0 / np.linalg.norm(psi0), beat
+
+
+def rk45_oracle(psi0, c, d, times, decay):
+    """Plain RK45 on the two-tone effective Hamiltonian in the carrier
+    frame, the reference for the beat-period propagator."""
+    hs = static_hamiltonian(c, decay)
+    tones = _tone_arrays(c, d)
+
+    def rhs(t, y):
+        out = hs @ y
+        for a, ad, det in tones:
+            out += np.exp(-1j * det * t) * (a @ y) \
+                + np.exp(1j * det * t) * (ad @ y)
+        return -1j * out
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), psi0, method="RK45", rtol=1e-11,
+                    atol=1e-13, t_eval=times)
+    return sol.y.T
+
+
+class TestTwoTone:
+    """Two-tone drives are propagated through one beat period."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(xi=st.floats(0.12, 0.6), alpha=st.floats(0.0, np.pi / 2),
+           e_mu=st.floats(0.5, 20.0), e_nu=st.floats(0.5, 20.0),
+           omega_delta=st.floats(-300.0, 300.0), decay=st.booleans(),
+           periods=st.floats(0.3, 6.0))
+    def test_matches_rk45_oracle(self, xi, alpha, e_mu, e_nu, omega_delta,
+                                 decay, periods):
+        c, d, psi0, beat = raman_system(xi, alpha, e_mu, e_nu, omega_delta)
+        t_end = periods * 2.0 * np.pi / abs(beat)
+        traj = evolve_nojump(psi0, c, d, t_end, rtol=1e-9, decay=decay,
+                             n_samples=60)
+        want = rk45_oracle(psi0, c, d, traj.times, decay)
+        assert np.max(np.abs(traj.states - want)) < 1e-6
+
+    def test_batch_members_with_different_tone_detunings(self):
+        c, _, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 0.0)
+        hs = static_hamiltonian(c, decay=False)
+        unit = drive_operator(0.3 * np.array([-1.0, 0.0, 1.0]))
+        members = [(6.0, 15.0, 40.0), (3.0, 9.0, -25.0), (8.0, 2.0, 110.0)]
+        times = np.linspace(0.0, 4.5 * 2.0 * np.pi / abs(beat), 50)
+        det1 = np.array([w for _, _, w in members])
+        states = evolve_nojump_batch(
+            np.array([psi0] * 3), np.array([hs] * 3),
+            [(np.array([e1 * unit for e1, _, _ in members]), det1),
+             (np.array([e2 * unit for _, e2, _ in members]), det1 + beat)],
+            times, rtol=1e-8)
+        for k, (e1, e2, w) in enumerate(members):
+            d = DriveSpec.two_tone(e1, w, e2, w + beat,
+                                   0.3 * np.array([-1.0, 0.0, 1.0]))
+            want = rk45_oracle(psi0, c, d, times, decay=False)
+            assert np.max(np.abs(states[k] - want)) < 1e-6
+
+    def test_no_beat_matches_one_tone_of_summed_amplitude(self):
+        c, d = fig2a_system()
+        tone = d.tones[0]
+        split = DriveSpec.two_tone(0.3, tone.detuning, 0.7, tone.detuning,
+                                   tone.phases)
+        two = evolve_nojump(ground_state(3), c, split, 2.0, rtol=1e-10)
+        one = evolve_nojump(ground_state(3), c, d, 2.0, rtol=1e-10)
+        assert np.max(np.abs(two.states - one.states)) < 1e-7
+
+    def test_members_with_different_beats_raise(self):
+        c, d = fig2a_system()
+        a = _tone_arrays(c, d)[0][0]
+        with pytest.raises(ValueError, match="beat"):
+            evolve_nojump_batch(
+                np.array([ground_state(3)] * 2),
+                np.array([static_hamiltonian(c)] * 2),
+                [(np.array([a, a]), np.array([0.0, 0.0])),
+                 (np.array([a, a]), np.array([100.0, 101.0]))],
+                np.linspace(0.0, 1.0, 5))
+
+    def test_ill_conditioned_period_is_stepped(self, monkeypatch, caplog):
+        c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        t_end = 7.3 * 2.0 * np.pi / abs(beat)
+        want = evolve_nojump(psi0, c, d, t_end, decay=True, n_samples=40)
+        monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
+        with caplog.at_level(logging.WARNING, logger="dfsim.dynamics"):
+            got = evolve_nojump(psi0, c, d, t_end, decay=True, n_samples=40)
+        assert "ill-conditioned" in caplog.text
+        assert np.max(np.abs(got.states - want.states)) < 1e-10
+
+    def test_integrator_error_scales_with_tolerance(self):
+        # rtol governs the period integration: its error compounds over
+        # the ~90 periods of this window and still falls with rtol.
+        c, d, psi0, _ = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        ref = evolve_nojump(psi0, c, d, 2.0, rtol=1e-12,
+                            atol=1e-14).states
+        errs = []
+        for rtol in (1e-5, 1e-6):
+            y = evolve_nojump(psi0, c, d, 2.0, rtol=rtol, atol=1e-14).states
+            errs.append(np.max(np.abs(y - ref)))
+        ratio = errs[0] / errs[1]
+        assert 5.0 <= ratio <= 20.0
 
 
 class TestLindblad:
