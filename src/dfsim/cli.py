@@ -358,10 +358,12 @@ def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
         point = rotate_merit_point(xi, alpha, f_target, e_mu, e_nu, wd,
                                    rtol=rtol)
         rows.append([xi, point["scale"], point["t_pi"], point["fidelity"],
-                     point["gamma_mean"], point["merit"]])
+                     point["gamma_mean"], point["merit"],
+                     int(point["saturated"])])
     out.add_csv("merit", ["xi12", "amplitude_scale", "t_pi", "fidelity",
-                          "gamma_mean", "merit"], rows)
+                          "gamma_mean", "merit", "saturated"], rows)
     out.add("points", len(rows))
+    out.add("unsaturated_points", sum(1 - row[6] for row in rows))
     out.add("monotone_decreasing",
             int(all(a[5] > b[5] for a, b in zip(rows, rows[1:]))))
 

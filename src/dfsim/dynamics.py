@@ -7,16 +7,24 @@ frequencies are stored as detunings from the carrier in units of the
 single-emitter decay rate.  The two-tone interference is kept exactly; no
 secular approximation is made in the engine.
 
-No-jump evolution under one tone or none, and the master equation, are
-integrated with adaptive RK45 over the whole window.  A two-tone drive is
-propagated through one beat period instead (Floquet propagation): the
-drive-free Hamiltonian conserves the excitation number N, so in the frame
-rotating at tone 1 the generator H0 - w1 N + A1 + A1^dag
-+ e^{-i D t} A2 + h.c. is periodic with the beat D = w2 - w1.  The
-propagator U(s) over one period T = 2 pi/|D| is integrated once (DOP853
-with dense output, at the requested tolerance divided by the number of
-periods), and the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0,
-with the powers of U(T) taken from its eigendecomposition.
+The drive-free Hamiltonian conserves the excitation number N, so in the
+frame rotating at tone 1 the no-jump generator is
+G = H0 - w1 N + A1 + A1^dag (+ e^{-i D t} A2 + h.c. for a second tone at
+beat D = w2 - w1), and the state at time t is e^{-i w1 N t} phi(t) with
+i dphi/dt = G phi.
+
+Under one tone or none, G is constant and the propagation is exact: on the
+even sample grid t_k = k dt the state is e^{-i w1 N t_k} U(dt)^k psi0 with
+U(dt) = expm(-i G dt), no integrator and no tolerance involved.  A
+two-tone G is periodic with the beat (Floquet propagation): the propagator
+U(s) over one period T = 2 pi/|D| is integrated once (DOP853 with dense
+output, at the requested tolerance divided by the number of periods), and
+the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.  Both take the
+powers of U from its eigendecomposition, or step them one by one when its
+eigenvectors are ill-conditioned.  One-tone batches
+(``evolve_nojump_batch``) and the master equation are integrated with
+adaptive RK45 over the whole window, so ``rtol`` and ``atol`` govern only
+those and the two-tone period integration.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .coupling import CouplingSet
 from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
@@ -254,13 +263,33 @@ def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
     return out
 
 
+def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
+                     times: np.ndarray, number: np.ndarray) -> np.ndarray:
+    """Sampled states (nt, dim) of a no-jump problem under at most one
+    tone, propagated exactly in the tone frame (see the module docstring).
+
+    ``times`` must be an even grid from 0: the one-tone generator is the
+    two-tone case with the period set to one grid step, so the state at
+    t_k = k dt is e^{-i w N t_k} U(dt)^k psi0 with U(dt) = expm(-i G dt).
+    """
+    det = tones[0][2] if tones else 0.0
+    gen = hs - det * np.diag(number) + sum(a + ad for a, ad, _ in tones)
+    step = times[1] if len(times) > 1 else 0.0
+    counts = np.arange(len(times))
+    powers = _period_powers(expm(-1j * step * gen)[None], psi0[None], counts)
+    return np.exp(-1j * det * np.outer(times, number)) * powers(counts)[0].T
+
+
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
                   t_end: float, rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL, decay: bool = True,
                   n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
-    """Integrate i dpsi/dt = H_eff(t) psi with adaptive step control:
-    RK45 for at most one tone, one beat period for two tones.
+    """Evolve i dpsi/dt = H_eff(t) psi on an even grid of ``n_samples``
+    times over [0, t_end]: exactly in the tone frame for at most one tone,
+    through one integrated beat period for two tones (see the module
+    docstring).  ``rtol`` and ``atol`` apply to the two-tone period
+    integration only.
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -280,20 +309,8 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
             [(a[None], np.array([det])) for a, _, det in tones],
             times, rtol, atol)[0]
     else:
-        def rhs(t, y):
-            out = hs @ y
-            for a, ad, det in tones:
-                ph = np.exp(-1j * det * t)
-                out += ph * (a @ y) + np.conj(ph) * (ad @ y)
-            return -1j * out
-
-        sol = solve_ivp(rhs, (0.0, t_end), psi0, method="RK45",
-                        rtol=rtol, atol=atol, t_eval=times)
-        if not sol.success:
-            raise IntegrationError(
-                f"no-jump integration failed: {sol.message} (t reached "
-                f"{sol.t[-1] if len(sol.t) else 0.0:g} of {t_end:g})")
-        states = sol.y.T
+        states = _evolve_one_tone(psi0, hs, tones, times,
+                                  excitation_numbers(c.n))
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,

@@ -294,6 +294,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
     ``k_dot_r`` is the adjacent-emitter propagation phase; the default is
     the dimensionless spacing (wavevector along the chain), which is the
     configuration the published benchmark numbers correspond to.
+    ``rtol`` is recorded but not used: one tone is propagated exactly.
     """
     tr = _Transfer("prepare", g, (e_mu,), None, k_dot_r)
     basis = collective_eigenbasis(tr.coupling)
@@ -441,6 +442,7 @@ def readout_fluorescence(g: Geometry, e_mu: float = 1.0, logical: int = 1,
 
     logical 1 starts in the antisymmetric level (bright under the 'cg'
     tone); logical 0 starts in the prepared level and stays dark.
+    ``rtol`` is not used: one tone is propagated exactly.
     """
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
@@ -479,7 +481,8 @@ def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
     Evolves each of the four logical levels under the pulse and reports the
     phases acquired relative to free evolution; success means phases close
     to (0, 0, 0, pi) on the (00, 01, 10, 11) encoding.  The pulse duration
-    is one generalised Rabi cycle of the addressed transition.
+    is one generalised Rabi cycle of the addressed transition.  ``rtol``
+    is not used: the single-tone pulse is propagated exactly.
     """
     if g4.n != 4:
         raise ValueError("the controlled-phase gate needs four emitters")

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from dfsim import dynamics
+from dfsim import cli, dynamics
 from dfsim.cli import ConfigError, list_scenarios, main, run
 
 
@@ -66,6 +66,24 @@ class TestRun:
         assert abs(float(values["fidelity"]) - 0.988) < 0.005
         assert abs(float(values["t_pi"]) - 0.987) / 0.987 < 0.02
         assert (tmp_path / "prep-fig2a_trajectory.csv").exists()
+
+    def test_merit_rotate_flags_unsaturated_points(self, tmp_path,
+                                                   monkeypatch):
+        def point(xi, *args, **kwargs):
+            return {"scale": 1.0, "t_pi": 0.1, "fidelity": 0.99 - xi,
+                    "gamma_mean": 1.0, "merit": 1.0 / xi,
+                    "saturated": xi < 0.2}
+
+        monkeypatch.setattr(cli, "rotate_merit_point", point)
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("[scenario]\nname = m\ntype = merit-rotate\n"
+                       "[merit]\nxi_values = 0.1, 0.2, 0.3\n")
+        run(str(cfg), out_dir=str(tmp_path))
+        rows = (tmp_path / "m_merit.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "saturated"
+        assert [r.split(",")[-1] for r in rows[1:]] == ["1", "0", "0"]
+        summary = (tmp_path / "m_summary.txt").read_text()
+        assert "unsaturated_points = 2\n" in summary
 
     def test_trajectory_header(self, tmp_path):
         run("prep-fig2a", out_dir=str(tmp_path), rtol=1e-6)
@@ -158,6 +176,7 @@ class TestConfigValidation:
             raise AssertionError("a solve started before the config check")
 
         monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+        monkeypatch.setattr(dynamics, "expm", no_solve)
         # Every other key the scenario type reads is present and valid, so
         # the run can only fail on the key under test.
         sections = {"scenario": {"name": "x", "type": kind},
@@ -187,6 +206,7 @@ class TestConfigValidation:
             raise AssertionError("a solve started before the config check")
 
         monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+        monkeypatch.setattr(dynamics, "expm", no_solve)
         out = tmp_path / "out"
         assert main(["run", "prep-fig2a", "--out", str(out), "--tol", tol]) == 2
         err = capsys.readouterr().err

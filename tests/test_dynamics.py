@@ -152,14 +152,17 @@ class TestNoJump:
         assert np.linalg.norm(a - b) < 10 * rtol
 
     def test_integrator_error_scales_with_tolerance(self):
+        # One tone is exact in evolve_nojump; the batched engine still
+        # integrates it with RK45, whose error must fall with rtol.
         c, d = fig2a_system()
-        ref = evolve_nojump(ground_state(3), c, d, 1.0, rtol=1e-12,
-                            atol=1e-14).final_state()
+        a, _, det = _tone_arrays(c, d)[0]
+        args = (ground_state(3)[None], static_hamiltonian(c)[None],
+                [(a[None], np.array([det]))], np.linspace(0.0, 1.0, 50))
+        ref = evolve_nojump_batch(*args, rtol=1e-12, atol=1e-14)
         errs = []
         for rtol in (1e-5, 1e-6):
-            y = evolve_nojump(ground_state(3), c, d, 1.0, rtol=rtol,
-                              atol=1e-14).final_state()
-            errs.append(np.linalg.norm(y - ref))
+            y = evolve_nojump_batch(*args, rtol=rtol, atol=1e-14)
+            errs.append(np.linalg.norm(y[0, -1] - ref[0, -1]))
         ratio = errs[0] / errs[1]
         assert 5.0 <= ratio <= 20.0
 
@@ -204,9 +207,9 @@ def raman_system(xi, alpha, e_mu, e_nu, omega_delta):
     return c, d, psi0 / np.linalg.norm(psi0), beat
 
 
-def rk45_oracle(psi0, c, d, times, decay):
-    """Plain RK45 on the two-tone effective Hamiltonian in the carrier
-    frame, the reference for the beat-period propagator."""
+def rk45_oracle(psi0, c, d, times, decay, rtol=1e-11):
+    """Plain RK45 on the effective Hamiltonian in the carrier frame, the
+    reference for the tone-frame and beat-period propagators."""
     hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
 
@@ -217,9 +220,38 @@ def rk45_oracle(psi0, c, d, times, decay):
                 + np.exp(1j * det * t) * (ad @ y)
         return -1j * out
 
-    sol = solve_ivp(rhs, (0.0, times[-1]), psi0, method="RK45", rtol=1e-11,
+    sol = solve_ivp(rhs, (0.0, times[-1]), psi0, method="RK45", rtol=rtol,
                     atol=1e-13, t_eval=times)
     return sol.y.T
+
+
+class TestOneTone:
+    """At most one tone is propagated exactly in the tone frame."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(xi=st.floats(0.15, 1.0), alpha=st.floats(0.0, np.pi / 2),
+           n=st.sampled_from([3, 4]), rabi=st.floats(0.0, 8.0),
+           detuning=st.floats(-60.0, 60.0), decay=st.booleans(),
+           driven=st.booleans())
+    def test_matches_rk45_oracle(self, xi, alpha, n, rabi, detuning, decay,
+                                 driven):
+        c = coupling_matrices(linear_array_xi(xi, n=n, alpha=alpha))
+        d = (DriveSpec.single(rabi, detuning, xi * np.arange(n)) if driven
+             else DriveSpec.off())
+        # A generic state with weight in every excitation sector.
+        psi0 = np.exp(1j * np.arange(2**n)) / np.sqrt(2**n)
+        traj = evolve_nojump(psi0, c, d, 0.5, decay=decay, n_samples=60)
+        want = rk45_oracle(psi0, c, d, traj.times, decay, rtol=1e-12)
+        assert np.max(np.abs(traj.states - want)) < 1e-8
+
+    def test_ill_conditioned_generator_is_stepped(self, monkeypatch, caplog):
+        c, d = fig2a_system()
+        want = evolve_nojump(ground_state(3), c, d, 2.0, n_samples=400)
+        monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
+        with caplog.at_level(logging.WARNING, logger="dfsim.dynamics"):
+            got = evolve_nojump(ground_state(3), c, d, 2.0, n_samples=400)
+        assert "ill-conditioned" in caplog.text
+        assert np.max(np.abs(got.states - want.states)) < 1e-10
 
 
 class TestTwoTone:

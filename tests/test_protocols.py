@@ -344,6 +344,10 @@ class TestCphase4:
                                     > LEAKAGE_THRESHOLD)
         assert max(res.leakage.values()) < 0.05
 
+    def test_coherent_pulse_conserves_norm(self, cphase_run):
+        _, res = cphase_run
+        assert all(abs(v) <= 1e-10 for v in res.norm_loss.values())
+
     def test_norm_losses_reported_with_decay(self):
         g4 = linear_array_xi(0.15, n=4, alpha=np.pi / 2)
         res = cphase4(g4, 2.0, 0.2, decay=True, rtol=1e-7)
