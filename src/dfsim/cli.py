@@ -264,12 +264,13 @@ def _run_prepare(cfg, out: _Output, rtol, t_end, seed):
     g = _geometry(cfg)
     e_mu = _get_float(cfg, "drive", "e_mu")
     kdr = _k_dot_r(cfg, g)
-    res = prepare_b(g, e_mu, t_end, k_dot_r=kdr, rtol=rtol)
+    res = prepare_b(g, e_mu, t_end, k_dot_r=kdr)
     _add_transfer(out, res, ("e_mu", "omega_mu", "k_dot_r", "gamma_b"),
                   "merit_inversions_per_lifetime")
 
 
 def _run_rotate(cfg, out: _Output, rtol, t_end, seed):
+    out.add("rtol", rtol)
     g = _geometry(cfg)
     e_mu = _get_float(cfg, "drive", "e_mu")
     e_nu = _get_float(cfg, "drive", "e_nu")
@@ -295,7 +296,7 @@ def _run_readout(cfg, out: _Output, rtol, t_end, seed):
     results = {}
     for logical in (1, 0):
         res = readout_fluorescence(g, e_mu, logical, t_end, k_dot_r=kdr,
-                                   transition=transition, rtol=rtol)
+                                   transition=transition)
         results[logical] = res
         traj = res.trajectory
         out.add_csv(f"trajectory_logical{logical}",
@@ -320,7 +321,7 @@ def _run_cphase(cfg, out: _Output, rtol, t_end, seed):
     kdr = _k_dot_r(cfg, g)
     coherent = _get_bool(cfg, "drive", "coherent", default=False)
     res = cphase4(g, e_pulse, offset, t_end, k_dot_r=kdr,
-                  decay=not coherent, rtol=rtol)
+                  decay=not coherent)
     for lab in "cbgf":
         out.add(f"phase_{lab}", res.phases[lab])
         out.add(f"norm_loss_{lab}", res.norm_loss[lab])
@@ -336,7 +337,7 @@ def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
     f_target = _get_float(cfg, "merit", "f_target", 0.98)
     rows = []
     for xi in xi_values:
-        point = prepare_merit_point(xi, alpha, f_target, rtol=rtol)
+        point = prepare_merit_point(xi, alpha, f_target)
         rows.append([xi, point["e_mu"], point["t_pi"], point["fidelity"],
                      point["gamma_b"], point["merit"]])
     out.add_csv("merit", ["xi12", "e_mu", "t_pi", "fidelity", "gamma_b",
@@ -347,6 +348,7 @@ def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
 
 
 def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
+    out.add("rtol", rtol)
     alpha = _get_float(cfg, "geometry", "alpha", np.pi / 2)
     xi_values = _get_floats(cfg, "merit", "xi_values")
     f_target = _get_float(cfg, "merit", "f_target", 0.98)
@@ -381,6 +383,7 @@ def _sweep_base(cfg, protocol: str, rtol) -> ScenarioBase:
 
 
 def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
+    out.add("rtol", rtol)
     base = _sweep_base(cfg, protocol, rtol)
     thresholds = _get_floats(cfg, "sweep", "thresholds", "0.9,0.95,0.98")
     variances = _get_floats(cfg, "sweep", "variances", "")
@@ -422,7 +425,9 @@ def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
     out.add("final_length", int(run.lengths[-1]))
 
 
-# Scenario type -> handler(cfg, out, rtol, t_end, seed).
+# Scenario type -> handler(cfg, out, rtol, t_end, seed).  The handlers
+# whose solves the tolerance governs (two tones, one-tone batches) record
+# it in the summary; the others propagate exactly and ignore it.
 _HANDLERS = {
     "prepare": _run_prepare,
     "rotate": _run_rotate,
@@ -467,7 +472,6 @@ def run(config_source: str, out_dir: str | None = None,
     out.add("scenario", name)
     out.add("type", kind)
     out.add("seed", run_seed)
-    out.add("rtol", run_rtol)
     start = time.perf_counter()
     _HANDLERS[kind](cfg, out, run_rtol, t_end, run_seed)
     wall = time.perf_counter() - start
@@ -487,7 +491,8 @@ def main(argv=None) -> int:
                        f"(default: config, then ${ENV_OUTDIR}, then ./out)")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--tol", type=float, default=None,
-                       help="integrator relative tolerance")
+                       help="integrator relative tolerance of two-tone and "
+                            "batched one-tone solves")
     sub.add_parser("list", help="list bundled scenario configs")
     args = parser.parse_args(argv)
 

@@ -1,5 +1,5 @@
-"""Time evolution engines: jump operators, no-jump (conditional)
-integration of the driven effective Hamiltonian, and the full master
+"""Time evolution engines: jump operators, and one tone-frame propagator
+for the no-jump (conditional) state vector and for the full master
 equation.
 
 Dynamics run in the frame rotating at the carrier frequency; tone
@@ -11,7 +11,11 @@ The drive-free Hamiltonian conserves the excitation number N, so in the
 frame rotating at tone 1 the no-jump generator is
 G = H0 - w1 N + A1 + A1^dag (+ e^{-i D t} A2 + h.c. for a second tone at
 beat D = w2 - w1), and the state at time t is e^{-i w1 N t} phi(t) with
-i dphi/dt = G phi.
+i dphi/dt = G phi.  The master equation has the same form for the
+row-major vectorised density matrix: its static generator is
+H⊗1 - 1⊗H* + i sum_l J_l⊗J_l* (H the no-jump Hamiltonian, J_l the jump
+operators), a tone contributes S = A⊗1 - 1⊗A^T and its adjoint S^dag,
+and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
 
 Under one tone or none, G is constant and the propagation is exact: on the
 even sample grid t_k = k dt the state is e^{-i w1 N t_k} U(dt)^k psi0 with
@@ -22,9 +26,9 @@ output, at the requested tolerance divided by the number of periods), and
 the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.  Both take the
 powers of U from its eigendecomposition, or step them one by one when its
 eigenvectors are ill-conditioned.  One-tone batches
-(``evolve_nojump_batch``) and the master equation are integrated with
-adaptive RK45 over the whole window, so ``rtol`` and ``atol`` govern only
-those and the two-tone period integration.
+(``evolve_nojump_batch``) are integrated with adaptive RK45 over the whole
+window, so ``rtol`` and ``atol`` govern only those and the two-tone period
+integration.
 """
 
 from __future__ import annotations
@@ -146,14 +150,13 @@ class Trajectory:
 
 
 def _tone_arrays(c: CouplingSet, d: DriveSpec):
-    """(A, A^dag, detuning) per tone, A the raising drive at the tone's
+    """(A, detuning) per tone, A the raising drive at the tone's
     amplitude."""
     out = []
     for tone in d.tones:
         if len(tone.phases) != c.n:
             raise ValueError("tone phase list does not match emitter count")
-        a = tone.rabi * drive_operator(tone.phases)
-        out.append((a, a.conj().T, tone.detuning))
+        out.append((tone.rabi * drive_operator(tone.phases), tone.detuning))
     return out
 
 
@@ -162,19 +165,15 @@ def _check_end(t_end: float) -> None:
         raise ValueError(f"end time must be positive, got {t_end:g}")
 
 
-def _fast_scale(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis) -> float:
-    scale = float(np.max(np.abs(basis.energies))) if basis.dim else 1.0
-    for tone in d.tones:
-        scale += abs(tone.detuning) + 2.0 * tone.rabi * np.sqrt(c.n)
-    return max(scale, 1.0)
-
-
 def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
                   t_end: float, n_samples: int | None) -> np.ndarray:
     """Even grid on [0, t_end]; by default eight samples per period of the
     fastest frequency, clipped to [800, 60000]."""
     if n_samples is None:
-        n = int(t_end * _fast_scale(c, d, basis) * 8.0 / (2.0 * np.pi)) + 1
+        scale = float(np.max(np.abs(basis.energies))) if basis.dim else 1.0
+        for tone in d.tones:
+            scale += abs(tone.detuning) + 2.0 * tone.rabi * np.sqrt(c.n)
+        n = int(t_end * max(scale, 1.0) * 8.0 / (2.0 * np.pi)) + 1
         n_samples = int(min(max(n, 800), 60000))
     return np.linspace(0.0, t_end, n_samples)
 
@@ -205,15 +204,15 @@ def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
 
 def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
                      tones: list[tuple[np.ndarray, np.ndarray]],
-                     times: np.ndarray, rtol: float,
+                     times: np.ndarray, number: np.ndarray, rtol: float,
                      atol: float) -> np.ndarray:
-    """Sampled states (B, nt, dim) of a stack of two-tone no-jump problems,
-    from one integrated beat period (see the module docstring).
+    """Sampled states (B, nt, dim) of a stack of two-tone problems, from
+    one integrated beat period (see the module docstring).
 
-    Arguments as for ``evolve_nojump_batch`` with exactly two tones; every
-    member must have the same beat between its two tones.  With no beat,
-    or a period no shorter than the window, the window itself is
-    integrated.
+    Arguments as for ``evolve_nojump_batch`` with exactly two tones, plus
+    the number diagonal; every member must have the same beat between its
+    two tones.  With no beat, or a period no shorter than the window, the
+    window itself is integrated.
     """
     (a1, det1), (a2, det2) = tones
     beats = det2 - det1
@@ -223,7 +222,6 @@ def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
                          "two tones")
     b, dim = psi0.shape
     t_end = float(times[-1])
-    number = excitation_numbers(dim.bit_length() - 1)
     static = (hs + a1 + a1.conj().transpose(0, 2, 1)
               - det1[:, None, None] * np.diag(number))
     a2d = a2.conj().transpose(0, 2, 1)
@@ -265,19 +263,34 @@ def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
 
 def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
                      times: np.ndarray, number: np.ndarray) -> np.ndarray:
-    """Sampled states (nt, dim) of a no-jump problem under at most one
-    tone, propagated exactly in the tone frame (see the module docstring).
+    """Sampled states (nt, dim) of a problem under at most one tone,
+    propagated exactly in the tone frame (see the module docstring).
 
     ``times`` must be an even grid from 0: the one-tone generator is the
     two-tone case with the period set to one grid step, so the state at
     t_k = k dt is e^{-i w N t_k} U(dt)^k psi0 with U(dt) = expm(-i G dt).
     """
-    det = tones[0][2] if tones else 0.0
-    gen = hs - det * np.diag(number) + sum(a + ad for a, ad, _ in tones)
+    det = tones[0][1] if tones else 0.0
+    gen = hs - det * np.diag(number) + sum(a + a.conj().T for a, _ in tones)
     step = times[1] if len(times) > 1 else 0.0
     counts = np.arange(len(times))
     powers = _period_powers(expm(-1j * step * gen)[None], psi0[None], counts)
     return np.exp(-1j * det * np.outer(times, number)) * powers(counts)[0].T
+
+
+def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,
+               number: np.ndarray, times: np.ndarray, rtol: float,
+               atol: float) -> np.ndarray:
+    """Sampled states (nt, dim) of i dy/dt = G(t) y from ``y0``, G being
+    ``static`` plus e^{-i w t} A + h.c. for each tone (A, w) in ``tones``,
+    with ``number`` the diagonal ``static`` conserves (see the module
+    docstring)."""
+    if len(tones) == 2:
+        return _evolve_two_tone(
+            y0[None], static[None],
+            [(a[None], np.array([det])) for a, det in tones],
+            times, number, rtol, atol)[0]
+    return _evolve_one_tone(y0, static, tones, times, number)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
@@ -303,14 +316,8 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
     times = _sample_times(c, d, basis, t_end, n_samples)
-    if len(tones) == 2:
-        states = _evolve_two_tone(
-            psi0[None], hs[None],
-            [(a[None], np.array([det])) for a, _, det in tones],
-            times, rtol, atol)[0]
-    else:
-        states = _evolve_one_tone(psi0, hs, tones, times,
-                                  excitation_numbers(c.n))
+    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times,
+                        rtol, atol)
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,
@@ -319,12 +326,11 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
                     t_end: float, rtol: float = 1e-8,
-                    atol: float = DEFAULT_ATOL,
-                    n_samples: int | None = None,
-                    basis: CollectiveBasis | None = None) -> Trajectory:
-    """Integrate the master equation with the no-jump generator plus jump
-    refilling.  The trace is preserved; Hermiticity is enforced on every
-    sampled state."""
+                    atol: float = DEFAULT_ATOL) -> Trajectory:
+    """Evolve the master equation (no-jump generator plus jump refilling)
+    through the propagator of ``evolve_nojump``, as a vectorised density
+    matrix (see the module docstring); ``rtol`` and ``atol`` apply to two
+    tones only.  Hermiticity is enforced on every sampled state."""
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
@@ -335,30 +341,20 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
         raise ValueError("initial density matrix must be positive semidefinite")
     _check_end(t_end)
 
-    basis = basis if basis is not None else collective_eigenbasis(c)
+    basis = collective_eigenbasis(c)
     hs = static_hamiltonian(c)
-    tones = _tone_arrays(c, d)
-    jumps = [(j, j.conj().T) for j in jump_operators(c).operators]
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        he = hs.copy()
-        for a, ad, det in tones:
-            ph = np.exp(-1j * det * t)
-            he += ph * a + np.conj(ph) * ad
-        drho = -1j * (he @ rho - rho @ he.conj().T)
-        for j, jd in jumps:
-            drho += j @ rho @ jd
-        return drho.ravel()
-
-    times = _sample_times(c, d, basis, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), rho0.ravel(), method="RK45",
-                    rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise IntegrationError(f"master-equation integration failed: {sol.message}")
-
-    states = np.array([0.5 * (m + m.conj().T) for m in
-                       sol.y.T.reshape(-1, dim, dim)])
+    eye = np.eye(dim)
+    static = (np.kron(hs, eye) - np.kron(eye, hs.conj())
+              + 1j * sum(np.kron(j, j.conj())
+                         for j in jump_operators(c).operators))
+    tones = [(np.kron(a, eye) - np.kron(eye, a.T), det)
+             for a, det in _tone_arrays(c, d)]
+    number = excitation_numbers(c.n)
+    times = _sample_times(c, d, basis, t_end, None)
+    states = _propagate(rho0.ravel(), static, tones,
+                        np.subtract.outer(number, number).ravel(), times,
+                        rtol, atol).reshape(-1, dim, dim)
+    states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     traces = np.einsum("kii->k", states).real
     pops = np.einsum("lk,tkm,ml->tl", basis.left, states,
                      basis.left.conj().T).real
@@ -388,9 +384,11 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     through one beat period, which all members must share.
     """
     _check_end(times[-1])
-    if len(tones) == 2:
-        return _evolve_two_tone(psi0, hs, tones, times, rtol, atol)
     b, dim = psi0.shape
+    if len(tones) == 2:
+        return _evolve_two_tone(psi0, hs, tones, times,
+                                excitation_numbers(dim.bit_length() - 1),
+                                rtol, atol)
     tone_arrays = [(a, a.conj().transpose(0, 2, 1), det) for a, det in tones]
 
     def rhs(t, y):

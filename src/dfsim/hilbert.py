@@ -43,10 +43,6 @@ def raising_operators(n: int) -> tuple[np.ndarray, ...]:
     return tuple(op.conj().T for op in lowering_operators(n))
 
 
-def total_lowering(n: int) -> np.ndarray:
-    return sum(lowering_operators(n))
-
-
 def excitation_numbers(n: int) -> np.ndarray:
     """Excitation count of each computational basis state."""
     return np.array([bin(i).count("1") for i in range(2**n)])

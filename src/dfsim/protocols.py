@@ -250,10 +250,11 @@ class _Transfer:
                 drive_operator(self.phases(g)))
 
     def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
-            decay: bool, rtol: float) -> tuple:
+            decay: bool, **tolerance) -> tuple:
         """Evolve the nominal drive from the initial state and locate the
         first inversion into the target level (smoothed over ``smooth``):
-        (trajectory, t_pi, fidelity, raw fidelity)."""
+        (trajectory, t_pi, fidelity, raw fidelity).  ``tolerance`` (the
+        rotation's ``rtol``) is passed on to ``evolve_nojump``."""
         g = self.geometry
         phases = self.phases(g)
         drive = DriveSpec(tuple(
@@ -261,8 +262,8 @@ class _Transfer:
             zip(self.amplitudes, self.detunings(self.frequency))))
         psi0, target = self.states(g, basis)
         traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
-                             drive, t_end, rtol=rtol, decay=decay,
-                             basis=basis)
+                             drive, t_end, decay=decay, basis=basis,
+                             **tolerance)
         pop = traj.populations_renormalized[:, basis.index(self.target)]
         t_pi, j = find_first_inversion(traj.times, pop, smooth_window=smooth)
         psi = traj.states[j]
@@ -286,15 +287,14 @@ def _batched_fidelities(members: list, drives: list, times: np.ndarray,
 
 
 def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
-              *, k_dot_r: float | None = None, decay: bool = False,
-              rtol: float = 1e-9) -> ProtocolResult:
+              *, k_dot_r: float | None = None,
+              decay: bool = False) -> ProtocolResult:
     """Drive the ground state into the lowest one-excitation level with a
     single tone tuned to that transition.
 
     ``k_dot_r`` is the adjacent-emitter propagation phase; the default is
     the dimensionless spacing (wavevector along the chain), which is the
     configuration the published benchmark numbers correspond to.
-    ``rtol`` is recorded but not used: one tone is propagated exactly.
     """
     tr = _Transfer("prepare", g, (e_mu,), None, k_dot_r)
     basis = collective_eigenbasis(tr.coupling)
@@ -305,7 +305,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
                                 "pass t_end explicitly")
         t_end = 1.8 * np.pi / (2.0 * est)
 
-    traj, t_pi, f, f_raw = tr.run(basis, t_end, 0.0, decay, rtol)
+    traj, t_pi, f, f_raw = tr.run(basis, t_end, 0.0, decay)
     gamma_b = basis.linewidth("b")
     return ProtocolResult(
         fidelity=f,
@@ -315,7 +315,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
         trajectory=traj,
         params_used={"e_mu": e_mu, "omega_mu": tr.frequency,
                      "k_dot_r": tr.kdr, "gamma_b": gamma_b, "decay": decay,
-                     "rtol": rtol, "t_end": t_end},
+                     "t_end": t_end},
     )
 
 
@@ -341,7 +341,7 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
         t_end = 1.1 * np.pi / (2.0 * est)
 
     smooth = min(3.0 * 2.0 * np.pi / abs(omega_delta), t_end / 10.0)
-    traj, t_pi, f, f_raw = tr.run(basis, t_end, smooth, decay, rtol)
+    traj, t_pi, f, f_raw = tr.run(basis, t_end, smooth, decay, rtol=rtol)
     w_mu, w_nu = tr.detunings(omega_delta)
     gamma_b = basis.linewidth("b")
     gamma_c = basis.linewidth("c")
@@ -435,14 +435,12 @@ def readout_coupling(c: CouplingSet, e_mu: float,
 
 def readout_fluorescence(g: Geometry, e_mu: float = 1.0, logical: int = 1,
                          t_end: float = 5.0, *, k_dot_r: float | None = None,
-                         transition: str = "cg",
-                         rtol: float = 1e-9) -> ReadoutResult:
+                         transition: str = "cg") -> ReadoutResult:
     """Drive the bright readout transition and accumulate the emission
     probability 1 - |psi|^2 from the conditional no-emission evolution.
 
     logical 1 starts in the antisymmetric level (bright under the 'cg'
     tone); logical 0 starts in the prepared level and stays dark.
-    ``rtol`` is not used: one tone is propagated exactly.
     """
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
@@ -457,7 +455,7 @@ def readout_fluorescence(g: Geometry, e_mu: float = 1.0, logical: int = 1,
     phases = _phases_for(g.positions[:, 0], g.spacing, kdr)
     drive = DriveSpec.single(e_mu, w_mu, phases)
     traj = evolve_nojump(psi0 / np.linalg.norm(psi0), coupling, drive, t_end,
-                         rtol=rtol, decay=True, basis=basis)
+                         decay=True, basis=basis)
     p_emit = 1.0 - float(traj.norms[-1] ** 2)
     return ReadoutResult(
         emission_probability=p_emit,
@@ -473,7 +471,7 @@ LEAKAGE_THRESHOLD = 0.05
 
 def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
             t_end: float | None = None, *, k_dot_r: float | None = None,
-            decay: bool = True, rtol: float = 1e-9) -> CPhaseResult:
+            decay: bool = True) -> CPhaseResult:
     """Controlled-phase gate on the four-emitter logical basis via a
     detuned 2*pi pulse on the transition between the lowest two- and
     three-excitation levels.
@@ -481,8 +479,7 @@ def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
     Evolves each of the four logical levels under the pulse and reports the
     phases acquired relative to free evolution; success means phases close
     to (0, 0, 0, pi) on the (00, 01, 10, 11) encoding.  The pulse duration
-    is one generalised Rabi cycle of the addressed transition.  ``rtol``
-    is not used: the single-tone pulse is propagated exactly.
+    is one generalised Rabi cycle of the addressed transition.
     """
     if g4.n != 4:
         raise ValueError("the controlled-phase gate needs four emitters")
@@ -512,10 +509,10 @@ def cphase4(g4: Geometry, e_pulse: float, detuning_offset: float,
     for lab in "cbgf":
         psi0 = basis.vector(lab)
         psi0 = psi0 / np.linalg.norm(psi0)
-        traj = evolve_nojump(psi0, coupling, drive, t_gate, rtol=rtol,
-                             decay=decay, basis=basis, n_samples=800)
-        ref = evolve_nojump(psi0, coupling, reference, t_gate, rtol=rtol,
-                            decay=decay, basis=basis, n_samples=400)
+        traj = evolve_nojump(psi0, coupling, drive, t_gate, decay=decay,
+                             basis=basis, n_samples=800)
+        ref = evolve_nojump(psi0, coupling, reference, t_gate, decay=decay,
+                            basis=basis, n_samples=400)
         psi = traj.final_state()
         # Pulse-acquired phase, referenced to the free evolution of the
         # same level so that a vanishing pulse gives exactly zero.

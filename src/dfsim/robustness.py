@@ -146,7 +146,7 @@ class _BaseRun:
         g = base.geometry
         self.base = base
         if base.protocol == "prepare":
-            res = prepare_b(g, base.e_mu, k_dot_r=base.k_dot_r, rtol=base.rtol)
+            res = prepare_b(g, base.e_mu, k_dot_r=base.k_dot_r)
             amplitudes = (base.e_mu,)
         else:
             res = rotate_logical(g, base.e_mu, base.e_nu, base.omega_delta,
@@ -318,8 +318,7 @@ def tolerance_table(base: ScenarioBase,
     return ToleranceTable(base.protocol, thresholds, rows, res)
 
 
-def prepare_merit_point(xi: float, alpha: float, f_target: float,
-                        rtol: float = 1e-8) -> dict:
+def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
     """Largest drive amplitude holding the preparation fidelity at the
     target, and the figure of merit there.
 
@@ -330,7 +329,7 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float,
     sp = spectral_params(coupling_matrices(g))
 
     def fid(e_mu: float):
-        return prepare_b(g, e_mu, rtol=rtol)
+        return prepare_b(g, e_mu)
 
     e_seed = sp.omega / 40.0
     lo, res_lo = e_seed, fid(e_seed)

@@ -67,7 +67,7 @@ def test_c2_rotation_benchmark(fig3a_result):
 def test_c3_nanometre_scale_merit():
     # One-nanometre spacing at a 637 nm resonant wavelength.
     xi = 2.0 * np.pi * 1.0 / 637.0
-    point = prepare_merit_point(xi, alpha=0.0, f_target=0.98, rtol=1e-8)
+    point = prepare_merit_point(xi, alpha=0.0, f_target=0.98)
     value = point["gamma_b_t_pi"]
     ok = value <= 3.0 * 5e-7 and value >= 5e-7 / 3.0
     # For axial dipoles the prepared (lowest one-excitation) level is the
@@ -207,7 +207,7 @@ def test_c8_property_suite():
                              np.array([-0.5, 0.0, 0.5]))
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[0, 0] = 1.0
-    lind = evolve_lindblad(rho0, c, drive, 10.0, rtol=1e-10, atol=1e-13)
+    lind = evolve_lindblad(rho0, c, drive, 10.0)
     ok &= lind.trace_error < 1e-9
     msgs.append(f"trace error={lind.trace_error:.1e} (<1e-9)")
 
@@ -221,7 +221,7 @@ def test_c8_property_suite():
     ok &= recon < 1e-10
     msgs.append(f"jump reconstruction={recon:.1e} (<1e-10)")
 
-    traj = evolve_nojump(ground_state(3), c, drive, 2.0, rtol=1e-9)
+    traj = evolve_nojump(ground_state(3), c, drive, 2.0)
     monotone = bool(np.all(np.diff(traj.norms) < 1e-10))
     ok &= monotone
     msgs.append(f"no-jump norm monotone={monotone}")
@@ -236,7 +236,7 @@ def test_c8_property_suite():
     basis = collective_eigenbasis(ceq)
     cvec = basis.vector("c")
     rho_c = np.outer(cvec, cvec.conj())
-    still = evolve_lindblad(rho_c, ceq, DriveSpec.off(), 100.0, rtol=1e-9)
+    still = evolve_lindblad(rho_c, ceq, DriveSpec.off(), 100.0)
     drift = float(np.max(np.abs(still.states[-1] - rho_c)))
     ok &= drift < 1e-6 and still.trace_error < 1e-6
     msgs.append(f"dark-state drift over 100 lifetimes={drift:.1e} (<1e-6)")
@@ -248,7 +248,7 @@ def test_c8_property_suite():
 def fig2b_curve():
     points = []
     for xi in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5):
-        points.append((xi, prepare_merit_point(xi, 0.0, 0.98, rtol=1e-8)))
+        points.append((xi, prepare_merit_point(xi, 0.0, 0.98)))
     return points
 
 

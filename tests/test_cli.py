@@ -60,7 +60,7 @@ class TestRun:
                 != (b / "cluster-growth_growth.csv").read_bytes())
 
     def test_prepare_scenario_summary(self, tmp_path):
-        run("prep-fig2a", out_dir=str(tmp_path), rtol=1e-7)
+        run("prep-fig2a", out_dir=str(tmp_path))
         summary = (tmp_path / "prep-fig2a_summary.txt").read_text()
         values = dict(line.split(" = ") for line in summary.strip().splitlines())
         assert abs(float(values["fidelity"]) - 0.988) < 0.005
@@ -86,7 +86,7 @@ class TestRun:
         assert "unsaturated_points = 2\n" in summary
 
     def test_trajectory_header(self, tmp_path):
-        run("prep-fig2a", out_dir=str(tmp_path), rtol=1e-6)
+        run("prep-fig2a", out_dir=str(tmp_path))
         header = (tmp_path / "prep-fig2a_trajectory.csv").read_text() \
             .splitlines()[0]
         assert header.split(",")[:2] == ["time", "pop_a"]

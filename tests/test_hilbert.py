@@ -4,7 +4,7 @@ import pytest
 from dfsim import (collective_eigenbasis, coupling_matrices, dfs4_states,
                    dicke_coupling, fidelity, fidelity_raw, linear_array_xi)
 from dfsim.hilbert import (excitation_numbers, ground_state,
-                           static_hamiltonian, total_lowering)
+                           lowering_operators, static_hamiltonian)
 
 
 def ket(bits: str) -> np.ndarray:
@@ -104,7 +104,7 @@ class TestDfs4:
 
     def test_annihilated_by_collective_lowering(self):
         zero, one = dfs4_states()
-        s_minus = total_lowering(4)
+        s_minus = sum(lowering_operators(4))
         assert np.linalg.norm(s_minus @ zero) < 1e-12
         assert np.linalg.norm(s_minus @ one) < 1e-12
 

@@ -96,7 +96,7 @@ class TestPrepareB:
 
     def test_decaying_run_reports_conditional_fidelity(self):
         g = linear_array_xi(0.5, alpha=0.0)
-        res = prepare_b(g, 1.0, decay=True, rtol=1e-7)
+        res = prepare_b(g, 1.0, decay=True)
         assert res.fidelity_raw < res.fidelity
         assert res.trajectory.norms[-1] < 1.0
 
@@ -263,14 +263,14 @@ class TestReadout:
 
     def test_bright_dark_contrast(self):
         g = linear_array_xi(0.15, alpha=np.pi / 2)
-        bright = readout_fluorescence(g, 7.0, logical=1, t_end=1.5, rtol=1e-7)
-        dark = readout_fluorescence(g, 7.0, logical=0, t_end=1.5, rtol=1e-7)
+        bright = readout_fluorescence(g, 7.0, logical=1, t_end=1.5)
+        dark = readout_fluorescence(g, 7.0, logical=0, t_end=1.5)
         assert bright.emission_probability > 0.5
         assert dark.emission_probability < 0.1
 
     def test_undriven_dark_state_stays_dark(self):
         g = linear_array_xi(0.15, alpha=np.pi / 2)
-        res = readout_fluorescence(g, 0.0, logical=1, t_end=1.0, rtol=1e-8)
+        res = readout_fluorescence(g, 0.0, logical=1, t_end=1.0)
         assert res.emission_probability < 0.02
 
     def test_invalid_arguments(self):
@@ -284,7 +284,7 @@ class TestReadout:
 @pytest.fixture(scope="module")
 def cphase_run():
     g4 = linear_array_xi(0.15, n=4, alpha=np.pi / 2)
-    return g4, cphase4(g4, 1.0, 0.05, decay=False, rtol=1e-8)
+    return g4, cphase4(g4, 1.0, 0.05, decay=False)
 
 
 class TestCphase4:
@@ -294,7 +294,7 @@ class TestCphase4:
 
     def test_zero_amplitude_is_identity(self):
         g4 = linear_array_xi(0.15, n=4, alpha=np.pi / 2)
-        res = cphase4(g4, 0.0, 1.0, decay=False, rtol=1e-8)
+        res = cphase4(g4, 0.0, 1.0, decay=False)
         for lab in "cbgf":
             assert abs(res.phases[lab]) < 1e-6
         assert not res.leakage_flag
@@ -350,6 +350,6 @@ class TestCphase4:
 
     def test_norm_losses_reported_with_decay(self):
         g4 = linear_array_xi(0.15, n=4, alpha=np.pi / 2)
-        res = cphase4(g4, 2.0, 0.2, decay=True, rtol=1e-7)
+        res = cphase4(g4, 2.0, 0.2, decay=True)
         assert all(0.0 <= v <= 1.0 for v in res.norm_loss.values())
         assert res.norm_loss["g"] > res.norm_loss["b"]
