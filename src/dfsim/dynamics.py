@@ -309,6 +309,9 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     with ``decay=False`` only the coherent part evolves.
     """
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (2**c.n,):
+        raise ValueError(f"psi0 has shape {psi0.shape}, but the coupling set "
+                         f"needs {(2**c.n,)}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalised")
     _check_end(t_end)
@@ -332,7 +335,10 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
     matrix (see the module docstring); ``rtol`` and ``atol`` apply to two
     tones only.  Hermiticity is enforced on every sampled state."""
     rho0 = np.asarray(rho0, dtype=complex)
-    dim = rho0.shape[0]
+    dim = 2**c.n
+    if rho0.shape != (dim, dim):
+        raise ValueError(f"rho0 has shape {rho0.shape}, but the coupling set "
+                         f"needs {(dim, dim)}")
     if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-9:
         raise ValueError("initial density matrix must be Hermitian")
     if abs(np.trace(rho0).real - 1.0) > 1e-9:

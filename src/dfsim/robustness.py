@@ -8,10 +8,13 @@ independent; position draws use a per-sample split of the seed stream and
 are batched into shared solver calls grouped by spectral scale.  Every
 variance of a sweep draws from the sweep's seed, so a variance's draws
 depend only on (seed, variance) and variances share common random numbers.
+Amplitude and detuning tolerances share one search: a batched doubling
+ladder brackets every crossing, then all brackets bisect in lockstep.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -165,31 +168,26 @@ class _BaseRun:
         self.eval_times = np.linspace(max(res.t_pi - window, 0.0),
                                       res.t_pi + window, 81)
 
-    def drive(self, amplitude_scale: float, frequency_scale: float) -> tuple:
-        """Tone amplitudes and detunings with the nominal amplitudes and
-        swept frequency scaled."""
-        tr = self.transfer
-        return ([amp * amplitude_scale for amp in tr.amplitudes],
-                tr.detunings(tr.frequency * frequency_scale))
+    def drive(self, axis: str, deviation: float) -> tuple:
+        """Tone amplitudes and detunings with the drive off nominal by
+        ``deviation`` along ``axis``.  A detuning deviation scales the swept
+        frequency.  A single-tone rabi deviation scales the amplitude; a
+        two-tone one is the product deviation, so each amplitude takes its
+        square root."""
+        tr, scale = self.transfer, 1.0 + deviation
+        if axis != "rabi":
+            return list(tr.amplitudes), tr.detunings(tr.frequency * scale)
+        scale = scale if len(tr.amplitudes) == 1 else np.sqrt(scale)
+        return ([amp * scale for amp in tr.amplitudes],
+                tr.detunings(tr.frequency))
 
 
-def _grid_fidelities(run: _BaseRun, axis: str, deviations: np.ndarray,
-                     rtol: float) -> np.ndarray:
-    """Fidelity at the nominal inversion time for each drive deviation,
-    evaluated in one batched solve."""
-    drives = []
-    for dev in deviations:
-        if axis == "rabi":
-            # A single-tone sweep scales the amplitude directly; a two-tone
-            # sweep reports the product deviation, so each amplitude takes
-            # the square root of it.
-            scale = ((1.0 + dev) if len(run.transfer.amplitudes) == 1
-                     else np.sqrt(1.0 + dev))
-            drives.append(run.drive(scale, 1.0))
-        else:
-            drives.append(run.drive(1.0, 1.0 + dev))
-    return _batched_fidelities([run.nominal_member] * len(deviations),
-                               drives, run.eval_times, rtol)
+def _grid_fidelities(run: _BaseRun, points: list, rtol: float) -> np.ndarray:
+    """Fidelity at the nominal inversion time for each (axis, deviation)
+    point, evaluated in one batched solve."""
+    return _batched_fidelities([run.nominal_member] * len(points),
+                               [run.drive(axis, dev) for axis, dev in points],
+                               run.eval_times, rtol)
 
 
 def _position_fidelities(run: _BaseRun, variance: float, samples: int,
@@ -218,7 +216,8 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     for bucket in buckets.values():
         idx, members = zip(*bucket)
         fids[list(idx)] = _batched_fidelities(
-            members, [run.drive(1.0, 1.0)] * len(idx), run.eval_times, rtol)
+            members, [run.drive("rabi", 0.0)] * len(idx), run.eval_times,
+            rtol)
     return fids, float(swaps.mean())
 
 
@@ -227,7 +226,8 @@ def _sweep(run: _BaseRun, spec: SweepSpec) -> SweepResult:
     values = np.asarray(spec.values, dtype=float)
     rtol = run.base.rtol
     if spec.axis != "position":
-        fids = _grid_fidelities(run, spec.axis, values, rtol)
+        fids = _grid_fidelities(run, [(spec.axis, v) for v in values],
+                                rtol)
         return SweepResult(spec, values, fids, np.zeros_like(fids),
                            run.result.fidelity, run.result.t_pi)
     draws = [_position_fidelities(run, v, spec.samples, spec.seed, rtol)
@@ -253,35 +253,53 @@ def tolerance(base: ScenarioBase, axis: str, threshold: float,
 
     The fidelity optimum sits slightly off the nominal drive (the drive
     dresses the levels), so the passing window is asymmetric about zero;
-    the quoted control level is half its total width.  Each crossing is
-    located by bisection to ``TOLERANCE_RESOLUTION``.
+    the quoted control level is half its total width.  Each side's crossing
+    is bracketed on the doubling ladder 0.001, 0.002, ..., 0.512 (a side
+    passing every rung is capped at 1) and bisected to
+    ``TOLERANCE_RESOLUTION``; see ``_tolerances``.
     """
     if axis == "position":
         raise ValueError("position tolerances come from a variance grid")
     run = run if run is not None else _BaseRun(base)
+    return _tolerances(run, (axis,), (threshold,))[axis, threshold]
 
-    def fidelity_at(eps: float) -> float:
-        return float(_grid_fidelities(run, axis, np.array([eps]),
-                                      base.rtol)[0])
 
-    if fidelity_at(0.0) < threshold:
-        raise ProtocolError(f"base fidelity below threshold {threshold}")
+def _tolerances(run: _BaseRun, axes: tuple, thresholds: tuple) -> dict:
+    """``tolerance`` of every (axis, threshold) pair.  One batched solve
+    scores deviation 0 and the ladder on both sides of every axis; each side
+    of each pair takes its bracket from its first failing rung (where
+    doubling alone would stop), and all brackets are bisected in lockstep,
+    one batched solve per round, through the same probes as on their own."""
+    fidelity: dict = {}  # (axis, deviation) -> fidelity
 
-    def crossing(sign: float) -> float:
-        lo, hi = 0.0, TOLERANCE_RESOLUTION
-        while fidelity_at(sign * hi) >= threshold:
-            lo, hi = hi, hi * 2.0
-            if hi > 1.0:
-                return 1.0
-        while hi - lo > TOLERANCE_RESOLUTION:
-            mid = 0.5 * (lo + hi)
-            if fidelity_at(sign * mid) >= threshold:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def score(points):
+        new = list(dict.fromkeys(p for p in points if p not in fidelity))
+        if new:
+            fidelity.update(zip(new, _grid_fidelities(run, new,
+                                                      run.base.rtol)))
 
-    return 0.5 * (crossing(+1.0) + crossing(-1.0))
+    # 0.001 ... 0.512; doubling on its own stops at the cap of 1 after it.
+    rungs = [TOLERANCE_RESOLUTION * 2.0**i for i in range(10)]
+    searches = list(itertools.product(axes, thresholds, (1.0, -1.0)))
+    score([(axes[0], 0.0)] + [(a, s * r) for a, _, s in searches
+                              for r in rungs])
+    for t in thresholds:
+        if fidelity[axes[0], 0.0] < t:
+            raise ProtocolError(f"base fidelity below threshold {t}")
+    # Bracket: [last passing rung or 0, first failing rung]; [1, 1] caps a
+    # side that never fails.
+    ladder, brackets = [0.0] + rungs, {}
+    for a, t, s in searches:
+        k = next((k for k, r in enumerate(rungs, 1)
+                  if fidelity[a, s * r] < t), None)
+        brackets[a, t, s] = [1.0, 1.0] if k is None else ladder[k - 1:k + 1]
+    while mids := {key: 0.5 * (lo + hi) for key, (lo, hi) in brackets.items()
+                   if hi - lo > TOLERANCE_RESOLUTION}:
+        score([(a, s * m) for (a, _, s), m in mids.items()])
+        for (a, t, s), m in mids.items():
+            brackets[a, t, s][0 if fidelity[a, s * m] >= t else 1] = m
+    return {(a, t): 0.5 * (brackets[a, t, 1.0][0] + brackets[a, t, -1.0][0])
+            for a, t, _ in searches}
 
 
 def tolerance_table(base: ScenarioBase,
@@ -297,9 +315,10 @@ def tolerance_table(base: ScenarioBase,
     sweep the row comes from is returned with the table.
     """
     run = _BaseRun(base)
-    rows = [ToleranceRow(axis=axis, tolerances={
-                t: tolerance(base, axis, t, run=run) for t in thresholds})
-            for axis in ("rabi", "detuning")]
+    axes = ("rabi", "detuning")
+    tols = _tolerances(run, axes, thresholds)
+    rows = [ToleranceRow(axis, {t: tols[axis, t] for t in thresholds})
+            for axis in axes]
     if not position_variances:
         return ToleranceTable(base.protocol, thresholds, rows, None)
     res = _sweep(run, SweepSpec(base.protocol, "position",

@@ -192,6 +192,17 @@ class TestNoJump:
         with pytest.raises(ValueError, match="phase list"):
             evolve_nojump(ground_state(3), c, d, 1.0)
 
+    def test_rejects_state_of_wrong_dimension(self):
+        # A three-emitter state with a four-emitter coupling set: both
+        # engines name the argument and both dimensions.
+        c = coupling_matrices(linear_array_xi(0.5, n=4))
+        psi = ground_state(3)
+        with pytest.raises(ValueError, match=r"psi0 .*\(8,\).*\(16,\)"):
+            evolve_nojump(psi, c, DriveSpec.off(), 1.0)
+        with pytest.raises(ValueError,
+                           match=r"rho0 .*\(8, 8\).*\(16, 16\)"):
+            evolve_lindblad(np.outer(psi, psi), c, DriveSpec.off(), 1.0)
+
 
 def raman_system(xi, alpha, e_mu, e_nu, omega_delta):
     """A rotation-style two-tone drive on a three-emitter array: tone 1 at

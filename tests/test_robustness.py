@@ -6,7 +6,7 @@ import pytest
 from dfsim import (ProtocolError, ScenarioBase, SweepSpec, coupling_matrices,
                    linear_array_xi, rotate_logical, spectral_params, sweep,
                    tolerance)
-from dfsim import cli, robustness
+from dfsim import cli, protocols, robustness
 from dfsim.robustness import rotate_merit_point, tolerance_table
 
 
@@ -160,6 +160,84 @@ class TestTolerance:
     def test_position_rejected_for_bisection(self, prep_base):
         with pytest.raises(ValueError):
             tolerance(prep_base, "position", 0.95)
+
+    def test_table_matches_sequential_search(self, prep_base):
+        table = tolerance_table(prep_base, thresholds=(0.9, 0.98))
+        run = robustness._BaseRun(prep_base)
+        for row in table.rows:
+            for t in (0.9, 0.98):
+                assert row.tolerances[t] == sequential_tolerance(run, row.axis,
+                                                                 t)
+
+    def test_two_tone_matches_sequential_search(self):
+        # The Table 2 rotation base: the stronger rot_base drive reaches
+        # only F = 0.855.
+        base = ScenarioBase(geometry=linear_array_xi(0.15, alpha=np.pi / 2),
+                            e_mu=6.0, e_nu=15.0, omega_delta=170.0,
+                            protocol="rotate", rtol=1e-7)
+        run = robustness._BaseRun(base)
+        assert tolerance(base, "detuning", 0.98, run=run) \
+            == sequential_tolerance(run, "detuning", 0.98)
+
+    def test_table_takes_few_batched_solves(self, prep_base, monkeypatch):
+        # One ladder solve plus one solve per bisection round; a search per
+        # crossing with one solve per probe takes over a hundred.
+        calls = []
+        batch = protocols.evolve_nojump_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "evolve_nojump_batch", counted)
+        table = tolerance_table(prep_base, thresholds=(0.9, 0.95, 0.98))
+        assert len(table.rows) == 2
+        # The ladder: deviation 0 and 10 rungs on each side of both axes.
+        assert calls[0] == 41
+        assert len(calls) <= 10
+
+    def test_threshold_above_base_fidelity_raises(self, prep_base):
+        run = robustness._BaseRun(prep_base)
+        assert run.result.fidelity < 0.995
+        with pytest.raises(ProtocolError, match="below threshold 0.995"):
+            tolerance(prep_base, "rabi", 0.995, run=run)
+        with pytest.raises(ProtocolError, match="below threshold 0.995"):
+            tolerance_table(prep_base, thresholds=(0.9, 0.995))
+
+    def test_zero_threshold_is_capped_on_both_sides(self, prep_base):
+        # Every deviation passes, so each side stops at the cap of 1 and the
+        # half-width (mean of the two sides, each at most 1) is 1 only if
+        # both are.
+        assert tolerance(prep_base, "detuning", 0.0) == 1.0
+        table = tolerance_table(prep_base, thresholds=(0.0,))
+        assert [row.tolerances[0.0] for row in table.rows] == [1.0, 1.0]
+
+
+def sequential_tolerance(run, axis, threshold):
+    """Oracle for ``tolerance``: each crossing found on its own, doubling
+    from the resolution and then bisecting, one batch-of-one solve per
+    probe."""
+    resolution = robustness.TOLERANCE_RESOLUTION
+
+    def fidelity_at(eps):
+        return float(robustness._grid_fidelities(run, [(axis, eps)],
+                                                 run.base.rtol)[0])
+
+    def crossing(sign):
+        lo, hi = 0.0, resolution
+        while fidelity_at(sign * hi) >= threshold:
+            lo, hi = hi, hi * 2.0
+            if hi > 1.0:
+                return 1.0
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            if fidelity_at(sign * mid) >= threshold:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return 0.5 * (crossing(1.0) + crossing(-1.0))
 
 
 def test_rotate_merit_point_logs_calibration_failure(monkeypatch, caplog):
