@@ -17,18 +17,18 @@ H⊗1 - 1⊗H* + i sum_l J_l⊗J_l* (H the no-jump Hamiltonian, J_l the jump
 operators), a tone contributes S = A⊗1 - 1⊗A^T and its adjoint S^dag,
 and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
 
-Under one tone or none, G is constant and the propagation is exact: on the
-even sample grid t_k = k dt the state is e^{-i w1 N t_k} U(dt)^k psi0 with
-U(dt) = expm(-i G dt), no integrator and no tolerance involved.  A
-two-tone G is periodic with the beat (Floquet propagation): the propagator
-U(s) over one period T = 2 pi/|D| is integrated once (DOP853 with dense
-output, at the requested tolerance divided by the number of periods), and
-the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.  Both take the
-powers of U from its eigendecomposition, or step them one by one when its
-eigenvectors are ill-conditioned.  One-tone batches
-(``evolve_nojump_batch``) are integrated with adaptive RK45 over the whole
-window, so ``rtol`` and ``atol`` govern only those and the two-tone period
-integration.
+Under one tone or none, G is constant and an unbatched propagation is
+exact: on the even sample grid t_k = k dt the state is
+e^{-i w1 N t_k} U(dt)^k psi0 with U(dt) = expm(-i G dt), no integrator and
+no tolerance involved.  Everything else, two-tone runs and batches, is
+integrated with DOP853 at tolerance ``rtol``.  A two-tone G is periodic
+with the beat (Floquet propagation): the propagator U(s) over one period
+T = 2 pi/|D| is integrated once (at ``rtol`` divided by the number of
+periods), and the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.
+Powers of U come from its eigendecomposition, or are stepped one by one
+when its eigenvectors are ill-conditioned.  One-tone batches, and two
+tones with no beat or a period no shorter than the window, integrate the
+initial states over the window itself.
 """
 
 from __future__ import annotations
@@ -202,58 +202,65 @@ def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
     return lambda n: table[:, :, np.searchsorted(needed, n)]
 
 
-def _evolve_two_tone(psi0: np.ndarray, hs: np.ndarray,
-                     tones: list[tuple[np.ndarray, np.ndarray]],
-                     times: np.ndarray, number: np.ndarray, rtol: float,
-                     atol: float) -> np.ndarray:
-    """Sampled states (B, nt, dim) of a stack of two-tone problems, from
-    one integrated beat period (see the module docstring).
-
-    Arguments as for ``evolve_nojump_batch`` with exactly two tones, plus
-    the number diagonal; every member must have the same beat between its
-    two tones.  With no beat, or a period no shorter than the window, the
-    window itself is integrated.
-    """
-    (a1, det1), (a2, det2) = tones
-    beats = det2 - det1
-    delta = float(beats[0])
-    if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
-        raise ValueError("batch members must share the beat between the "
-                         "two tones")
+def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
+                       tones: list[tuple[np.ndarray, np.ndarray]],
+                       times: np.ndarray, number: np.ndarray,
+                       rtol: float) -> np.ndarray:
+    """Sampled states (B, nt, dim) of a stack of one- or two-tone problems,
+    integrated with DOP853 in the frame of the first tone (see the module
+    docstring).  Arguments as for ``evolve_nojump_batch``, plus the number
+    diagonal."""
+    (a1, det1), *second = tones
     b, dim = psi0.shape
+    psi0 = psi0.astype(complex)
     t_end = float(times[-1])
     static = (hs + a1 + a1.conj().transpose(0, 2, 1)
               - det1[:, None, None] * np.diag(number))
-    a2d = a2.conj().transpose(0, 2, 1)
+    delta = 0.0
+    if second:
+        (a2, det2), = second
+        beats = det2 - det1
+        delta = float(beats[0])
+        if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
+            raise ValueError("batch members must share the beat between the "
+                             "two tones")
+        a2d = a2.conj().transpose(0, 2, 1)
     period = 2.0 * np.pi / abs(delta) if delta else np.inf
     n_periods = int(np.ceil(t_end / period)) if period < t_end else 1
     span = period if n_periods > 1 else t_end
+    y0 = (np.broadcast_to(np.eye(dim, dtype=complex), (b, dim, dim))
+          if n_periods > 1 else psi0[:, :, None])
+    cols = y0.shape[2]
 
     def rhs(t, y):
-        ph = np.exp(-1j * delta * t)
-        gen = static + ph * a2 + np.conj(ph) * a2d
-        return (-1j * (gen @ y.reshape(b, dim, dim))).ravel()
+        gen = static
+        if second:
+            ph = np.exp(-1j * delta * t)
+            gen = static + ph * a2 + np.conj(ph) * a2d
+        return (-1j * (gen @ y.reshape(b, dim, cols))).ravel()
 
-    sol = solve_ivp(rhs, (0.0, span),
-                    np.broadcast_to(np.eye(dim, dtype=complex),
-                                    (b, dim, dim)).ravel(),
-                    method="DOP853", dense_output=True,
-                    rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR), atol=atol)
+    sol = solve_ivp(rhs, (0.0, span), y0.ravel(), method="DOP853",
+                    dense_output=True, atol=DEFAULT_ATOL,
+                    rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR))
     if not sol.success:
-        raise IntegrationError(f"period integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed: {sol.message}")
     counts = np.minimum(np.floor(times / span), n_periods - 1).astype(int)
     phase_in_period = times - counts * span
-    powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim),
-                            psi0.astype(complex), counts)
+    if n_periods > 1:
+        powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim), psi0,
+                                counts)
+    else:
+        def powers(n):
+            return np.ones((b, 1, len(n)))
 
     # Samples in period-phase order, so that each chunk of the dense
     # output touches few solver steps.
     out = np.empty((b, len(times), dim), dtype=complex)
     order = np.argsort(phase_in_period, kind="stable")
-    chunk = max(1, CHUNK_ENTRIES // (b * dim * dim))
+    chunk = max(1, CHUNK_ENTRIES // (b * dim * cols))
     for lo in range(0, len(order), chunk):
         idx = order[lo:lo + chunk]
-        u_s = sol.sol(phase_in_period[idx]).reshape(b, dim, dim, len(idx))
+        u_s = sol.sol(phase_in_period[idx]).reshape(b, dim, cols, len(idx))
         psi = np.einsum("bijm,bjm->bmi", u_s, powers(counts[idx]))
         frame = np.exp(-1j * det1[:, None, None] * times[idx][None, :, None]
                        * number[None, None, :])
@@ -279,30 +286,29 @@ def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
 
 
 def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,
-               number: np.ndarray, times: np.ndarray, rtol: float,
-               atol: float) -> np.ndarray:
+               number: np.ndarray, times: np.ndarray,
+               rtol: float) -> np.ndarray:
     """Sampled states (nt, dim) of i dy/dt = G(t) y from ``y0``, G being
     ``static`` plus e^{-i w t} A + h.c. for each tone (A, w) in ``tones``,
     with ``number`` the diagonal ``static`` conserves (see the module
     docstring)."""
     if len(tones) == 2:
-        return _evolve_two_tone(
+        return _evolve_integrated(
             y0[None], static[None],
             [(a[None], np.array([det])) for a, det in tones],
-            times, number, rtol, atol)[0]
+            times, number, rtol)[0]
     return _evolve_one_tone(y0, static, tones, times, number)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
                   t_end: float, rtol: float = DEFAULT_RTOL,
-                  atol: float = DEFAULT_ATOL, decay: bool = True,
-                  n_samples: int | None = None,
+                  decay: bool = True, n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
     """Evolve i dpsi/dt = H_eff(t) psi on an even grid of ``n_samples``
     times over [0, t_end]: exactly in the tone frame for at most one tone,
     through one integrated beat period for two tones (see the module
-    docstring).  ``rtol`` and ``atol`` apply to the two-tone period
-    integration only.
+    docstring).  ``rtol`` applies to the two-tone period integration
+    only.
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -319,8 +325,7 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
     times = _sample_times(c, d, basis, t_end, n_samples)
-    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times,
-                        rtol, atol)
+    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times, rtol)
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,
@@ -328,12 +333,11 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 
 def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
-                    t_end: float, rtol: float = 1e-8,
-                    atol: float = DEFAULT_ATOL) -> Trajectory:
+                    t_end: float, rtol: float = DEFAULT_RTOL) -> Trajectory:
     """Evolve the master equation (no-jump generator plus jump refilling)
     through the propagator of ``evolve_nojump``, as a vectorised density
-    matrix (see the module docstring); ``rtol`` and ``atol`` apply to two
-    tones only.  Hermiticity is enforced on every sampled state."""
+    matrix (see the module docstring); ``rtol`` applies to two tones
+    only.  Hermiticity is enforced on every sampled state."""
     rho0 = np.asarray(rho0, dtype=complex)
     dim = 2**c.n
     if rho0.shape != (dim, dim):
@@ -359,7 +363,7 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
     times = _sample_times(c, d, basis, t_end, None)
     states = _propagate(rho0.ravel(), static, tones,
                         np.subtract.outer(number, number).ravel(), times,
-                        rtol, atol).reshape(-1, dim, dim)
+                        rtol).reshape(-1, dim, dim)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     traces = np.einsum("kii->k", states).real
     pops = np.einsum("lk,tkm,ml->tl", basis.left, states,
@@ -375,39 +379,24 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
                         tones: list[tuple[np.ndarray, np.ndarray]],
-                        times: np.ndarray, rtol: float = 1e-7,
-                        atol: float = DEFAULT_ATOL) -> np.ndarray:
+                        times: np.ndarray,
+                        rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Integrate a stack of independent no-jump problems in one solver call.
 
     psi0 : (B, dim) initial states
     hs   : (B, dim, dim) static Hamiltonians
-    tones: list of (A, detunings) with A of shape (B, dim, dim) and
+    tones: one or two (A, detunings), A of shape (B, dim, dim) and
            detunings of shape (B,)
-    times: sample times from 0; the last one ends the integration
+    times: ascending sample times; the integration runs from 0 to the
+           last of them
     Returns the sampled history (B, nt, dim).  Sharing one solver keeps the
     per-call overhead small for parameter scans; the step controller tracks
-    the least forgiving member of the batch.  Two tones are propagated
-    through one beat period, which all members must share.
+    the least forgiving member of the batch.  Every member is integrated
+    with DOP853 in the frame of its first tone, at relative tolerance
+    ``rtol``; two tones go through one beat period, which all members must
+    share (see the module docstring).
     """
     _check_end(times[-1])
-    b, dim = psi0.shape
-    if len(tones) == 2:
-        return _evolve_two_tone(psi0, hs, tones, times,
-                                excitation_numbers(dim.bit_length() - 1),
-                                rtol, atol)
-    tone_arrays = [(a, a.conj().transpose(0, 2, 1), det) for a, det in tones]
-
-    def rhs(t, y):
-        psi = y.reshape(b, dim)
-        out = np.einsum("bij,bj->bi", hs, psi)
-        for a, ad, det in tone_arrays:
-            ph = np.exp(-1j * det * t)
-            out += ph[:, None] * np.einsum("bij,bj->bi", a, psi)
-            out += np.conj(ph)[:, None] * np.einsum("bij,bj->bi", ad, psi)
-        return (-1j * out).ravel()
-
-    sol = solve_ivp(rhs, (0.0, times[-1]), psi0.ravel().astype(complex),
-                    method="RK45", rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise IntegrationError(f"batched integration failed: {sol.message}")
-    return sol.y.reshape(b, dim, -1).transpose(0, 2, 1)
+    n = psi0.shape[1].bit_length() - 1
+    return _evolve_integrated(psi0, hs, tones, times, excitation_numbers(n),
+                              rtol)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, evolve_lindblad,
@@ -12,8 +13,9 @@ from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
 from dfsim import dynamics
 from dfsim.coupling import spectral_params
 from dfsim.dynamics import _tone_arrays, evolve_nojump_batch
-from dfsim.hilbert import (drive_operator, ground_state, lowering_operators,
-                           raising_operators, static_hamiltonian)
+from dfsim.hilbert import (drive_operator, excitation_numbers, ground_state,
+                           lowering_operators, raising_operators,
+                           static_hamiltonian)
 
 
 def fig2a_system():
@@ -151,16 +153,16 @@ class TestNoJump:
         assert np.array_equal(a, b)
 
     def test_integrator_error_scales_with_tolerance(self):
-        # One tone is exact in evolve_nojump; the batched engine still
-        # integrates it with RK45, whose error must fall with rtol.
+        # One tone is exact in evolve_nojump; the batched engine
+        # integrates it with DOP853, whose error must fall with rtol.
         c, d = fig2a_system()
         a, det = _tone_arrays(c, d)[0]
         args = (ground_state(3)[None], static_hamiltonian(c)[None],
                 [(a[None], np.array([det]))], np.linspace(0.0, 1.0, 50))
-        ref = evolve_nojump_batch(*args, rtol=1e-12, atol=1e-14)
+        ref = evolve_nojump_batch(*args, rtol=1e-12)
         errs = []
         for rtol in (1e-5, 1e-6):
-            y = evolve_nojump_batch(*args, rtol=rtol, atol=1e-14)
+            y = evolve_nojump_batch(*args, rtol=rtol)
             errs.append(np.linalg.norm(y[0, -1] - ref[0, -1]))
         ratio = errs[0] / errs[1]
         assert 5.0 <= ratio <= 20.0
@@ -294,6 +296,28 @@ class TestOneTone:
         assert "ill-conditioned" in caplog.text
         assert np.max(np.abs(got.states - want.states)) < 1e-10
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("decay", [False, True])
+    def test_batch_matches_expm_oracle(self, n, decay):
+        # Members differ in amplitude and detuning, and the samples lie in
+        # a window away from 0, as in the robustness sweeps.
+        c = coupling_matrices(linear_array_xi(0.4, n=n, alpha=0.3))
+        hs = static_hamiltonian(c, decay)
+        unit = drive_operator(0.4 * np.arange(n))
+        number = np.diag(excitation_numbers(n))
+        psi0 = np.exp(1j * np.arange(2**n)) / np.sqrt(2**n)
+        members = [(1.0, -4.0), (2.5, 3.0), (0.4, 12.0)]
+        times = np.linspace(0.7, 1.3, 25)
+        states = evolve_nojump_batch(
+            np.array([psi0] * 3), np.array([hs] * 3),
+            [(np.array([rabi * unit for rabi, _ in members]),
+              np.array([det for _, det in members]))], times, rtol=1e-10)
+        for k, (rabi, det) in enumerate(members):
+            gen = hs - det * number + rabi * (unit + unit.conj().T)
+            want = [np.exp(-1j * det * t * np.diag(number))
+                    * (expm(-1j * t * gen) @ psi0) for t in times]
+            assert np.max(np.abs(states[k] - want)) < 1e-8
+
 
 class TestTwoTone:
     """Two-tone drives are propagated through one beat period."""
@@ -364,11 +388,10 @@ class TestTwoTone:
         # rtol governs the period integration: its error compounds over
         # the ~90 periods of this window and still falls with rtol.
         c, d, psi0, _ = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
-        ref = evolve_nojump(psi0, c, d, 2.0, rtol=1e-12,
-                            atol=1e-14).states
+        ref = evolve_nojump(psi0, c, d, 2.0, rtol=1e-12).states
         errs = []
         for rtol in (1e-5, 1e-6):
-            y = evolve_nojump(psi0, c, d, 2.0, rtol=rtol, atol=1e-14).states
+            y = evolve_nojump(psi0, c, d, 2.0, rtol=rtol).states
             errs.append(np.max(np.abs(y - ref)))
         ratio = errs[0] / errs[1]
         assert 5.0 <= ratio <= 20.0
@@ -494,7 +517,7 @@ class TestMasterEquation:
         c, d, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 40.0)
         rho0 = np.outer(psi0, psi0.conj())
         t_end = 2.5 * 2.0 * np.pi / abs(beat)
-        traj = evolve_lindblad(rho0, c, d, t_end, rtol=1e-11, atol=1e-14)
+        traj = evolve_lindblad(rho0, c, d, t_end, rtol=1e-11)
         want = master_oracle(rho0, c, d, traj.times)
         assert np.max(np.abs(traj.states - want)) < 1e-8
 

@@ -27,6 +27,18 @@ def fig3a():
     return g, rotate_logical(g, 6.0, 15.0, 170.0, rtol=1e-7)
 
 
+def double_sample_grid(monkeypatch):
+    """Give every default sample grid twice as many samples, keeping each
+    old one."""
+    grid = dynamics._sample_times
+
+    def doubled(c, d, basis, t_end, n_samples):
+        n = len(grid(c, d, basis, t_end, n_samples))
+        return np.linspace(0.0, t_end, 2 * n - 1)
+
+    monkeypatch.setattr(dynamics, "_sample_times", doubled)
+
+
 class TestPrepCoupling:
     def test_orthogonal_wavevector_form(self):
         sp = spectral_params(coupling_matrices(linear_array_xi(0.5, alpha=0.0)))
@@ -81,13 +93,7 @@ class TestPrepareB:
     def test_inversion_converged_in_sample_grid(self, fig2a, monkeypatch):
         # Twice as many samples (every old one kept) must not move t_pi or F
         # beyond the precision t_pi is quoted at.
-        grid = dynamics._sample_times
-
-        def doubled(c, d, basis, t_end, n_samples):
-            n = len(grid(c, d, basis, t_end, n_samples))
-            return np.linspace(0.0, t_end, 2 * n - 1)
-
-        monkeypatch.setattr(dynamics, "_sample_times", doubled)
+        double_sample_grid(monkeypatch)
         g, res = fig2a
         fine = prepare_b(g, 1.0)
         assert len(fine.trajectory.times) == 2 * len(res.trajectory.times) - 1
@@ -164,6 +170,20 @@ class TestRotateLogical:
         pop_c = traj.populations_renormalized[:, traj.labels.index("c")]
         assert pop_e.max() > 0.5
         assert pop_c.max() < 0.1
+
+    @pytest.mark.parametrize("e_mu, e_nu, omega_delta",
+                             [(6.0, 15.0, 170.18), (12.0, 30.0, 167.5)])
+    def test_inversion_converged_in_sample_grid(self, monkeypatch, e_mu,
+                                                e_nu, omega_delta):
+        # The calibrated rotations at xi = 0.15: twice as many samples
+        # must not move t_pi or F beyond the precision t_pi is quoted at.
+        g = linear_array_xi(0.15, alpha=np.pi / 2)
+        res = rotate_logical(g, e_mu, e_nu, omega_delta, rtol=1e-8)
+        double_sample_grid(monkeypatch)
+        fine = rotate_logical(g, e_mu, e_nu, omega_delta, rtol=1e-8)
+        assert len(fine.trajectory.times) == 2 * len(res.trajectory.times) - 1
+        assert fine.t_pi == pytest.approx(res.t_pi, rel=1e-4)
+        assert fine.fidelity == pytest.approx(res.fidelity, rel=1e-4)
 
     def test_merit_uses_mean_linewidth(self, fig3a):
         _, res = fig3a
