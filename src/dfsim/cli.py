@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .cluster import expected_growth, grow_chain
 from .coupling import coupling_matrices
+from .dynamics import DEFAULT_RTOL
 from .geometry import linear_array_xi
 from .protocols import (ProtocolError, calibrate_detuning, cphase4,
                         prepare_b, readout_coupling, readout_fluorescence,
@@ -457,7 +458,7 @@ def run(config_source: str, out_dir: str | None = None,
     if run_seed < 0:
         raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")
     run_rtol = (_in_range("integrator", "rtol", rtol) if rtol is not None
-                else _get_float(cfg, "integrator", "rtol", 1e-9))
+                else _get_float(cfg, "integrator", "rtol", DEFAULT_RTOL))
     t_end = (None if cfg.get("run", "t_end", fallback="auto") == "auto"
              else _get_float(cfg, "run", "t_end"))
     resolved_out = (out_dir or cfg.get("run", "out", fallback=None)

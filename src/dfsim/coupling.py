@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import TWO_PI
+
 GAMMA = 1.0
 
 # Negative relaxation-matrix eigenvalues above this are numerical noise and
@@ -27,8 +29,7 @@ class CouplingSet:
     """Pair-coupling matrices of an emitter array.
 
     delta  : real symmetric NxN coherent-shift matrix, zero diagonal
-    gammas : real symmetric NxN damping matrix, diagonal equal to gamma
-    gamma  : single-emitter decay rate (the rate unit, 1 by convention)
+    gammas : real symmetric NxN damping matrix, diagonal equal to GAMMA
 
     The carrier frequency does not appear: all dynamics run in the frame
     rotating at the carrier.
@@ -36,17 +37,10 @@ class CouplingSet:
 
     delta: np.ndarray
     gammas: np.ndarray
-    gamma: float = GAMMA
 
     @property
     def n(self) -> int:
         return self.delta.shape[0]
-
-    def complex_matrix(self) -> np.ndarray:
-        """Full pair coefficients delta_ij - i*gamma_ij/2 (zero diagonal)."""
-        out = self.delta - 0.5j * self.gammas
-        np.fill_diagonal(out, 0.0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def coupling_matrices(g) -> CouplingSet:
             dist = np.linalg.norm(rij)
             cos_a = float(np.dot(dip, rij) / dist)
             cos_a = min(1.0, max(-1.0, cos_a))
-            coeff = xi_coefficient(g.k0 * dist, float(np.arccos(cos_a)))
+            coeff = xi_coefficient(TWO_PI * dist, float(np.arccos(cos_a)))
             delta[i, j] = delta[j, i] = coeff.real
             gammas[i, j] = gammas[j, i] = -2.0 * coeff.imag
     gammas = _enforce_psd(gammas)

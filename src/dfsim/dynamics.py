@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .coupling import CouplingSet
+from .coupling import GAMMA, PSD_TOLERANCE, CouplingSet
 from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
                       drive_operator, excitation_numbers, lowering_operators,
                       static_hamiltonian)
@@ -110,7 +110,7 @@ def jump_operators(c: CouplingSet) -> JumpSet:
     """Collapse operators J_l = sqrt(lam_l) sum_i b_li sigma_i^-, with
     lam_l the relaxation-matrix eigenvalues sorted descending."""
     w, v = np.linalg.eigh(c.gammas)
-    if w.min() < -1e-10 * c.gamma:
+    if w.min() < -PSD_TOLERANCE * GAMMA:
         raise ValueError("relaxation matrix not positive semidefinite")
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1]

@@ -1,8 +1,8 @@
 """Emitter placement, dipole orientation, and position disorder.
 
 All lengths are in units of the resonant wavelength, so the resonant
-wavenumber is ``k0 = 2*pi`` and the dimensionless pair separation is
-``xi_ij = k0 * |r_i - r_j|``.  Linear arrays lie along x with the dipole
+wavenumber is fixed at ``k0 = TWO_PI`` and the dimensionless pair separation
+is ``xi_ij = k0 * |r_i - r_j|``.  Linear arrays lie along x with the dipole
 tilted by ``alpha`` from that axis.
 """
 
@@ -30,12 +30,10 @@ class Geometry:
     alpha     : angle in radians between the dipole direction and the
                 array axis (x); the dipole unit vector is
                 (cos alpha, sin alpha, 0)
-    k0        : resonant wavenumber, 2*pi in these units
     """
 
     positions: np.ndarray
     alpha: float
-    k0: float = TWO_PI
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -66,7 +64,7 @@ class Geometry:
 
     def xi_matrix(self) -> np.ndarray:
         """Dimensionless separations xi_ij = k0 |r_i - r_j|."""
-        return self.k0 * self.separations()
+        return TWO_PI * self.separations()
 
     @property
     def xi12(self) -> float:
@@ -95,8 +93,7 @@ class DisorderSpec:
             raise ValueError("samples must be at least 1")
 
 
-def linear_array(r: float, n: int = 3, alpha: float = 0.0,
-                 k0: float = TWO_PI) -> Geometry:
+def linear_array(r: float, n: int = 3, alpha: float = 0.0) -> Geometry:
     """Equally spaced collinear emitters centred on the origin.
 
     ``r`` is the nearest-neighbour spacing in wavelength units; for n=3 the
@@ -109,7 +106,7 @@ def linear_array(r: float, n: int = 3, alpha: float = 0.0,
     offsets = (np.arange(n) - (n - 1) / 2.0) * r
     positions = np.zeros((n, 3))
     positions[:, 0] = offsets
-    return Geometry(positions=positions, alpha=alpha, k0=k0)
+    return Geometry(positions=positions, alpha=alpha)
 
 
 def linear_array_xi(xi12: float, n: int = 3, alpha: float = 0.0) -> Geometry:
@@ -137,7 +134,7 @@ def sample_disorder(g: Geometry, spec: DisorderSpec) -> list[Geometry]:
         while True:
             displaced = g.positions + rng.normal(0.0, sigma, size=g.positions.shape)
             try:
-                out.append(Geometry(positions=displaced, alpha=g.alpha, k0=g.k0))
+                out.append(Geometry(positions=displaced, alpha=g.alpha))
                 break
             except ValueError:
                 redraws += 1

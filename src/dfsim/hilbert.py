@@ -8,7 +8,7 @@ first because the carrier frequency dominates the physical energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,20 +55,19 @@ def ground_state(n: int) -> np.ndarray:
 
 
 def static_hamiltonian(c: CouplingSet, decay: bool = True) -> np.ndarray:
-    """Drive-free effective Hamiltonian in the rotating frame: coherent pair
-    hopping plus, with ``decay``, the anti-Hermitian damping terms (diagonal
-    and cross).  Without ``decay`` only the coherent part remains."""
+    """Drive-free effective Hamiltonian in the rotating frame,
+    sum_ij (delta - i gammas/2)_ij sigma_i^+ sigma_j^-: coherent pair hopping
+    plus, with ``decay``, the anti-Hermitian damping terms (the diagonal of
+    ``gammas`` gives each emitter's own decay).  Without ``decay`` only the
+    coherent part remains."""
     n = c.n
     sm = lowering_operators(n)
     sp = raising_operators(n)
-    coeff = c.complex_matrix() if decay else c.delta
+    coeff = c.delta - 0.5j * c.gammas if decay else c.delta
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            if i != j:
-                h += coeff[i, j] * (sp[i] @ sm[j])
-        if decay:
-            h += -0.5j * c.gamma * (sp[i] @ sm[i])
+            h += coeff[i, j] * (sp[i] @ sm[j])
     return h
 
 
@@ -101,7 +100,10 @@ class CollectiveBasis:
     labels: tuple[str, ...]
     n_excitations: np.ndarray
     condition: float
-    ill_conditioned: bool = field(default=False)
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return self.condition > CONDITION_LIMIT
 
     @property
     def dim(self) -> int:
@@ -176,7 +178,6 @@ def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
         labels=tuple(LABELS[: len(w)]),
         n_excitations=nexc,
         condition=cond,
-        ill_conditioned=cond > CONDITION_LIMIT,
     )
 
 

@@ -14,18 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingSet, SpectralParams, coupling_matrices, spectral_params
-from .dynamics import (DriveSpec, Tone, Trajectory, evolve_nojump,
-                       evolve_nojump_batch)
+from .coupling import (GAMMA, CouplingSet, SpectralParams, coupling_matrices,
+                       spectral_params)
+from .dynamics import (DEFAULT_RTOL, DriveSpec, Tone, Trajectory,
+                       evolve_nojump, evolve_nojump_batch)
 from .geometry import Geometry
 from .hilbert import (CollectiveBasis, collective_eigenbasis, drive_operator,
                       fidelity, fidelity_raw, ground_state, static_hamiltonian)
 
 
-# Raman-offset calibration: points per scan grid, and the step the
-# returned offset is snapped to.
+# Raman-offset calibration: points per scan grid, the step the returned
+# offset is snapped to, the relative half-width of the scan around the
+# nominal offset, and the tolerance of its batched solves.
 CALIBRATION_GRID = 11
 CALIBRATION_RESOLUTION = 0.01
+CALIBRATION_WINDOW = 0.2
+CALIBRATION_RTOL = 1e-5
 
 
 class ProtocolError(RuntimeError):
@@ -80,39 +84,6 @@ def effective_prep_coupling(sp: SpectralParams, e_mu: float,
         raise ValueError("kappa must be positive")
     return (1.0 / sp.omega) * np.sqrt(sp.omega / sp.kappa) * e_mu * (
         sp.kappa * np.cos(k_dot_r) - 2.0 * sp.delta12)
-
-
-def effective_rotation_couplings(sp: SpectralParams, e_mu: float, e_nu: float,
-                                 k_dot_r: float, omega_delta: float,
-                                 t: float) -> tuple[complex, complex, complex]:
-    """Analytic two-tone couplings of the logical rotation, including the
-    explicit time-dependent phase factors, and the adiabatically eliminated
-    effective rate between the two logical levels."""
-    if omega_delta == 0:
-        raise ValueError("omega_delta must be nonzero")
-    om, ka, eta = sp.omega, sp.kappa, sp.eta
-    d12, d13 = sp.delta12, sp.delta13
-    kr = k_dot_r
-    # The single-photon and two-photon denominators vanish together
-    # (om^2 - d13*(d13 + 4 ka) = -4*(ka*d13 - 2*d12^2)).
-    prefactor_denom = ka * d13 - 2.0 * d12**2
-    if abs(prefactor_denom) < 1e-12:
-        raise ValueError("rotation prefactor is singular: kappa*delta13 equals "
-                         "2*delta12^2 for this geometry")
-    e_be = (1.0 / (2.0 * om)) * np.exp(-0.5j * (eta - 2.0 * omega_delta) * t) \
-        * (np.exp(0.5j * eta * t) * e_mu + e_nu) \
-        * (ka - 8.0 * d12 * np.cos(kr))
-    e_ce = np.sqrt(2.0 * ka / om) * (d12 * eta / (om**2 - d13 * (d13 + 4.0 * ka))) \
-        * np.exp(-1j * (kr - omega_delta * t)) \
-        * (1.0 - np.exp(2j * kr)) \
-        * (np.exp(0.5j * eta * t) * e_mu + e_nu)
-    e_eff = (np.exp(-1j * (kr + t * eta)) * ka**1.5
-             / (4.0 * np.sqrt(2.0) * omega_delta * prefactor_denom**2 * om**1.5)) \
-        * (np.exp(2j * kr) - 1.0) * d12 * eta \
-        * (np.exp(0.5j * t * eta) * e_mu + e_nu) \
-        * (e_mu + np.exp(0.5j * t * eta) * e_nu) \
-        * (2.0 * d12**2 - d13 * ka - 2.0 * d12 * eta * np.cos(kr))
-    return e_be, e_ce, e_eff
 
 
 def rotation_rate_estimate(sp: SpectralParams, e_mu: float, e_nu: float,
@@ -322,7 +293,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
 def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
                    omega_delta: float = 170.0, t_end: float | None = None,
                    *, k_dot_r: float | None = None, decay: bool = False,
-                   rtol: float = 1e-9) -> ProtocolResult:
+                   rtol: float = DEFAULT_RTOL) -> ProtocolResult:
     """Two-tone Raman rotation between the two lowest one-excitation levels.
 
     Tone detunings are w_mu = omega_delta and
@@ -360,22 +331,22 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
 
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
                        omega_delta_nominal: float, *,
-                       k_dot_r: float | None = None, window: float = 0.2,
-                       rtol: float = 1e-5) -> float:
+                       k_dot_r: float | None = None) -> float:
     """Scan the Raman detuning near its nominal value and return the value
     maximising the transfer fidelity over the first cycle.
 
-    The scan covers ``+- window`` (relative) around the nominal value with
-    two successive batched grids (``_calibrate``); each candidate scores
-    its best transfer fidelity over a window of 1.45 probe inversion times.
-    Raises if the maximum sits at the scan edge.
+    The scan covers ``+- CALIBRATION_WINDOW`` (relative) around the nominal
+    value with two successive batched grids (``_calibrate``) solved at
+    ``CALIBRATION_RTOL``; each candidate scores its best transfer fidelity
+    over a window of 1.45 probe inversion times.  Raises if the maximum
+    sits at the scan edge.
     """
     if omega_delta_nominal == 0:
         raise ValueError("nominal detuning must be nonzero")
     tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta_nominal, k_dot_r)
 
     probe = rotate_logical(g, e_mu, e_nu, omega_delta_nominal,
-                           k_dot_r=tr.kdr, rtol=10.0 * rtol)
+                           k_dot_r=tr.kdr, rtol=10.0 * CALIBRATION_RTOL)
     # Detunings at the low scan edge slow the transfer; size the window so
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
@@ -385,9 +356,10 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     def scores(offsets: np.ndarray) -> np.ndarray:
         return _batched_fidelities(
             [member] * len(offsets),
-            [(tr.amplitudes, tr.detunings(w)) for w in offsets], times, rtol)
+            [(tr.amplitudes, tr.detunings(w)) for w in offsets], times,
+            CALIBRATION_RTOL)
 
-    return _calibrate(scores, omega_delta_nominal, window)
+    return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)
 
 
 def _calibrate(scores, nominal: float, window: float) -> float:
@@ -429,7 +401,7 @@ def readout_coupling(c: CouplingSet, e_mu: float,
     e_cg = (1j / np.sqrt(2.0)) * np.sqrt(1.0 + d13 / om) \
         * (d12 * (om + 3.0 * d13) * e_mu * np.sin(k_dot_r)) / denom
     g12, g13 = c.gammas[0, 1], c.gammas[0, 2]
-    gamma_g = 0.5 * (4.0 * c.gamma + g13 + np.sqrt(8.0 * g12**2 + g13**2))
+    gamma_g = 0.5 * (4.0 * GAMMA + g13 + np.sqrt(8.0 * g12**2 + g13**2))
     return e_cg, float(gamma_g)
 
 

@@ -246,8 +246,7 @@ def sweep(spec: SweepSpec, base: ScenarioBase) -> SweepResult:
     return _sweep(_BaseRun(base), spec)
 
 
-def tolerance(base: ScenarioBase, axis: str, threshold: float,
-              run: _BaseRun | None = None) -> float:
+def tolerance(base: ScenarioBase, axis: str, threshold: float) -> float:
     """Symmetric half-width of the deviation window keeping the fidelity at
     the nominal inversion time above ``threshold``.
 
@@ -260,8 +259,7 @@ def tolerance(base: ScenarioBase, axis: str, threshold: float,
     """
     if axis == "position":
         raise ValueError("position tolerances come from a variance grid")
-    run = run if run is not None else _BaseRun(base)
-    return _tolerances(run, (axis,), (threshold,))[axis, threshold]
+    return _tolerances(_BaseRun(base), (axis,), (threshold,))[axis, threshold]
 
 
 def _tolerances(run: _BaseRun, axes: tuple, thresholds: tuple) -> dict:
@@ -342,7 +340,9 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
     target, and the figure of merit there.
 
     The fidelity decreases with amplitude from its weak-drive limit, so the
-    crossing is found by doubling from a spectral-scale seed and bisecting.
+    crossing is bracketed by halving or doubling from a spectral-scale seed
+    and then bisected; each amplitude is solved once.  Raises
+    ``ProtocolError`` if seven halvings never reach the target.
     """
     g = linear_array_xi(xi, alpha=alpha)
     sp = spectral_params(coupling_matrices(g))
@@ -352,17 +352,20 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
 
     e_seed = sp.omega / 40.0
     lo, res_lo = e_seed, fid(e_seed)
+    hi, best = None, res_lo.fidelity
     while res_lo.fidelity < f_target:
-        lo /= 2.0
-        res_lo = fid(lo)
         if lo < e_seed / 64.0:
-            break
-    hi = lo * 2.0
-    res_hi = fid(hi)
-    while res_hi.fidelity >= f_target:
-        lo, res_lo = hi, res_hi
-        hi *= 2.0
-        res_hi = fid(hi)
+            raise ProtocolError(f"preparation fidelity at xi={xi} never "
+                                f"reaches {f_target} (best {best:.6g})")
+        hi, lo = lo, lo / 2.0
+        res_lo = fid(lo)
+        best = max(best, res_lo.fidelity)
+    while hi is None:
+        res_hi = fid(2.0 * lo)
+        if res_hi.fidelity < f_target:
+            hi = 2.0 * lo
+        else:
+            lo, res_lo = 2.0 * lo, res_hi
     while hi / lo > 1.004:
         mid = np.sqrt(lo * hi)
         res_mid = fid(mid)

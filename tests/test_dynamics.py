@@ -119,6 +119,28 @@ class TestJumpOperators:
         assert np.max(np.abs(total - gamma_operator(c))) < 1e-10
 
 
+class TestDampingDiagonal:
+    """The no-jump decay and the jump operators read the same damping
+    matrix, so emitters decaying at twice the rate unit lose norm at that
+    rate and the master equation stays trace-preserving."""
+
+    C = CouplingSet(delta=np.zeros((3, 3)), gammas=2.0 * np.eye(3))
+
+    def test_master_equation_preserves_trace(self):
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[7, 7] = 1.0
+        traj = evolve_lindblad(rho0, self.C, DriveSpec.off(), 1.0)
+        assert traj.times[-1] == pytest.approx(1.0)
+        assert traj.trace_error < 1e-9
+
+    def test_single_excitation_decays_at_its_rate(self):
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[1] = 1.0
+        traj = evolve_nojump(psi0, self.C, DriveSpec.off(), 1.0)
+        assert traj.times[-1] == pytest.approx(1.0)
+        assert traj.norms[-1] ** 2 == pytest.approx(np.exp(-2.0), rel=1e-10)
+
+
 class TestNoJump:
     def test_ground_state_stationary(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))

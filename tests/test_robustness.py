@@ -176,8 +176,8 @@ class TestTolerance:
                             e_mu=6.0, e_nu=15.0, omega_delta=170.0,
                             protocol="rotate", rtol=1e-7)
         run = robustness._BaseRun(base)
-        assert tolerance(base, "detuning", 0.98, run=run) \
-            == sequential_tolerance(run, "detuning", 0.98)
+        assert robustness._tolerances(run, ("detuning",), (0.98,))[
+            "detuning", 0.98] == sequential_tolerance(run, "detuning", 0.98)
 
     def test_table_takes_few_batched_solves(self, prep_base, monkeypatch):
         # One ladder solve plus one solve per bisection round; a search per
@@ -200,7 +200,7 @@ class TestTolerance:
         run = robustness._BaseRun(prep_base)
         assert run.result.fidelity < 0.995
         with pytest.raises(ProtocolError, match="below threshold 0.995"):
-            tolerance(prep_base, "rabi", 0.995, run=run)
+            robustness._tolerances(run, ("rabi",), (0.995,))
         with pytest.raises(ProtocolError, match="below threshold 0.995"):
             tolerance_table(prep_base, thresholds=(0.9, 0.995))
 
@@ -280,3 +280,29 @@ def test_merit_calibration_finds_shifted_resonance(caplog):
         point = rotate_merit_point(0.1, np.pi / 2, 0.98)
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert point["saturated"]
+
+
+class TestPrepareMeritPoint:
+    def test_unreachable_target_raises(self):
+        # Seven halvings from the seed leave F = 0.999975 at best, short of
+        # the target; no amplitude is returned as the crossing.
+        with pytest.raises(ProtocolError, match=r"xi=0.5 never reaches "
+                                                r"0.99999 \(best 0.999975\)"):
+            robustness.prepare_merit_point(0.5, 0.0, 0.99999)
+
+    def test_each_amplitude_solved_once(self, monkeypatch):
+        # The seed fails at this target, so the search halves once and
+        # bisects from the bracket the halving found.
+        amplitudes = []
+        solve = robustness.prepare_b
+
+        def counted(g, e_mu, *args, **kwargs):
+            amplitudes.append(e_mu)
+            return solve(g, e_mu, *args, **kwargs)
+
+        monkeypatch.setattr(robustness, "prepare_b", counted)
+        point = robustness.prepare_merit_point(0.5, 0.0, 0.999)
+        assert len(amplitudes) == len(set(amplitudes)) == 11
+        assert point["e_mu"] == pytest.approx(0.29398008858471164, rel=1e-12)
+        assert point["fidelity"] == pytest.approx(0.9990042018418894,
+                                                  rel=1e-9)
