@@ -14,6 +14,7 @@ import argparse
 import configparser
 import functools
 import io
+import itertools
 import os
 import sys
 import time
@@ -57,6 +58,10 @@ _SECTION_KEYS = {
     "sweep": {"thresholds", "variances", "samples"},
     "cluster": {"p", "ops"},
 }
+
+# Keys that only some scenario types read -> those types.
+_READ_BY = {("run", "t_end"): {"prepare", "rotate", "readout", "cphase4"},
+            ("drive", "calibrate"): {"rotate"}}
 
 # Every number read from a config must be finite.  Some keys also have a
 # range that the library never sees or checks only once a solve is under
@@ -204,6 +209,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column(values) -> tuple[str, list]:
+    """Row-template field and cells of one CSV column: a float64 array is
+    written with '%.17g' and an integer array with '%d', the same text
+    `_fmt` gives; any other column goes through `_fmt` value by value."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return "%.17g", values.tolist()
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return "%d", values.tolist()
+    return "%s", [_fmt(v) for v in values]
+
+
 class _Output:
     """Deferred file writes: nothing touches disk until the run succeeded."""
 
@@ -212,12 +228,13 @@ class _Output:
         self.files: dict[str, str] = {}
         self.summary: list[tuple[str, object]] = []
 
-    def add_csv(self, suffix: str, header: list[str], rows) -> None:
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        self.files[f"{self.prefix}_{suffix}.csv"] = buf.getvalue()
+    def add_csv(self, suffix: str, header: list[str], columns) -> None:
+        """CSV from equal-length columns, all rows by one '%' over a
+        repeated row template (see `_column`)."""
+        fields, cells = zip(*map(_column, columns))
+        body = (",".join(fields) + "\n") * len(cells[0])
+        self.files[f"{self.prefix}_{suffix}.csv"] = ",".join(header) + "\n" \
+            + body % tuple(itertools.chain.from_iterable(zip(*cells)))
 
     def add_text(self, suffix: str, text: str) -> None:
         self.files[f"{self.prefix}_{suffix}.txt"] = text
@@ -252,8 +269,7 @@ def _add_transfer(out: _Output, res, keys, merit_key: str) -> None:
     traj = res.trajectory
     out.add_csv("trajectory",
                 ["time"] + [f"pop_{lab}" for lab in traj.labels] + ["norm"],
-                ([t] + list(p) + [w] for t, p, w in
-                 zip(traj.times, traj.populations, traj.norms)))
+                [traj.times, *traj.populations.T, traj.norms])
     for key in keys:
         out.add(key, res.params_used[key])
     out.add("fidelity", res.fidelity)
@@ -302,7 +318,8 @@ def _run_readout(cfg, out: _Output, rtol, t_end, seed):
         traj = res.trajectory
         out.add_csv(f"trajectory_logical{logical}",
                     ["time", "no_emission_probability"],
-                    ([t, w**2] for t, w in zip(traj.times, traj.norms)))
+                    # pow() per value: norms**2 can differ in the last bit.
+                    [traj.times, [w**2 for w in traj.norms.tolist()]])
         out.add(f"emission_probability_logical{logical}",
                 res.emission_probability)
     out.add("contrast", results[1].emission_probability
@@ -336,16 +353,14 @@ def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
     alpha = _get_float(cfg, "geometry", "alpha", 0.0)
     xi_values = _get_floats(cfg, "merit", "xi_values")
     f_target = _get_float(cfg, "merit", "f_target", 0.98)
-    rows = []
-    for xi in xi_values:
-        point = prepare_merit_point(xi, alpha, f_target)
-        rows.append([xi, point["e_mu"], point["t_pi"], point["fidelity"],
-                     point["gamma_b"], point["merit"]])
-    out.add_csv("merit", ["xi12", "e_mu", "t_pi", "fidelity", "gamma_b",
-                          "merit"], rows)
-    out.add("points", len(rows))
+    keys = ("e_mu", "t_pi", "fidelity", "gamma_b", "merit")
+    points = [prepare_merit_point(xi, alpha, f_target) for xi in xi_values]
+    out.add_csv("merit", ["xi12", *keys],
+                [xi_values, *([p[k] for p in points] for k in keys)])
+    merit = [p["merit"] for p in points]
+    out.add("points", len(points))
     out.add("monotone_decreasing",
-            int(all(a[5] > b[5] for a, b in zip(rows, rows[1:]))))
+            int(all(a > b for a, b in zip(merit, merit[1:]))))
 
 
 def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
@@ -356,31 +371,31 @@ def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
     e_mu = _get_float(cfg, "drive", "e_mu", 6.0)
     e_nu = _get_float(cfg, "drive", "e_nu", 15.0)
     wd = _get_float(cfg, "drive", "omega_delta", 170.0)
-    rows = []
-    for xi in xi_values:
-        point = rotate_merit_point(xi, alpha, f_target, e_mu, e_nu, wd,
-                                   rtol=rtol)
-        rows.append([xi, point["scale"], point["t_pi"], point["fidelity"],
-                     point["gamma_mean"], point["merit"],
-                     int(point["saturated"])])
+    points = [rotate_merit_point(xi, alpha, f_target, e_mu, e_nu, wd,
+                                 rtol=rtol) for xi in xi_values]
+    saturated = [int(p["saturated"]) for p in points]
     out.add_csv("merit", ["xi12", "amplitude_scale", "t_pi", "fidelity",
-                          "gamma_mean", "merit", "saturated"], rows)
-    out.add("points", len(rows))
-    out.add("unsaturated_points", sum(1 - row[6] for row in rows))
+                          "gamma_mean", "merit", "saturated"],
+                [xi_values, *([p[k] for p in points] for k in
+                              ("scale", "t_pi", "fidelity", "gamma_mean",
+                               "merit")), saturated])
+    merit = [p["merit"] for p in points]
+    out.add("points", len(points))
+    out.add("unsaturated_points", len(points) - sum(saturated))
     out.add("monotone_decreasing",
-            int(all(a[5] > b[5] for a, b in zip(rows, rows[1:]))))
+            int(all(a > b for a, b in zip(merit, merit[1:]))))
+
 
 
 def _sweep_base(cfg, protocol: str, rtol) -> ScenarioBase:
     g = _geometry(cfg)
     kdr = _k_dot_r(cfg, g)
-    if protocol == "prepare":
-        return ScenarioBase(geometry=g, e_mu=_get_float(cfg, "drive", "e_mu"),
-                            k_dot_r=kdr, protocol="prepare", rtol=rtol)
-    return ScenarioBase(geometry=g, e_mu=_get_float(cfg, "drive", "e_mu"),
-                        e_nu=_get_float(cfg, "drive", "e_nu"),
-                        omega_delta=_get_float(cfg, "drive", "omega_delta"),
-                        k_dot_r=kdr, protocol="rotate", rtol=rtol)
+    e_mu = _get_float(cfg, "drive", "e_mu")
+    two_tone = {} if protocol == "prepare" else {
+        "e_nu": _get_float(cfg, "drive", "e_nu"),
+        "omega_delta": _get_float(cfg, "drive", "omega_delta")}
+    return ScenarioBase(geometry=g, e_mu=e_mu, k_dot_r=kdr, protocol=protocol,
+                        rtol=rtol, **two_tone)
 
 
 def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
@@ -396,12 +411,11 @@ def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
                             position_variances=variances,
                             samples=samples, seed=seed)
     out.add_text("table", table.to_text() + "\n")
-    rows = []
-    for row in table.rows:
-        for t in thresholds:
-            v = row.tolerances.get(t)
-            rows.append([row.axis, t, "" if v is None else v])
-    out.add_csv("tolerances", ["axis", "threshold", "tolerance"], rows)
+    cells = [(row.axis, t, row.tolerances.get(t)) for row in table.rows
+             for t in thresholds]
+    out.add_csv("tolerances", ["axis", "threshold", "tolerance"],
+                [[c[0] for c in cells], [c[1] for c in cells],
+                 ["" if c[2] is None else c[2] for c in cells]])
     disorder = table.position
     for k, v in enumerate(variances):
         out.add(f"mean_fidelity_v_{v:g}", float(disorder.mean_fidelity[k]))
@@ -416,8 +430,7 @@ def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
     ops = _get_int(cfg, "cluster", "ops")
     run = _checked("cluster", grow_chain, p, ops, seed=seed)
     out.add_csv("growth", ["op", "length", "increment"],
-                ([k + 1, int(run.lengths[k]), int(run.increments[k])]
-                 for k in range(run.ops)))
+                [np.arange(1, run.ops + 1), run.lengths, run.increments])
     out.add("p_success", p)
     out.add("ops", ops)
     out.add("mean_growth", run.mean_growth)
@@ -454,6 +467,10 @@ def run(config_source: str, out_dir: str | None = None,
     kind = _require(cfg, "scenario", "type")
     if kind not in _HANDLERS:
         raise ConfigError(f"unknown scenario type {kind!r}")
+    for (section, key), kinds in _READ_BY.items():
+        if kind not in kinds and cfg.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} is not read by scenario "
+                              f"type {kind!r}")
     run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
     if run_seed < 0:
         raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")

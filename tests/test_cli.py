@@ -1,9 +1,41 @@
 import os
 
+import numpy as np
 import pytest
 
-from dfsim import cli, dynamics
+from dfsim import cli, dynamics, prepare_b, readout_fluorescence
 from dfsim.cli import ConfigError, list_scenarios, main, run
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail any solve: config errors must come before the first one."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a solve started before the config check")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", fail)
+    monkeypatch.setattr(dynamics, "expm", fail)
+
+
+def _one_key_config(tmp_path, kind, section, key, value):
+    """A config of scenario type `kind` in which every other key the type
+    reads is present and valid, so a run can only fail on the key under
+    test."""
+    sections = {"scenario": {"name": "x", "type": kind},
+                "geometry": {"xi12": "0.5", "alpha": "0",
+                             "n": "4" if kind == "cphase4" else "3"},
+                "drive": {"e_mu": "1.0", "e_nu": "1.0",
+                          "omega_delta": "170.0", "e_pulse": "1.0",
+                          "detuning_offset": "0.0"},
+                "merit": {"xi_values": "0.5"},
+                "sweep": {"variances": "0.005"},
+                "cluster": {"p": "0.5", "ops": "10"}}
+    sections.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    return cfg
 
 
 class TestListScenarios:
@@ -93,6 +125,70 @@ class TestRun:
         assert header.split(",")[-1] == "norm"
 
 
+def _csv_oracle(header, columns) -> str:
+    """The per-value writer: every cell through `_fmt`, row by row."""
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                   for row in [header, *zip(*columns)])
+
+
+def _csv_cells(path) -> np.ndarray:
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in line.split(",")] for line in lines])
+
+
+class TestCsvWriter:
+    FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e16])
+
+    @pytest.mark.parametrize("header,columns", [
+        (["a", "b"], [FLOATS, FLOATS[::-1] * 3.0]),
+        (["i", "j", "x"], [np.array([-2**63, -2, -1, 0, 1, 2, 2**62]),
+                           [0, 1, -2, 3, 2**70, -5, 6], FLOATS]),
+        (["flag", "x"], [[True, False, True], FLOATS[:3]]),
+        (["axis", "threshold", "tolerance"],
+         [["rabi", "detuning", "position"], [0.9, 0.95, 0.98],
+          [0.25, "", np.float64(1e-6)]]),
+        (["t", "n"], [np.array([0.5]), np.array([7])]),
+        (["t", "n", "s"], [np.array([]), np.array([], dtype=int), []]),
+    ])
+    def test_bytes_match_per_value_formatter(self, header, columns):
+        out = cli._Output("t")
+        out.add_csv("x", header, columns)
+        assert out.files["t_x.csv"] == _csv_oracle(header, columns)
+
+    def test_prepare_trajectory_round_trips(self, tmp_path, monkeypatch):
+        results = []
+
+        def keep(*args, **kwargs):
+            results.append(prepare_b(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "prepare_b", keep)
+        run("prep-fig2a", out_dir=str(tmp_path))
+        traj = results[0].trajectory
+        cells = _csv_cells(tmp_path / "prep-fig2a_trajectory.csv")
+        want = np.column_stack([traj.times, traj.populations, traj.norms])
+        assert cells.shape == want.shape
+        assert np.all(cells == want)
+
+    def test_readout_trajectories_round_trip(self, tmp_path, monkeypatch):
+        results = {}
+
+        def keep(g, e_mu, logical, *args, **kwargs):
+            results[logical] = readout_fluorescence(g, e_mu, logical, *args,
+                                                    **kwargs)
+            return results[logical]
+
+        monkeypatch.setattr(cli, "readout_fluorescence", keep)
+        run("readout", out_dir=str(tmp_path))
+        assert set(results) == {0, 1}
+        for logical, res in results.items():
+            traj = res.trajectory
+            cells = _csv_cells(
+                tmp_path / f"readout_trajectory_logical{logical}.csv")
+            assert cells[:, 0].tolist() == traj.times.tolist()
+            assert cells[:, 1].tolist() == [float(w)**2 for w in traj.norms]
+
+
 class TestConfigValidation:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -170,43 +266,37 @@ class TestConfigValidation:
         ("table-prepare", "sweep", "thresholds", "0.9, 0.95, 0.9"),
         ("table-prepare", "sweep", "variances", "1e-6, 1e-6"),
     ])
-    def test_malformed_numbers_exit_2(self, tmp_path, capsys, monkeypatch,
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, no_solve,
                                       kind, section, key, value):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve started before the config check")
-
-        monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
-        monkeypatch.setattr(dynamics, "expm", no_solve)
-        # Every other key the scenario type reads is present and valid, so
-        # the run can only fail on the key under test.
-        sections = {"scenario": {"name": "x", "type": kind},
-                    "geometry": {"xi12": "0.5", "alpha": "0",
-                                 "n": "4" if kind == "cphase4" else "3"},
-                    "drive": {"e_mu": "1.0", "e_nu": "1.0",
-                              "omega_delta": "170.0", "e_pulse": "1.0",
-                              "detuning_offset": "0.0"},
-                    "merit": {"xi_values": "0.5"},
-                    "sweep": {"variances": "0.005"},
-                    "cluster": {"p": "0.5", "ops": "10"}}
-        sections.setdefault(section, {})[key] = value
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("".join(
-            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-            for name, keys in sections.items()))
+        cfg = _one_key_config(tmp_path, kind, section, key, value)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"[{section}]" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_rejects_bad_tolerance_flag(self, tmp_path, capsys, monkeypatch,
-                                        tol):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve started before the config check")
+    @pytest.mark.parametrize("kind,section,key,value", [
+        (kind, section, key, value)
+        for section, key, value, readers in (
+            ("run", "t_end", "3.0", {"prepare", "rotate", "readout",
+                                     "cphase4"}),
+            ("drive", "calibrate", "true", {"rotate"}))
+        for kind in ("prepare", "rotate", "readout", "cphase4",
+                     "merit-prepare", "merit-rotate", "table-prepare",
+                     "table-rotate", "cluster-growth")
+        if kind not in readers])
+    def test_key_a_type_never_reads_exits_2(self, tmp_path, capsys, no_solve,
+                                            kind, section, key, value):
+        cfg = _one_key_config(tmp_path, kind, section, key, value)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and repr(kind) in err
+        assert not out.exists()
 
-        monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
-        monkeypatch.setattr(dynamics, "expm", no_solve)
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_rejects_bad_tolerance_flag(self, tmp_path, capsys, no_solve,
+                                        tol):
         out = tmp_path / "out"
         assert main(["run", "prep-fig2a", "--out", str(out), "--tol", tol]) == 2
         err = capsys.readouterr().err

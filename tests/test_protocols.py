@@ -68,6 +68,20 @@ class TestPrepCoupling:
         est = np.pi / (2.0 * abs(effective_prep_coupling(sp, 1.0, g.xi12)))
         assert abs(est - res.t_pi) / res.t_pi < 0.05
 
+    @pytest.mark.parametrize("xi,alpha", [(0.5, 0.0), (0.3, 0.0),
+                                          (0.15, np.pi / 2)])
+    @pytest.mark.parametrize("e_mu", [0.1, 0.25])
+    def test_weak_drive_inversion_time(self, xi, alpha, e_mu):
+        # The adiabatic elimination behind the analytic coupling holds at
+        # weak drive: there the measured t_pi matches pi / (2 |coupling|)
+        # to 1e-3 (largest deviation seen: 3.4e-4).
+        g = linear_array_xi(xi, alpha=alpha)
+        res = prepare_b(g, e_mu)
+        coupling = effective_prep_coupling(spectral_params(coupling_matrices(
+            g)), e_mu, res.params_used["k_dot_r"])
+        assert res.t_pi * 2.0 * abs(coupling) / np.pi == pytest.approx(
+            1.0, abs=1e-3)
+
 
 class TestPrepareB:
     def test_benchmark_fidelity_and_time(self, fig2a):
