@@ -2,8 +2,8 @@
 describes, and write CSV outputs plus a rerunnable manifest.
 
 Configs are flat INI-style key-value sections; rates are in units of the
-single-emitter decay rate and lengths in wavelength units.  Unknown keys
-are rejected.  Re-running a scenario with the same config and seed yields
+single-emitter decay rate and lengths in wavelength units.  A key the
+scenario type does not read is rejected.  Re-running a scenario with the same config and seed yields
 byte-identical CSV output, and the manifest written next to the results is
 itself a valid config reproducing the run.
 """
@@ -47,21 +47,28 @@ SCENARIOS = (
 
 ENV_OUTDIR = "DFSIM_OUT"
 
-_SECTION_KEYS = {
-    "scenario": {"name", "type"},
-    "geometry": {"xi12", "r_nm", "lambda0_nm", "alpha", "n"},
-    "drive": {"e_mu", "e_nu", "omega_delta", "calibrate", "k_dot_r",
-              "e_pulse", "detuning_offset", "transition", "coherent"},
-    "integrator": {"rtol"},
-    "run": {"seed", "t_end", "out"},
-    "merit": {"xi_values", "f_target"},
-    "sweep": {"thresholds", "variances", "samples"},
-    "cluster": {"p", "ops"},
+# Scenario type -> the "section.key" entries its handler reads (_ARRAY:
+# the array geometry and the drive's propagation phase).  Every type also
+# takes the keys the manifest records for every run (_COMMON); any other
+# key is rejected.
+_COMMON = "scenario.name scenario.type integrator.rtol run.seed run.out"
+_ARRAY = ("geometry.xi12 geometry.r_nm geometry.lambda0_nm geometry.alpha "
+          "geometry.n drive.k_dot_r")
+_MERIT = "geometry.alpha geometry.n merit.xi_values merit.f_target"
+_TABLE = "sweep.thresholds sweep.variances sweep.samples"
+_RAMAN = "drive.e_mu drive.e_nu drive.omega_delta"
+_READS = {
+    "prepare": f"{_ARRAY} drive.e_mu run.t_end",
+    "rotate": f"{_ARRAY} {_RAMAN} drive.calibrate run.t_end",
+    "readout": f"{_ARRAY} drive.e_mu drive.transition run.t_end",
+    "cphase4": f"{_ARRAY} drive.e_pulse drive.detuning_offset "
+               "drive.coherent run.t_end",
+    "merit-prepare": _MERIT,
+    "merit-rotate": f"{_MERIT} {_RAMAN}",
+    "table-prepare": f"{_ARRAY} drive.e_mu {_TABLE}",
+    "table-rotate": f"{_ARRAY} {_RAMAN} {_TABLE}",
+    "cluster-growth": "cluster.p cluster.ops",
 }
-
-# Keys that only some scenario types read -> those types.
-_READ_BY = {("run", "t_end"): {"prepare", "rotate", "readout", "cphase4"},
-            ("drive", "calibrate"): {"rotate"}}
 
 # Every number read from a config must be finite.  Some keys also have a
 # range that the library never sees or checks only once a solve is under
@@ -104,12 +111,6 @@ def _load_config(source: str) -> tuple[configparser.ConfigParser, str]:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
     return parser, origin
 
 
@@ -189,6 +190,10 @@ def _geometry(cfg):
     n = _get_int(cfg, "geometry", "n", 3)
     alpha = _get_float(cfg, "geometry", "alpha")
     if cfg.has_option("geometry", "xi12"):
+        if cfg.has_option("geometry", "r_nm") or cfg.has_option(
+                "geometry", "lambda0_nm"):
+            raise ConfigError("[geometry] takes xi12 or r_nm and lambda0_nm, "
+                              "not both")
         xi12 = _get_float(cfg, "geometry", "xi12")
     else:
         r_nm = _get_float(cfg, "geometry", "r_nm")
@@ -349,10 +354,18 @@ def _run_cphase(cfg, out: _Output, rtol, t_end, seed):
     out.add("leakage_flag", int(res.leakage_flag))
 
 
+def _merit_grid(cfg, alpha: float) -> tuple:
+    """Array angle (default ``alpha``), spacings and target fidelity of a
+    merit search, which runs on three-emitter chains."""
+    if _get_int(cfg, "geometry", "n", 3) != 3:
+        raise ConfigError("merit searches need [geometry] n = 3")
+    return (_get_float(cfg, "geometry", "alpha", alpha),
+            _get_floats(cfg, "merit", "xi_values"),
+            _get_float(cfg, "merit", "f_target", 0.98))
+
+
 def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
-    alpha = _get_float(cfg, "geometry", "alpha", 0.0)
-    xi_values = _get_floats(cfg, "merit", "xi_values")
-    f_target = _get_float(cfg, "merit", "f_target", 0.98)
+    alpha, xi_values, f_target = _merit_grid(cfg, 0.0)
     keys = ("e_mu", "t_pi", "fidelity", "gamma_b", "merit")
     points = [prepare_merit_point(xi, alpha, f_target) for xi in xi_values]
     out.add_csv("merit", ["xi12", *keys],
@@ -365,9 +378,7 @@ def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
 
 def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
     out.add("rtol", rtol)
-    alpha = _get_float(cfg, "geometry", "alpha", np.pi / 2)
-    xi_values = _get_floats(cfg, "merit", "xi_values")
-    f_target = _get_float(cfg, "merit", "f_target", 0.98)
+    alpha, xi_values, f_target = _merit_grid(cfg, np.pi / 2)
     e_mu = _get_float(cfg, "drive", "e_mu", 6.0)
     e_nu = _get_float(cfg, "drive", "e_nu", 15.0)
     wd = _get_float(cfg, "drive", "omega_delta", 170.0)
@@ -467,10 +478,12 @@ def run(config_source: str, out_dir: str | None = None,
     kind = _require(cfg, "scenario", "type")
     if kind not in _HANDLERS:
         raise ConfigError(f"unknown scenario type {kind!r}")
-    for (section, key), kinds in _READ_BY.items():
-        if kind not in kinds and cfg.has_option(section, key):
-            raise ConfigError(f"[{section}] {key} is not read by scenario "
-                              f"type {kind!r}")
+    reads = f"{_COMMON} {_READS[kind]}".split()
+    for section in cfg.sections():
+        for key in cfg[section]:
+            if f"{section}.{key}" not in reads:
+                raise ConfigError(f"[{section}] {key} is not read by "
+                                  f"scenario type {kind!r}")
     run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
     if run_seed < 0:
         raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")

@@ -146,10 +146,9 @@ def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
     """
     h = static_hamiltonian(c)
     w, v = scipy.linalg.eig(h)
-    nexc_basis = excitation_numbers(c.n)
-    nexc = np.array([int(round(float(nexc_basis @ (np.abs(v[:, k]) ** 2)
-                                     / np.sum(np.abs(v[:, k]) ** 2))))
-                     for k in range(len(w))])
+    weights = np.abs(v) ** 2
+    nexc = np.rint(excitation_numbers(c.n) @ weights
+                   / weights.sum(axis=0)).astype(int)
     order = np.lexsort((w.real, nexc))
     w, v, nexc = w[order], v[:, order], nexc[order]
     v = v / np.linalg.norm(v, axis=0)
@@ -264,9 +263,7 @@ def _align_degenerate(block: np.ndarray, refs: list[np.ndarray]) -> np.ndarray:
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Deterministic eigenvector phases: largest component real positive."""
-    out = v.copy()
-    for k in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, k])))
-        phase = v[j, k] / abs(v[j, k])
-        out[:, k] = v[:, k] / phase
-    return out
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot is the scalar abs() bit for bit (np.abs is not), and row-major
+    # order keeps later products bit-identical whatever order ``v`` has.
+    return np.ascontiguousarray(v / (top / np.hypot(top.real, top.imag)))

@@ -5,7 +5,9 @@ A sweep perturbs one control axis of a base protocol, re-evolves to the
 unperturbed inversion time, and records the fidelity there.  Control-field
 frequencies never track position errors.  Sample evaluations are
 independent; position draws use a per-sample split of the seed stream and
-are batched into shared solver calls grouped by spectral scale.  Every
+share solver calls: every draw whose coupling scale is below twice the
+nominal one joins one solve, and each octave above that gets its own, so
+that a strongly coupled draw's short steps do not slow the others.  Every
 variance of a sweep draws from the sweep's seed, so a variance's draws
 depend only on (seed, variance) and variances share common random numbers.
 Amplitude and detuning tolerances share one search: a batched doubling
@@ -34,6 +36,8 @@ PROTOCOLS = ("prepare", "rotate")
 # Disordered draws whose coupling scale exceeds the nominal one by this
 # factor are so far detuned that the transfer fidelity is effectively zero;
 # skipping their integration keeps pathological draws from stalling sweeps.
+# The draws kept are solved in octaves of the scale ratio (2-4, 4-8, ...,
+# 32-50), plus one solve for every draw below twice the nominal scale.
 SCALE_CUTOFF = 50.0
 
 # Tolerance crossings are bisected to this absolute deviation.
@@ -210,7 +214,7 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
         scale = float(np.max(np.abs(coupling.delta)))
         if scale > SCALE_CUTOFF * nominal_scale:
             continue
-        buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1e-12))),
+        buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1.0))),
                            []).append((idx, run.transfer.member(gg, coupling)))
 
     for bucket in buckets.values():

@@ -17,20 +17,36 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(dynamics, "expm", fail)
 
 
+KINDS = ("prepare", "rotate", "readout", "cphase4", "merit-prepare",
+         "merit-rotate", "table-prepare", "table-rotate", "cluster-growth")
+# Scenario types that read a key class: an array geometry with its drive
+# phase, a Raman (two-tone) drive, a merit search or a tolerance table.
+ARRAY = {"prepare", "rotate", "readout", "cphase4", "table-prepare",
+         "table-rotate"}
+RAMAN = {"rotate", "merit-rotate", "table-rotate"}
+MERIT = {"merit-prepare", "merit-rotate"}
+TABLE = {"table-prepare", "table-rotate"}
+
+
 def _one_key_config(tmp_path, kind, section, key, value):
     """A config of scenario type `kind` in which every other key the type
-    reads is present and valid, so a run can only fail on the key under
-    test."""
-    sections = {"scenario": {"name": "x", "type": kind},
-                "geometry": {"xi12": "0.5", "alpha": "0",
-                             "n": "4" if kind == "cphase4" else "3"},
-                "drive": {"e_mu": "1.0", "e_nu": "1.0",
-                          "omega_delta": "170.0", "e_pulse": "1.0",
-                          "detuning_offset": "0.0"},
-                "merit": {"xi_values": "0.5"},
-                "sweep": {"variances": "0.005"},
-                "cluster": {"p": "0.5", "ops": "10"}}
+    reads is present and valid, and no key it does not read, so a run can
+    only fail on the key under test."""
+    valid = {"scenario": {"name": "x", "type": kind},
+             "geometry": {"xi12": "0.5", "alpha": "0",
+                          "n": "4" if kind == "cphase4" else "3"},
+             "drive": {"e_mu": "1.0", "e_nu": "1.0",
+                       "omega_delta": "170.0", "e_pulse": "1.0",
+                       "detuning_offset": "0.0"},
+             "merit": {"xi_values": "0.5"},
+             "sweep": {"variances": "0.005"},
+             "cluster": {"p": "0.5", "ops": "10"}}
+    reads = f"{cli._COMMON} {cli._READS[kind]}".split()
+    sections = {name: {k: v for k, v in keys.items()
+                       if f"{name}.{k}" in reads}
+                for name, keys in valid.items()}
     sections.setdefault(section, {})[key] = value
+    sections = {name: keys for name, keys in sections.items() if keys}
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -265,6 +281,8 @@ class TestConfigValidation:
         ("merit-prepare", "merit", "xi_values", "0.5, 0.50"),
         ("table-prepare", "sweep", "thresholds", "0.9, 0.95, 0.9"),
         ("table-prepare", "sweep", "variances", "1e-6, 1e-6"),
+        ("merit-prepare", "geometry", "n", "4"),
+        ("merit-rotate", "geometry", "n", "4"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, no_solve,
                                       kind, section, key, value):
@@ -280,11 +298,25 @@ class TestConfigValidation:
         for section, key, value, readers in (
             ("run", "t_end", "3.0", {"prepare", "rotate", "readout",
                                      "cphase4"}),
-            ("drive", "calibrate", "true", {"rotate"}))
-        for kind in ("prepare", "rotate", "readout", "cphase4",
-                     "merit-prepare", "merit-rotate", "table-prepare",
-                     "table-rotate", "cluster-growth")
-        if kind not in readers])
+            ("drive", "calibrate", "true", {"rotate"}),
+            ("drive", "coherent", "true", {"cphase4"}),
+            ("drive", "e_pulse", "1.0", {"cphase4"}),
+            ("drive", "detuning_offset", "0.0", {"cphase4"}),
+            ("drive", "transition", "cg", {"readout"}),
+            ("drive", "e_nu", "1.0", RAMAN),
+            ("drive", "omega_delta", "170.0", RAMAN),
+            ("drive", "e_mu", "1.0", ARRAY - {"cphase4"} | RAMAN),
+            ("drive", "k_dot_r", "auto", ARRAY),
+            ("geometry", "xi12", "0.5", ARRAY),
+            ("geometry", "alpha", "0", ARRAY | MERIT),
+            ("merit", "xi_values", "0.5", MERIT),
+            ("merit", "f_target", "0.98", MERIT),
+            ("sweep", "thresholds", "0.9", TABLE),
+            ("sweep", "variances", "0.005", TABLE),
+            ("sweep", "samples", "3", TABLE),
+            ("cluster", "p", "0.5", {"cluster-growth"}),
+            ("cluster", "ops", "10", {"cluster-growth"}))
+        for kind in KINDS if kind not in readers])
     def test_key_a_type_never_reads_exits_2(self, tmp_path, capsys, no_solve,
                                             kind, section, key, value):
         cfg = _one_key_config(tmp_path, kind, section, key, value)
@@ -292,6 +324,16 @@ class TestConfigValidation:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err and repr(kind) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["r_nm", "lambda0_nm"])
+    def test_spacing_given_twice_exits_2(self, tmp_path, capsys, no_solve,
+                                         key):
+        # xi12 and a physical spacing: one of them would go unread.
+        cfg = _one_key_config(tmp_path, "prepare", "geometry", key, "100")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "xi12 or r_nm and lambda0_nm" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dfsim import (collective_eigenbasis, coupling_matrices, dfs4_states,
-                   dicke_coupling, fidelity, fidelity_raw, linear_array_xi)
-from dfsim.hilbert import (excitation_numbers, ground_state,
+from dfsim import (DisorderSpec, collective_eigenbasis, coupling_matrices,
+                   dfs4_states, dicke_coupling, fidelity, fidelity_raw,
+                   linear_array_xi, sample_disorder)
+from dfsim.hilbert import (_fix_phases, excitation_numbers, ground_state,
                            lowering_operators, static_hamiltonian)
 
 
@@ -93,6 +94,40 @@ class TestCollectiveBasis:
         basis = collective_eigenbasis(coupling_matrices(
             linear_array_xi(0.4, alpha=0.7)))
         assert np.all(basis.eigenvalues.imag < 1e-12)
+
+
+def fix_phases_loop(v: np.ndarray) -> np.ndarray:
+    """Oracle for ``_fix_phases``: one column at a time, the largest
+    component divided by its scalar ``abs``."""
+    out = v.copy()
+    for k in range(v.shape[1]):
+        j = int(np.argmax(np.abs(v[:, k])))
+        out[:, k] = v[:, k] / (v[j, k] / abs(v[j, k]))
+    return out
+
+
+class TestVectorisedBasis:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_phases_match_column_loop_bit_for_bit(self, order):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            v = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            v = np.asarray(v, order=order)
+            got = _fix_phases(v)
+            assert np.array_equal(got, fix_phases_loop(v))
+            assert got.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_excitation_counts_match_column_loop(self, n):
+        g = linear_array_xi(0.3, n=n, alpha=0.4)
+        numbers = excitation_numbers(n)
+        for gg in [g] + sample_disorder(g, DisorderSpec(variance=0.005,
+                                                        samples=20, seed=4)):
+            basis = collective_eigenbasis(coupling_matrices(gg))
+            w = np.abs(basis.vectors) ** 2
+            want = [int(round(float(numbers @ w[:, k] / np.sum(w[:, k]))))
+                    for k in range(basis.dim)]
+            assert basis.n_excitations.tolist() == want
 
 
 class TestDfs4:

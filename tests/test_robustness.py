@@ -2,12 +2,18 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from dfsim import (ProtocolError, ScenarioBase, SweepSpec, coupling_matrices,
-                   linear_array_xi, rotate_logical, spectral_params, sweep,
+from dfsim import (DisorderSpec, ProtocolError, ScenarioBase, SweepSpec,
+                   collective_eigenbasis, coupling_matrices, linear_array_xi,
+                   rotate_logical, sample_disorder, spectral_params, sweep,
                    tolerance)
 from dfsim import cli, protocols, robustness
+from dfsim.hilbert import excitation_numbers
 from dfsim.robustness import rotate_merit_point, tolerance_table
+
+# The bundled table1 scenario: its base, integrator tolerance and seed.
+TABLE1_SEED = 20260809
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +149,79 @@ class TestSweepEngine:
         assert pair.mean_fidelity[1] == alone.mean_fidelity[0]
         assert pair.stderr[1] == alone.stderr[0]
         assert pair.swap_probability[1] == alone.swap_probability[0]
+
+
+@pytest.fixture(scope="module")
+def table1_run():
+    return robustness._BaseRun(ScenarioBase(
+        geometry=linear_array_xi(0.5, alpha=0.0), e_mu=1.0,
+        protocol="prepare", rtol=1e-8))
+
+
+@pytest.fixture(scope="module")
+def table1_batches(table1_run):
+    """Every batched solve of table1's two position variances: variance ->
+    list of (arguments, keyword arguments, states)."""
+    solves, batch = {}, protocols.evolve_nojump_batch
+    with pytest.MonkeyPatch.context() as mp:
+        for variance in (0.005, 0.08):
+            calls = solves[variance] = []
+
+            def kept(*args, **kwargs):
+                calls.append((args, kwargs, batch(*args, **kwargs)))
+                return calls[-1][2]
+
+            mp.setattr(protocols, "evolve_nojump_batch", kept)
+            robustness._position_fidelities(table1_run, variance, 100,
+                                            TABLE1_SEED, 1e-8)
+    return solves
+
+
+class TestPositionBatches:
+    def test_one_solve_below_twice_nominal(self, table1_batches):
+        # Draws below twice the nominal coupling scale share one solve; only
+        # the octaves above it are solved apart.  One solve per octave below
+        # nominal as well would take 10 and 6.
+        sizes = {v: [len(args[0]) for args, _, _ in calls]
+                 for v, calls in table1_batches.items()}
+        assert sizes == {0.005: [95, 3, 2], 0.08: [100]}
+
+    def test_shared_batch_matches_expm_oracle(self, table1_run,
+                                              table1_batches):
+        # The step controller weighs the RMS error over the whole stacked
+        # state, so each of the 95 members is checked on its own.  Members
+        # are coherent and one-tone: G is constant and expm is exact.
+        (psi0, hs, [(a, det)], times), kwargs, states = \
+            table1_batches[0.005][0]
+        assert len(psi0) == 95 and kwargs["rtol"] == 1e-8
+        assert np.array_equal(times, table1_run.eval_times)
+        number = excitation_numbers(3)
+        for k in range(len(psi0)):
+            gen = hs[k] - det[k] * np.diag(number) + a[k] + a[k].conj().T
+            want = (np.exp(-1j * det[k] * np.outer(times, number))
+                    * (expm(-1j * times[:, None, None] * gen) @ psi0[k]))
+            assert np.max(np.abs(states[k] - want)) < 1e-8
+
+    def test_small_disorder_is_a_detuned_two_level_transfer(self,
+                                                             table1_run):
+        # Each draw shifts E_b by d from the fixed control frequency; a
+        # detuned two-level transfer at the nominal Rabi rate
+        # Omega = pi/(2 t_pi) then reaches F0 Omega^2/W^2 sin^2(W t_pi),
+        # W^2 = Omega^2 + (d/2)^2.  The Monte Carlo mean reads 0.9706 against
+        # a predicted 0.9702.
+        variance = 8e-7
+        fids, _ = robustness._position_fidelities(table1_run, variance, 100,
+                                                  TABLE1_SEED, 1e-8)
+        geoms = sample_disorder(table1_run.base.geometry, DisorderSpec(
+            variance=variance, samples=100, seed=TABLE1_SEED))
+        d = np.array([collective_eigenbasis(coupling_matrices(g)).energy("b")
+                      for g in geoms]) - table1_run.transfer.frequency
+        res = table1_run.result
+        rabi = np.pi / (2.0 * res.t_pi)
+        w = np.sqrt(rabi**2 + (d / 2.0)**2)
+        predicted = res.fidelity * rabi**2 / w**2 * np.sin(w * res.t_pi)**2
+        assert fids.mean() < 0.975
+        assert abs(fids.mean() - predicted.mean()) < 2e-3
 
 
 class TestTolerance:
