@@ -25,11 +25,17 @@ integrated with DOP853 at tolerance ``rtol``.  A two-tone G is periodic
 with the beat (Floquet propagation): the propagator U(s) over one period
 T = 2 pi/|D| is integrated once (at ``rtol`` divided by the number of
 periods), and the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.
-Powers of U come from its eigendecomposition, or are stepped one by one
-when its eigenvectors are ill-conditioned.  One-tone batches, and two
-tones with no beat or a period no shorter than the window, integrate the
-initial states over the window itself in one span; the solver samples
-that span at the requested times and keeps no interpolant.
+U(T)^n psi0 is formed once per distinct n from the eigendecomposition of
+U(T), or stepped one period at a time when its eigenvectors are
+ill-conditioned.  On each solver step, DOP853's dense output U(s) is a
+degree-7 polynomial in the step fraction: a step holding more than 8
+samples is evaluated at 8 Chebyshev nodes only, and each sample is the
+Lagrange combination of the node propagators applied to its period power;
+a step holding 8 or fewer is evaluated at its samples.  One-tone batches, and
+two tones with no beat or a period no shorter than the window, integrate
+the initial states over the window itself in one span; the solver samples
+that span at the requested times and keeps no interpolant.  The frame
+factor is evaluated once per distinct excitation number.
 """
 
 from __future__ import annotations
@@ -49,12 +55,12 @@ from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# Two-tone propagation: the floor of the per-period tolerance, and the
-# number of propagator entries evaluated per dense-output chunk (larger
-# chunks save little time; 2**15 added about 2 MiB to the peak memory of a
-# benchmark pass over the bundled scenarios).
+# Floor of the per-period tolerance of two-tone propagation.
 PERIOD_RTOL_FLOOR = 1e-13
-CHUNK_ENTRIES = 2**13
+
+# DOP853's dense output is a degree-7 polynomial in the step fraction, so
+# its values at these 8 Chebyshev nodes of a step fix it on the whole step.
+_NODES = 0.5 - 0.5 * np.cos(np.pi * (np.arange(8) + 0.5) / 8)
 
 _log = logging.getLogger("dfsim.dynamics")
 
@@ -180,27 +186,33 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
 
 
 def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
-    """Function of an array of period counts n (m,) returning the states
-    U(T)^n psi0 as (B, dim, m).  Powers come from the eigendecomposition
-    of U(T); with an ill-conditioned eigenvector matrix the states are
-    stepped one period at a time instead."""
+    """States U(T)^n psi0 (B, dim, m) for ascending distinct period counts
+    n (m,).  Powers come from the eigendecomposition of U(T); with an
+    ill-conditioned eigenvector matrix the states are stepped one period
+    at a time instead."""
     lam, vecs = np.linalg.eig(u_t)
     cond = float(np.max(np.linalg.cond(vecs)))
     if cond <= CONDITION_LIMIT:
         coef = np.linalg.solve(vecs, psi0[:, :, None])
-        log_lam = np.log(lam)[:, :, None]
-        return lambda n: vecs @ (np.exp(log_lam * n) * coef)
+        return vecs @ (np.exp(np.log(lam)[:, :, None] * counts) * coef)
     _log.warning("period propagator eigenvectors ill-conditioned "
                  "(cond %.3g > %.3g); stepping %d periods one by one",
                  cond, CONDITION_LIMIT, counts.max())
-    needed = np.unique(counts)
-    table = np.empty(psi0.shape + (len(needed),), dtype=complex)
+    table = np.empty(psi0.shape + (len(counts),), dtype=complex)
     psi, done = psi0, 0
-    for k, n in enumerate(needed):
+    for k, n in enumerate(counts):
         for _ in range(n - done):
             psi = np.einsum("bij,bj->bi", u_t, psi)
         table[:, :, k], done = psi, n
-    return lambda n: table[:, :, np.searchsorted(needed, n)]
+    return table
+
+
+def _node_weights(x: np.ndarray) -> np.ndarray:
+    """Lagrange weights (8, m) of ``_NODES`` at step fractions x (m,)."""
+    gap = _NODES[:, None] - _NODES + np.eye(8)
+    fac = (x - _NODES[:, None]) / gap[:, :, None]
+    fac[np.arange(8), np.arange(8)] = 1.0
+    return fac.prod(axis=1)
 
 
 def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
@@ -246,28 +258,33 @@ def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
                     rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR))
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
+    levels, lev = np.unique(number, return_inverse=True)
+
+    def frame(t):
+        return np.exp(-1j * det1[:, None, None] * t[None, :, None]
+                      * levels)[:, :, lev]
+
+    if n_periods == 1:
+        return frame(times) * sol.y.reshape(b, dim, -1).transpose(0, 2, 1)
     counts = np.minimum(np.floor(times / span), n_periods - 1).astype(int)
     phase_in_period = times - counts * span
-    if n_periods > 1:
-        powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim), psi0,
-                                counts)
-    else:
-        def powers(n):
-            return np.ones((b, 1, len(n)))
-
-    # Samples in period-phase order, so that each chunk of the dense
-    # output touches few solver steps.
+    needed, which = np.unique(counts, return_inverse=True)
+    powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim), psi0, needed)
+    step = np.clip(np.searchsorted(sol.t, phase_in_period) - 1, 0,
+                   len(sol.t) - 2)
+    order = np.argsort(step, kind="stable")
     out = np.empty((b, len(times), dim), dtype=complex)
-    order = np.argsort(phase_in_period, kind="stable")
-    chunk = max(1, CHUNK_ENTRIES // (b * dim * cols))
-    for lo in range(0, len(order), chunk):
-        idx = order[lo:lo + chunk]
-        u_s = (sol.sol(phase_in_period[idx]) if n_periods > 1
-               else sol.y[:, idx]).reshape(b, dim, cols, len(idx))
-        psi = np.einsum("bijm,bjm->bmi", u_s, powers(counts[idx]))
-        frame = np.exp(-1j * det1[:, None, None] * times[idx][None, :, None]
-                       * number[None, None, :])
-        out[:, idx] = frame * psi
+    for idx in np.split(order, np.flatnonzero(np.diff(step[order])) + 1):
+        p, x = powers[:, :, which[idx]], phase_in_period[idx]
+        if len(idx) > len(_NODES):
+            t0, t1 = sol.t[step[idx[0]]:step[idx[0]] + 2]
+            u_n = sol.sol(t0 + (t1 - t0) * _NODES).T.reshape(-1, b, dim, dim)
+            weights = _node_weights((x - t0) / (t1 - t0))
+            psi = sum(u @ (w * p) for u, w in zip(u_n, weights))
+        else:
+            u_s = sol.sol(x).reshape(b, dim, dim, len(idx))
+            psi = np.einsum("bijm,bjm->bim", u_s, p)
+        out[:, idx] = frame(times[idx]) * psi.transpose(0, 2, 1)
     return out
 
 
@@ -285,7 +302,7 @@ def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
     step = times[1] if len(times) > 1 else 0.0
     counts = np.arange(len(times))
     powers = _period_powers(expm(-1j * step * gen)[None], psi0[None], counts)
-    return np.exp(-1j * det * np.outer(times, number)) * powers(counts)[0].T
+    return np.exp(-1j * det * np.outer(times, number)) * powers[0].T
 
 
 def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,

@@ -61,14 +61,23 @@ def static_hamiltonian(c: CouplingSet, decay: bool = True) -> np.ndarray:
     ``gammas`` gives each emitter's own decay).  Without ``decay`` only the
     coherent part remains."""
     n = c.n
-    sm = lowering_operators(n)
-    sp = raising_operators(n)
+    hop = _hopping(n)
     coeff = c.delta - 0.5j * c.gammas if decay else c.delta
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            h += coeff[i, j] * (sp[i] @ sm[j])
+            h += coeff[i, j] * hop[i, j]
     return h
+
+
+@lru_cache(maxsize=None)
+def _hopping(n: int) -> np.ndarray:
+    """Pair hopping operators sigma_i^+ sigma_j^- as one read-only
+    (n, n, dim, dim) array."""
+    sm, sp = lowering_operators(n), raising_operators(n)
+    hop = np.array([[sp[i] @ sm[j] for j in range(n)] for i in range(n)])
+    hop.flags.writeable = False
+    return hop
 
 
 def drive_operator(phases) -> np.ndarray:
@@ -164,7 +173,7 @@ def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
                < DEGENERACY_TOLERANCE * scale):
             grp.append(grp[-1] + 1)
         if len(grp) > 1:
-            v[:, grp] = _align_degenerate(v[:, grp], refs.get(nexc[k], []))
+            v[:, grp] = _align_degenerate(v[:, grp], refs[nexc[k]])
         k = grp[-1] + 1
 
     v = _fix_phases(v)
@@ -210,14 +219,16 @@ def fidelity_raw(psi: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
-def _reference_states(n: int) -> dict[int, list[np.ndarray]]:
-    """Reference vectors used to resolve exactly degenerate level groups.
+@lru_cache(maxsize=None)
+def _reference_states(n: int) -> tuple[np.ndarray, ...]:
+    """Reference vectors used to resolve exactly degenerate level groups,
+    as read-only rows of one array per excitation number.
 
     For three emitters these are the conventional zero-separation doublet
     states in the one- and two-excitation sectors; for four emitters, the
     two collective-noise-free logical states in the two-excitation sector.
     """
-    refs: dict[int, list[np.ndarray]] = {}
+    refs = [np.empty((0, 2**n), dtype=complex)] * (n + 1)
     if n == 3:
         b = np.zeros(8, dtype=complex)
         b[int("001", 2)], b[int("010", 2)], b[int("100", 2)] = -2, 1, 1
@@ -227,15 +238,16 @@ def _reference_states(n: int) -> dict[int, list[np.ndarray]]:
         cst /= np.sqrt(2.0)
         sp = sum(raising_operators(3))
         b2, c2 = sp @ b, sp @ cst
-        refs[1] = [b, cst]
-        refs[2] = [b2 / np.linalg.norm(b2), c2 / np.linalg.norm(c2)]
+        refs[1] = np.array([b, cst])
+        refs[2] = np.array([b2 / np.linalg.norm(b2), c2 / np.linalg.norm(c2)])
     elif n == 4:
-        zero, one = dfs4_states()
-        refs[2] = [zero, one]
-    return refs
+        refs[2] = np.array(dfs4_states())
+    for r in refs:
+        r.flags.writeable = False
+    return tuple(refs)
 
 
-def _align_degenerate(block: np.ndarray, refs: list[np.ndarray]) -> np.ndarray:
+def _align_degenerate(block: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Rotate an exactly degenerate eigenvector group onto reference states.
 
     References with more than half their weight inside the group span claim

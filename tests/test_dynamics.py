@@ -419,6 +419,80 @@ class TestTwoTone:
         assert 5.0 <= ratio <= 20.0
 
 
+class TestStepSampling:
+    """Beat-period samples come from the solver step holding their phase:
+    from the step's interpolation nodes when it holds more than 8 samples,
+    from the dense output itself otherwise.  Both must give one
+    interpolant."""
+
+    @pytest.fixture
+    def batch(self, monkeypatch):
+        """A two-member two-tone batch over 100.5 beat periods: a function
+        of the sample times returning the states and the per-step sample
+        counts of its period solve."""
+        c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        hs = static_hamiltonian(c)
+        (a1, w1), (a2, w2) = _tone_arrays(c, d)
+        args = (np.array([psi0, psi0]), np.array([hs, hs]),
+                [(np.array([a1, 0.5 * a1]), np.array([w1, w1 + 3.0])),
+                 (np.array([a2, 1.5 * a2]), np.array([w2, w2 + 3.0]))])
+        solves = []
+
+        def spy(*a, **k):
+            solves.append(solve_ivp(*a, **k))
+            return solves[-1]
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+
+        def run(times):
+            states = evolve_nojump_batch(*args, times, rtol=1e-9)
+            steps = solves[-1].t
+            per_step = np.histogram(np.mod(times, steps[-1]), steps)[0]
+            return states, per_step, steps
+
+        run.t_end = 100.5 * 2.0 * np.pi / abs(beat)
+        return run
+
+    def test_node_and_direct_sampling_agree(self, batch):
+        times = np.linspace(0.0, batch.t_end, 4000)
+        sparse = np.r_[times[:-1:16], times[-1]]
+        dense_states, dense_counts, _ = batch(times)
+        sparse_states, sparse_counts, _ = batch(sparse)
+        assert np.mean(dense_counts > 8) > 0.9
+        assert sparse_counts.max() <= 8
+        shared = np.isin(times, sparse)
+        assert np.max(np.abs(dense_states[:, shared] - sparse_states)) < 1e-13
+
+    def test_steps_holding_eight_and_nine_samples(self, batch):
+        _, _, steps = batch(np.array([0.5, 1.0]) * batch.t_end)
+        span, k = steps[-1], 10
+
+        def in_step(j, periods):
+            return [n * span + steps[j] + (q + 0.5) / len(periods)
+                    * (steps[j + 1] - steps[j])
+                    for q, n in enumerate(periods)]
+
+        eight, nine = in_step(k, range(3, 99, 12)), in_step(k + 1,
+                                                             range(5, 95, 10))
+        grid = np.sort(eight + nine + [batch.t_end])
+        both, counts, _ = batch(grid)
+        assert (counts[k], counts[k + 1]) == (8, 9)
+        for part in (np.sort(eight + nine[:5] + [batch.t_end]),
+                     np.sort(nine[5:] + [batch.t_end])):
+            states, counts, _ = batch(part)
+            assert counts[k + 1] <= 8
+            cols = np.searchsorted(grid, part)
+            assert np.max(np.abs(both[:, cols] - states)) < 1e-13
+
+    def test_node_weights_reproduce_degree_seven_polynomials(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.0, 1.0, 50)
+        for _ in range(20):
+            poly = np.polynomial.Polynomial(rng.normal(size=8))
+            got = poly(dynamics._NODES) @ dynamics._node_weights(x)
+            assert np.max(np.abs(got - poly(x))) < 1e-13
+
+
 class TestLindblad:
     def test_ground_state_stationary(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
