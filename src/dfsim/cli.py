@@ -2,10 +2,12 @@
 describes, and write CSV outputs plus a rerunnable manifest.
 
 Configs are flat INI-style key-value sections; rates are in units of the
-single-emitter decay rate and lengths in wavelength units.  A key the
-scenario type does not read is rejected.  Re-running a scenario with the same config and seed yields
-byte-identical CSV output, and the manifest written next to the results is
-itself a valid config reproducing the run.
+single-emitter decay rate and lengths in wavelength units.  Each scenario
+type has one schema naming every key it takes, with the key's parser,
+range and default; a key outside it is rejected, and every key is parsed
+before any solve.  Re-running a scenario with the same config and seed
+yields byte-identical CSV output, and the manifest written next to the
+results is itself a valid config reproducing the run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .geometry import linear_array_xi
 from .protocols import (ProtocolError, calibrate_detuning, cphase4,
                         prepare_b, readout_coupling, readout_fluorescence,
                         rotate_logical)
-from .robustness import (ScenarioBase, SweepSpec, prepare_merit_point,
+from .robustness import (ScenarioBase, prepare_merit_point,
                          rotate_merit_point, tolerance_table)
 
 SCENARIOS = (
@@ -46,44 +48,6 @@ SCENARIOS = (
 )
 
 ENV_OUTDIR = "DFSIM_OUT"
-
-# Scenario type -> the "section.key" entries its handler reads (_ARRAY:
-# the array geometry and the drive's propagation phase).  Every type also
-# takes the keys the manifest records for every run (_COMMON); any other
-# key is rejected.
-_COMMON = "scenario.name scenario.type integrator.rtol run.seed run.out"
-_ARRAY = ("geometry.xi12 geometry.r_nm geometry.lambda0_nm geometry.alpha "
-          "geometry.n drive.k_dot_r")
-_MERIT = "geometry.alpha geometry.n merit.xi_values merit.f_target"
-_TABLE = "sweep.thresholds sweep.variances sweep.samples"
-_RAMAN = "drive.e_mu drive.e_nu drive.omega_delta"
-_READS = {
-    "prepare": f"{_ARRAY} drive.e_mu run.t_end",
-    "rotate": f"{_ARRAY} {_RAMAN} drive.calibrate run.t_end",
-    "readout": f"{_ARRAY} drive.e_mu drive.transition run.t_end",
-    "cphase4": f"{_ARRAY} drive.e_pulse drive.detuning_offset "
-               "drive.coherent run.t_end",
-    "merit-prepare": _MERIT,
-    "merit-rotate": f"{_MERIT} {_RAMAN}",
-    "table-prepare": f"{_ARRAY} drive.e_mu {_TABLE}",
-    "table-rotate": f"{_ARRAY} {_RAMAN} {_TABLE}",
-    "cluster-growth": "cluster.p cluster.ops",
-}
-
-# Every number read from a config must be finite.  Some keys also have a
-# range that the library never sees or checks only once a solve is under
-# way (a negative amplitude reaches `Tone`'s check inside a protocol call).
-# (section, key) -> (accepts value, what it must be)
-_FINITE = (np.isfinite, "finite")
-_POSITIVE = (lambda v: 0 < v < np.inf, "finite and positive")
-_AMPLITUDE = (lambda v: 0 <= v < np.inf, "finite and nonnegative")
-_FRACTION = (lambda v: 0 < v < 1, "inside (0, 1)")
-_RANGES = {("geometry", "r_nm"): _POSITIVE, ("run", "t_end"): _POSITIVE,
-           ("geometry", "lambda0_nm"): _POSITIVE,
-           ("integrator", "rtol"): _POSITIVE,
-           ("merit", "xi_values"): _POSITIVE, ("merit", "f_target"): _FRACTION,
-           ("sweep", "thresholds"): _FRACTION, ("drive", "e_mu"): _AMPLITUDE,
-           ("drive", "e_nu"): _AMPLITUDE, ("drive", "e_pulse"): _AMPLITUDE}
 
 
 class ConfigError(ValueError):
@@ -114,98 +78,137 @@ def _load_config(source: str) -> tuple[configparser.ConfigParser, str]:
     return parser, origin
 
 
-def _require(cfg, section: str, key: str) -> str:
-    try:
-        return cfg[section][key]
-    except KeyError as exc:
-        raise ConfigError(f"missing required key '{key}' in [{section}]") from exc
+# Parsers of config values.  Each takes the raw text and returns the value
+# or raises ValueError saying what the value must be; the range checks
+# include those the library makes only once a solve is under way (a
+# negative amplitude reaches `Tone`'s check inside a protocol call).
+def _value(kind, accepts, expected: str):
+    """Parser of one value: `kind` converts the text, raising ValueError
+    if it cannot, and `accepts` checks the converted value."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"must be {expected}")
+    return parse
 
 
-def _get_float(cfg, section, key, default=None):
-    if default is not None and not cfg.has_option(section, key):
-        return default
-    raw = _require(cfg, section, key)
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    return _in_range(section, key, value)
+def _values(item, may_be_empty: bool = False):
+    """Parser of a comma-separated list of distinct values, each parsed by
+    `item`; empty items are skipped."""
+    def parse(raw: str) -> tuple:
+        try:
+            values = tuple(item(x) for x in raw.split(",") if x.strip())
+        except ValueError as exc:
+            raise ValueError(f"lists a value that {exc}") from exc
+        if not (values or may_be_empty):
+            raise ValueError("lists no numbers")
+        if len(set(values)) < len(values):
+            raise ValueError("repeats a value")
+        return values
+    return parse
 
 
-def _get_floats(cfg, section, key, default=None) -> tuple[float, ...]:
-    """Comma-separated list of distinct finite numbers; empty items are
-    skipped.  Only a list whose default is empty may be empty."""
-    raw = (_require(cfg, section, key) if default is None
-           else cfg.get(section, key, fallback=default))
-    try:
-        values = tuple(float(x) for x in raw.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a list of "
-                          "numbers") from exc
-    if not (values or default == ""):
-        raise ConfigError(f"[{section}] {key} = {raw!r} lists no numbers")
-    if len(set(values)) < len(values):
-        raise ConfigError(f"[{section}] {key} = {raw!r} repeats a value")
-    return tuple(_in_range(section, key, v) for v in values)
+def _auto(parse):
+    """``auto`` (the library's own choice, passed on as None) or a value."""
+    return lambda raw: None if raw == "auto" else parse(raw)
 
 
-def _in_range(section, key, value: float) -> float:
-    accepts, expected = _RANGES.get((section, key), _FINITE)
-    if not accepts(value):
-        raise ConfigError(f"[{section}] {key} = {value:g} must be {expected}")
-    return value
+def _size(n: int):
+    """Array size `n`, the only one the scenario type runs on."""
+    return _value(int, lambda v: v == n, str(n))
 
 
-def _checked(section: str, build, *args, **kwargs):
-    """Call a library function that checks config values before it does
-    any work; the ValueError it raises for a bad value is a config error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+_BOOL = _value(lambda raw: _BOOLS.get(raw.lower()), lambda v: v is not None,
+               "true or false")
+_FINITE = _value(float, np.isfinite, "a finite number")
+_POSITIVE = _value(float, lambda v: 0 < v < np.inf,
+                   "a finite positive number")
+_AMPLITUDE = _value(float, lambda v: 0 <= v < np.inf,
+                    "a finite nonnegative number")
+_FRACTION = _value(float, lambda v: 0 < v < 1, "a number inside (0, 1)")
+_COUNT = _value(int, lambda v: v >= 1, "an integer of at least 1")
+
+# Schema fragments: "section.key" -> (parser, default).  A default of
+# _REQUIRED makes the key required; None stands for a key left out.
+_REQUIRED = object()
+_COMMON = {"scenario.name": (str, _REQUIRED),
+           "scenario.type": (str, _REQUIRED),
+           "integrator.rtol": (_POSITIVE, DEFAULT_RTOL),
+           "run.seed": (_value(int, lambda v: v >= 0,
+                               "a nonnegative integer"), 0),
+           "run.out": (str, None)}
+# The array geometry (xi12, or r_nm and lambda0_nm) and the drive's
+# propagation phase.
+_ARRAY = {"geometry.xi12": (_POSITIVE, None),
+          "geometry.r_nm": (_POSITIVE, None),
+          "geometry.lambda0_nm": (_POSITIVE, None),
+          "geometry.alpha": (_FINITE, _REQUIRED),
+          "geometry.n": (_size(3), 3),
+          "drive.k_dot_r": (_auto(_FINITE), None)}
+_E_MU = {"drive.e_mu": (_AMPLITUDE, _REQUIRED)}
+_T_END = {"run.t_end": (_auto(_POSITIVE), None)}
+_TABLE = {"sweep.thresholds": (_values(_FRACTION), (0.9, 0.95, 0.98)),
+          "sweep.variances": (_values(_AMPLITUDE, may_be_empty=True), ()),
+          "sweep.samples": (_COUNT, 100)}
 
 
-def _get_int(cfg, section, key, default=None):
-    if default is not None and not cfg.has_option(section, key):
-        return default
-    raw = _require(cfg, section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+def _raman(e_mu=_REQUIRED, e_nu=_REQUIRED, omega_delta=_REQUIRED) -> dict:
+    """The two tones of a Raman (two-tone) drive."""
+    return {"drive.e_mu": (_AMPLITUDE, e_mu),
+            "drive.e_nu": (_AMPLITUDE, e_nu),
+            "drive.omega_delta": (_FINITE, omega_delta)}
 
 
-def _get_bool(cfg, section, key, default=False):
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
+def _merit(alpha: float) -> dict:
+    """A merit search over three-emitter chains at angle `alpha` unless
+    the config gives one."""
+    return {"geometry.alpha": (_FINITE, alpha), "geometry.n": (_size(3), 3),
+            "merit.xi_values": (_values(_POSITIVE), _REQUIRED),
+            "merit.f_target": (_FRACTION, 0.98)}
 
 
-def _geometry(cfg):
-    n = _get_int(cfg, "geometry", "n", 3)
-    alpha = _get_float(cfg, "geometry", "alpha")
-    if cfg.has_option("geometry", "xi12"):
-        if cfg.has_option("geometry", "r_nm") or cfg.has_option(
-                "geometry", "lambda0_nm"):
-            raise ConfigError("[geometry] takes xi12 or r_nm and lambda0_nm, "
-                              "not both")
-        xi12 = _get_float(cfg, "geometry", "xi12")
-    else:
-        r_nm = _get_float(cfg, "geometry", "r_nm")
-        lam = _get_float(cfg, "geometry", "lambda0_nm")
+def _parse(cfg, kind: str, schema: dict) -> dict:
+    """Every key of `schema`, parsed and range-checked, by "section.key";
+    a config key outside the schema is a config error."""
+    for section in cfg.sections():
+        for key in cfg[section]:
+            if f"{section}.{key}" not in schema:
+                raise ConfigError(f"[{section}] {key} is not read by "
+                                  f"scenario type {kind!r}")
+    values = {}
+    for name, (parse, default) in schema.items():
+        section, key = name.split(".")
+        raw = cfg.get(section, key, fallback=None)
+        if raw is None and default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in [{section}]")
+        try:
+            values[name] = default if raw is None else parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} {exc}") from exc
+    return values
+
+
+def _geometry(values):
+    xi12 = values["geometry.xi12"]
+    r_nm, lam = values["geometry.r_nm"], values["geometry.lambda0_nm"]
+    if xi12 is not None and (r_nm is not None or lam is not None):
+        raise ConfigError("[geometry] takes xi12 or r_nm and lambda0_nm, "
+                          "not both")
+    if xi12 is None:
+        if r_nm is None or lam is None:
+            raise ConfigError("[geometry] needs xi12, or r_nm and lambda0_nm")
         xi12 = 2.0 * np.pi * r_nm / lam
-    return _checked("geometry", linear_array_xi, xi12, n=n, alpha=alpha)
-
-
-def _k_dot_r(cfg, geometry):
-    if cfg.get("drive", "k_dot_r", fallback="auto") == "auto":
-        return geometry.xi12
-    return _get_float(cfg, "drive", "k_dot_r")
+    try:
+        return linear_array_xi(xi12, n=values["geometry.n"],
+                               alpha=values["geometry.alpha"])
+    except ValueError as exc:
+        raise ConfigError(f"[geometry] {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -282,43 +285,39 @@ def _add_transfer(out: _Output, res, keys, merit_key: str) -> None:
     out.add(merit_key, res.merit)
 
 
-def _run_prepare(cfg, out: _Output, rtol, t_end, seed):
-    g = _geometry(cfg)
-    e_mu = _get_float(cfg, "drive", "e_mu")
-    kdr = _k_dot_r(cfg, g)
-    res = prepare_b(g, e_mu, t_end, k_dot_r=kdr)
+def _run_prepare(values, out: _Output):
+    res = prepare_b(_geometry(values), values["drive.e_mu"],
+                    values["run.t_end"], k_dot_r=values["drive.k_dot_r"])
     _add_transfer(out, res, ("e_mu", "omega_mu", "k_dot_r", "gamma_b"),
                   "merit_inversions_per_lifetime")
 
 
-def _run_rotate(cfg, out: _Output, rtol, t_end, seed):
+def _run_rotate(values, out: _Output):
+    rtol, kdr = values["integrator.rtol"], values["drive.k_dot_r"]
     out.add("rtol", rtol)
-    g = _geometry(cfg)
-    e_mu = _get_float(cfg, "drive", "e_mu")
-    e_nu = _get_float(cfg, "drive", "e_nu")
-    wd = _get_float(cfg, "drive", "omega_delta")
-    kdr = _k_dot_r(cfg, g)
-    if _get_bool(cfg, "drive", "calibrate", default=False):
+    g = _geometry(values)
+    e_mu, e_nu = values["drive.e_mu"], values["drive.e_nu"]
+    wd = values["drive.omega_delta"]
+    if values["drive.calibrate"]:
         wd_cal = calibrate_detuning(g, e_mu, e_nu, wd, k_dot_r=kdr)
         out.add("omega_delta_nominal", wd)
         out.add("omega_delta_calibrated", wd_cal)
         wd = wd_cal
-    res = rotate_logical(g, e_mu, e_nu, wd, t_end, k_dot_r=kdr, rtol=rtol)
+    res = rotate_logical(g, e_mu, e_nu, wd, values["run.t_end"], k_dot_r=kdr,
+                         rtol=rtol)
     _add_transfer(out, res, ("e_mu", "e_nu", "omega_delta", "k_dot_r",
                              "gamma_b", "gamma_c"),
                   "merit_rotations_per_lifetime")
 
 
-def _run_readout(cfg, out: _Output, rtol, t_end, seed):
-    g = _geometry(cfg)
-    e_mu = _get_float(cfg, "drive", "e_mu")
-    kdr = _k_dot_r(cfg, g)
-    transition = cfg.get("drive", "transition", fallback="cg")
-    t_end = 5.0 if t_end is None else t_end
+def _run_readout(values, out: _Output):
+    g, e_mu = _geometry(values), values["drive.e_mu"]
+    t_end = 5.0 if values["run.t_end"] is None else values["run.t_end"]
     results = {}
     for logical in (1, 0):
-        res = readout_fluorescence(g, e_mu, logical, t_end, k_dot_r=kdr,
-                                   transition=transition)
+        res = readout_fluorescence(g, e_mu, logical, t_end,
+                                   k_dot_r=values["drive.k_dot_r"],
+                                   transition=values["drive.transition"])
         results[logical] = res
         traj = res.trajectory
         out.add_csv(f"trajectory_logical{logical}",
@@ -329,22 +328,17 @@ def _run_readout(cfg, out: _Output, rtol, t_end, seed):
                 res.emission_probability)
     out.add("contrast", results[1].emission_probability
             - results[0].emission_probability)
-    coupling = coupling_matrices(g)
-    e_cg, gamma_g = readout_coupling(coupling, e_mu, kdr)
+    e_cg, gamma_g = readout_coupling(coupling_matrices(g), e_mu,
+                                     res.params_used["k_dot_r"])
     out.add("e_cg_abs", abs(e_cg))
     out.add("gamma_g", gamma_g)
 
 
-def _run_cphase(cfg, out: _Output, rtol, t_end, seed):
-    g = _geometry(cfg)
-    if g.n != 4:
-        raise ConfigError("cphase4 needs [geometry] n = 4")
-    e_pulse = _get_float(cfg, "drive", "e_pulse")
-    offset = _get_float(cfg, "drive", "detuning_offset")
-    kdr = _k_dot_r(cfg, g)
-    coherent = _get_bool(cfg, "drive", "coherent", default=False)
-    res = cphase4(g, e_pulse, offset, t_end, k_dot_r=kdr,
-                  decay=not coherent)
+def _run_cphase(values, out: _Output):
+    res = cphase4(_geometry(values), values["drive.e_pulse"],
+                  values["drive.detuning_offset"], values["run.t_end"],
+                  k_dot_r=values["drive.k_dot_r"],
+                  decay=not values["drive.coherent"])
     for lab in "cbgf":
         out.add(f"phase_{lab}", res.phases[lab])
         out.add(f"norm_loss_{lab}", res.norm_loss[lab])
@@ -354,20 +348,12 @@ def _run_cphase(cfg, out: _Output, rtol, t_end, seed):
     out.add("leakage_flag", int(res.leakage_flag))
 
 
-def _merit_grid(cfg, alpha: float) -> tuple:
-    """Array angle (default ``alpha``), spacings and target fidelity of a
-    merit search, which runs on three-emitter chains."""
-    if _get_int(cfg, "geometry", "n", 3) != 3:
-        raise ConfigError("merit searches need [geometry] n = 3")
-    return (_get_float(cfg, "geometry", "alpha", alpha),
-            _get_floats(cfg, "merit", "xi_values"),
-            _get_float(cfg, "merit", "f_target", 0.98))
-
-
-def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
-    alpha, xi_values, f_target = _merit_grid(cfg, 0.0)
+def _run_merit_prepare(values, out: _Output):
+    xi_values = values["merit.xi_values"]
     keys = ("e_mu", "t_pi", "fidelity", "gamma_b", "merit")
-    points = [prepare_merit_point(xi, alpha, f_target) for xi in xi_values]
+    points = [prepare_merit_point(xi, values["geometry.alpha"],
+                                  values["merit.f_target"])
+              for xi in xi_values]
     out.add_csv("merit", ["xi12", *keys],
                 [xi_values, *([p[k] for p in points] for k in keys)])
     merit = [p["merit"] for p in points]
@@ -376,14 +362,14 @@ def _run_merit_prepare(cfg, out: _Output, rtol, t_end, seed):
             int(all(a > b for a, b in zip(merit, merit[1:]))))
 
 
-def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
+def _run_merit_rotate(values, out: _Output):
+    rtol, xi_values = values["integrator.rtol"], values["merit.xi_values"]
     out.add("rtol", rtol)
-    alpha, xi_values, f_target = _merit_grid(cfg, np.pi / 2)
-    e_mu = _get_float(cfg, "drive", "e_mu", 6.0)
-    e_nu = _get_float(cfg, "drive", "e_nu", 15.0)
-    wd = _get_float(cfg, "drive", "omega_delta", 170.0)
-    points = [rotate_merit_point(xi, alpha, f_target, e_mu, e_nu, wd,
-                                 rtol=rtol) for xi in xi_values]
+    points = [rotate_merit_point(xi, values["geometry.alpha"],
+                                 values["merit.f_target"],
+                                 values["drive.e_mu"], values["drive.e_nu"],
+                                 values["drive.omega_delta"], rtol=rtol)
+              for xi in xi_values]
     saturated = [int(p["saturated"]) for p in points]
     out.add_csv("merit", ["xi12", "amplitude_scale", "t_pi", "fidelity",
                           "gamma_mean", "merit", "saturated"],
@@ -397,30 +383,21 @@ def _run_merit_rotate(cfg, out: _Output, rtol, t_end, seed):
             int(all(a > b for a, b in zip(merit, merit[1:]))))
 
 
-
-def _sweep_base(cfg, protocol: str, rtol) -> ScenarioBase:
-    g = _geometry(cfg)
-    kdr = _k_dot_r(cfg, g)
-    e_mu = _get_float(cfg, "drive", "e_mu")
-    two_tone = {} if protocol == "prepare" else {
-        "e_nu": _get_float(cfg, "drive", "e_nu"),
-        "omega_delta": _get_float(cfg, "drive", "omega_delta")}
-    return ScenarioBase(geometry=g, e_mu=e_mu, k_dot_r=kdr, protocol=protocol,
-                        rtol=rtol, **two_tone)
-
-
-def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
+def _run_table(protocol: str, values, out: _Output):
+    rtol = values["integrator.rtol"]
     out.add("rtol", rtol)
-    base = _sweep_base(cfg, protocol, rtol)
-    thresholds = _get_floats(cfg, "sweep", "thresholds", "0.9,0.95,0.98")
-    variances = _get_floats(cfg, "sweep", "variances", "")
-    samples = _get_int(cfg, "sweep", "samples", 100)
-    if variances:
-        _checked("sweep", SweepSpec, protocol, "position", variances,
-                 samples, seed)
+    two_tone = {} if protocol == "prepare" else {
+        "e_nu": values["drive.e_nu"],
+        "omega_delta": values["drive.omega_delta"]}
+    base = ScenarioBase(geometry=_geometry(values), e_mu=values["drive.e_mu"],
+                        k_dot_r=values["drive.k_dot_r"], protocol=protocol,
+                        rtol=rtol, **two_tone)
+    thresholds = values["sweep.thresholds"]
+    variances = values["sweep.variances"]
     table = tolerance_table(base, thresholds=thresholds,
                             position_variances=variances,
-                            samples=samples, seed=seed)
+                            samples=values["sweep.samples"],
+                            seed=values["run.seed"])
     out.add_text("table", table.to_text() + "\n")
     cells = [(row.axis, t, row.tolerances.get(t)) for row in table.rows
              for t in thresholds]
@@ -436,10 +413,9 @@ def _run_table(protocol: str, cfg, out: _Output, rtol, t_end, seed):
     out.add("nesting_valid", int(table.validate_nesting()))
 
 
-def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
-    p = _get_float(cfg, "cluster", "p")
-    ops = _get_int(cfg, "cluster", "ops")
-    run = _checked("cluster", grow_chain, p, ops, seed=seed)
+def _run_cluster(values, out: _Output):
+    p, ops = values["cluster.p"], values["cluster.ops"]
+    run = grow_chain(p, ops, seed=values["run.seed"])
     out.add_csv("growth", ["op", "length", "increment"],
                 [np.arange(1, run.ops + 1), run.lengths, run.increments])
     out.add("p_success", p)
@@ -450,20 +426,60 @@ def _run_cluster(cfg, out: _Output, rtol, t_end, seed):
     out.add("final_length", int(run.lengths[-1]))
 
 
-# Scenario type -> handler(cfg, out, rtol, t_end, seed).  The handlers
-# whose solves the tolerance governs (two tones, one-tone batches) record
-# it in the summary; the others propagate exactly and ignore it.
-_HANDLERS = {
-    "prepare": _run_prepare,
-    "rotate": _run_rotate,
-    "readout": _run_readout,
-    "cphase4": _run_cphase,
-    "merit-prepare": _run_merit_prepare,
-    "merit-rotate": _run_merit_rotate,
-    "table-prepare": functools.partial(_run_table, "prepare"),
-    "table-rotate": functools.partial(_run_table, "rotate"),
-    "cluster-growth": _run_cluster,
+# Scenario type -> (handler(values, out), schema of the keys it takes
+# besides _COMMON).  The handlers whose solves the tolerance governs (two
+# tones, one-tone batches) record it in the summary; the others propagate
+# exactly and ignore it.
+_TYPES = {
+    "prepare": (_run_prepare, {**_ARRAY, **_E_MU, **_T_END}),
+    "rotate": (_run_rotate, {**_ARRAY, **_raman(), **_T_END,
+                             "drive.calibrate": (_BOOL, False)}),
+    "readout": (_run_readout, {
+        **_ARRAY, **_E_MU, **_T_END,
+        "drive.transition": (_value(str, lambda v: v in ("cg", "bg"),
+                                    "cg or bg"), "cg")}),
+    "cphase4": (_run_cphase, {
+        **_ARRAY, **_T_END, "geometry.n": (_size(4), _REQUIRED),
+        "drive.e_pulse": (_AMPLITUDE, _REQUIRED),
+        "drive.detuning_offset": (_FINITE, _REQUIRED),
+        "drive.coherent": (_BOOL, False)}),
+    "merit-prepare": (_run_merit_prepare, _merit(0.0)),
+    "merit-rotate": (_run_merit_rotate,
+                     {**_merit(np.pi / 2), **_raman(6.0, 15.0, 170.0)}),
+    "table-prepare": (functools.partial(_run_table, "prepare"),
+                      {**_ARRAY, **_E_MU, **_TABLE}),
+    "table-rotate": (functools.partial(_run_table, "rotate"),
+                     {**_ARRAY, **_raman(), **_TABLE}),
+    "cluster-growth": (_run_cluster, {
+        "cluster.p": (_value(float, lambda v: 0 <= v <= 1,
+                             "a number inside [0, 1]"), _REQUIRED),
+        "cluster.ops": (_COUNT, _REQUIRED)}),
 }
+
+
+def _configure(config_source: str, out_dir: str | None = None,
+               seed: int | None = None, rtol: float | None = None):
+    """Load a config, apply the flags and parse every key of its type.
+
+    Returns the config, completed with the seed, output directory and
+    tolerance the run uses (the manifest), and the parsed values.
+    """
+    cfg, _ = _load_config(config_source)
+    # The flags go through the same parsers as the config's own values.
+    cfg.read_dict({"run": {} if seed is None else {"seed": str(seed)},
+                   "integrator": {} if rtol is None else {"rtol": _fmt(rtol)}})
+    kind = cfg.get("scenario", "type", fallback=None)
+    if kind not in _TYPES:
+        raise ConfigError("missing required key 'type' in [scenario]"
+                          if kind is None else
+                          f"unknown scenario type {kind!r}")
+    values = _parse(cfg, kind, {**_COMMON, **_TYPES[kind][1]})
+    values["run.out"] = (out_dir or values["run.out"]
+                         or os.environ.get(ENV_OUTDIR) or "out")
+    cfg.read_dict({"run": {"seed": str(values["run.seed"]),
+                           "out": values["run.out"]},
+                   "integrator": {"rtol": _fmt(values["integrator.rtol"])}})
+    return cfg, values
 
 
 def run(config_source: str, out_dir: str | None = None,
@@ -473,40 +489,17 @@ def run(config_source: str, out_dir: str | None = None,
     Returns the list of files written.  Raises ConfigError for malformed
     configs before any output is produced.
     """
-    cfg, _ = _load_config(config_source)
-    name = _require(cfg, "scenario", "name")
-    kind = _require(cfg, "scenario", "type")
-    if kind not in _HANDLERS:
-        raise ConfigError(f"unknown scenario type {kind!r}")
-    reads = f"{_COMMON} {_READS[kind]}".split()
-    for section in cfg.sections():
-        for key in cfg[section]:
-            if f"{section}.{key}" not in reads:
-                raise ConfigError(f"[{section}] {key} is not read by "
-                                  f"scenario type {kind!r}")
-    run_seed = seed if seed is not None else _get_int(cfg, "run", "seed", 0)
-    if run_seed < 0:
-        raise ConfigError(f"[run] seed = {run_seed} must be nonnegative")
-    run_rtol = (_in_range("integrator", "rtol", rtol) if rtol is not None
-                else _get_float(cfg, "integrator", "rtol", DEFAULT_RTOL))
-    t_end = (None if cfg.get("run", "t_end", fallback="auto") == "auto"
-             else _get_float(cfg, "run", "t_end"))
-    resolved_out = (out_dir or cfg.get("run", "out", fallback=None)
-                    or os.environ.get(ENV_OUTDIR) or "out")
-    cfg["run"] = {**(dict(cfg["run"]) if cfg.has_section("run") else {}),
-                  "seed": str(run_seed), "out": resolved_out}
-    if not cfg.has_section("integrator"):
-        cfg.add_section("integrator")
-    cfg["integrator"]["rtol"] = _fmt(run_rtol)
-
+    cfg, values = _configure(config_source, out_dir, seed, rtol)
+    kind = values["scenario.type"]
+    name = values["scenario.name"]
     out = _Output(prefix=name)
     out.add("scenario", name)
     out.add("type", kind)
-    out.add("seed", run_seed)
+    out.add("seed", values["run.seed"])
     start = time.perf_counter()
-    _HANDLERS[kind](cfg, out, run_rtol, t_end, run_seed)
+    _TYPES[kind][0](values, out)
     wall = time.perf_counter() - start
-    return out.finalize(resolved_out, cfg, wall)
+    return out.finalize(values["run.out"], cfg, wall)
 
 
 def main(argv=None) -> int:

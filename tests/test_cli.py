@@ -41,7 +41,7 @@ def _one_key_config(tmp_path, kind, section, key, value):
              "merit": {"xi_values": "0.5"},
              "sweep": {"variances": "0.005"},
              "cluster": {"p": "0.5", "ops": "10"}}
-    reads = f"{cli._COMMON} {cli._READS[kind]}".split()
+    reads = {**cli._COMMON, **cli._TYPES[kind][1]}
     sections = {name: {k: v for k, v in keys.items()
                        if f"{name}.{k}" in reads}
                 for name, keys in valid.items()}
@@ -283,6 +283,13 @@ class TestConfigValidation:
         ("table-prepare", "sweep", "variances", "1e-6, 1e-6"),
         ("merit-prepare", "geometry", "n", "4"),
         ("merit-rotate", "geometry", "n", "4"),
+        ("prepare", "geometry", "n", "4"),
+        ("rotate", "geometry", "n", "4"),
+        ("readout", "geometry", "n", "4"),
+        ("table-prepare", "geometry", "n", "4"),
+        ("table-rotate", "geometry", "n", "4"),
+        ("cphase4", "geometry", "n", "3"),
+        ("readout", "drive", "transition", "xy"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, no_solve,
                                       kind, section, key, value):
@@ -325,6 +332,27 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err and repr(kind) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_without_variances_exit_2(
+            self, tmp_path, capsys, no_solve, samples):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nname = x\ntype = table-prepare\n"
+                       "[geometry]\nxi12 = 0.5\nalpha = 0\n"
+                       f"[drive]\ne_mu = 1.0\n[sweep]\nsamples = {samples}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "[sweep] samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_bundled_configs_and_their_manifests_parse(self, tmp_path,
+                                                       no_solve, name):
+        cfg, values = cli._configure(name, out_dir=str(tmp_path))
+        manifest = tmp_path / "manifest.cfg"
+        with open(manifest, "w") as fh:
+            cfg.write(fh)
+        assert cli._configure(str(manifest)) == (cfg, values)
 
     @pytest.mark.parametrize("key", ["r_nm", "lambda0_nm"])
     def test_spacing_given_twice_exits_2(self, tmp_path, capsys, no_solve,
