@@ -60,7 +60,9 @@ def list_scenarios() -> list[str]:
 
 
 def _load_config(source: str) -> tuple[configparser.ConfigParser, str]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # Values are read and written verbatim: a '%' is just a character.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     if source in SCENARIOS:
         text = resources.files("dfsim.scenarios").joinpath(f"{source}.cfg") \
             .read_text(encoding="utf-8")
@@ -259,7 +261,7 @@ class _Output:
                        "'simulate run <this file>')\n")
         manifest.write(f"# version = {__version__}\n")
         manifest.write(f"# wall_time_s = {wall:.3f}\n")
-        cfg_copy = configparser.ConfigParser()
+        cfg_copy = configparser.ConfigParser(interpolation=None)
         cfg_copy.read_dict({s: dict(cfg[s]) for s in cfg.sections()})
         cfg_copy.write(manifest)
         self.files[f"{self.prefix}_manifest.cfg"] = manifest.getvalue()

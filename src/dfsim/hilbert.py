@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .coupling import CouplingSet
 
@@ -60,13 +59,18 @@ def static_hamiltonian(c: CouplingSet, decay: bool = True) -> np.ndarray:
     plus, with ``decay``, the anti-Hermitian damping terms (the diagonal of
     ``gammas`` gives each emitter's own decay).  Without ``decay`` only the
     coherent part remains."""
-    n = c.n
-    hop = _hopping(n)
-    coeff = c.delta - 0.5j * c.gammas if decay else c.delta
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    return _hamiltonians(c.delta - 0.5j * c.gammas if decay else c.delta)
+
+
+def _hamiltonians(coeff: np.ndarray) -> np.ndarray:
+    """sum_ij coeff_ij sigma_i^+ sigma_j^- for an (n, n) coefficient matrix
+    or a (B, n, n) stack of them, summed in (i, j) order either way."""
+    n = coeff.shape[-1]
+    terms = coeff[..., None, None] * _hopping(n)
+    h = np.zeros(coeff.shape[:-2] + (2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            h += coeff[i, j] * hop[i, j]
+            h += terms[..., i, j, :, :]
     return h
 
 
@@ -82,14 +86,17 @@ def _hopping(n: int) -> np.ndarray:
 
 def drive_operator(phases) -> np.ndarray:
     """Unit raising drive sum_i e^{i phi_i} sigma_i^+ for per-emitter
-    propagation phases; a tone of amplitude E contributes E times this.
+    propagation phases (n,), or a (B, dim, dim) stack of them for (B, n)
+    phases; a tone of amplitude E contributes E times this.
 
     The full interaction at time t is e^{-i w t} A + e^{+i w t} A^dag with
     w the tone detuning, which makes a tone at detuning w resonant with an
     upward transition of rotating-frame energy w.
     """
-    sp = raising_operators(len(phases))
-    return sum(np.exp(1j * phases[i]) * sp[i] for i in range(len(phases)))
+    phases = np.asarray(phases)
+    sp = raising_operators(phases.shape[-1])
+    factors = np.exp(1j * phases)[..., None, None]
+    return sum(factors[..., i, :, :] * sp[i] for i in range(len(sp)))
 
 
 @dataclass(frozen=True)
@@ -153,40 +160,49 @@ def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
     degenerate groups are rotated onto reference zero-separation states so
     labels stay stable across parameter sweeps.
     """
-    h = static_hamiltonian(c)
-    w, v = scipy.linalg.eig(h)
-    weights = np.abs(v) ** 2
-    nexc = np.rint(excitation_numbers(c.n) @ weights
-                   / weights.sum(axis=0)).astype(int)
-    order = np.lexsort((w.real, nexc))
-    w, v, nexc = w[order], v[:, order], nexc[order]
-    v = v / np.linalg.norm(v, axis=0)
-
-    scale = max(1.0, float(np.max(np.abs(w.real))))
-    refs = _reference_states(c.n)
-    k = 0
-    while k < len(w):
-        grp = [k]
-        while (grp[-1] + 1 < len(w)
-               and nexc[grp[-1] + 1] == nexc[k]
-               and abs(w[grp[-1] + 1].real - w[grp[-1]].real)
-               < DEGENERACY_TOLERANCE * scale):
-            grp.append(grp[-1] + 1)
-        if len(grp) > 1:
-            v[:, grp] = _align_degenerate(v[:, grp], refs[nexc[k]])
-        k = grp[-1] + 1
-
-    v = _fix_phases(v)
-    cond = float(np.linalg.cond(v))
-    left = np.linalg.inv(v)
+    w, v, nexc = (x[0] for x in _eigensystems(static_hamiltonian(c)[None]))
     return CollectiveBasis(
         eigenvalues=w,
         vectors=v,
-        left=left,
+        left=np.linalg.inv(v),
         labels=tuple(LABELS[: len(w)]),
         n_excitations=nexc,
-        condition=cond,
+        condition=float(np.linalg.cond(v)),
     )
+
+
+def _eigensystems(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Eigenvalues (B, dim), unit right eigenvectors (B, dim, dim, as
+    columns) and excitation numbers (B, dim) of a (B, dim, dim) stack of
+    Hamiltonians, each sorted, aligned and phase-fixed as
+    ``collective_eigenbasis`` describes."""
+    w, v = np.linalg.eig(h)
+    n = h.shape[-1].bit_length() - 1
+    weights = np.abs(v) ** 2
+    nexc = np.rint(excitation_numbers(n) @ weights
+                   / weights.sum(axis=1)).astype(int)
+    order = np.lexsort((w.real, nexc))
+    rows = np.arange(len(h))[:, None]
+    w, nexc = w[rows, order], nexc[rows, order]
+    # Indexed this way the sorted matrices come out column-major, as LAPACK
+    # fills them, which fixes the order each column norm is summed in.
+    v = v[rows, :, order].transpose(0, 2, 1)
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+
+    # A level starts a new group unless it is exactly degenerate with the
+    # one below; only rows with such a pair go through the alignment.
+    scale = np.maximum(1.0, np.max(np.abs(w.real), axis=1))
+    degenerate = ((nexc[:, 1:] == nexc[:, :-1])
+                  & (np.abs(np.diff(w.real, axis=1))
+                     < DEGENERACY_TOLERANCE * scale[:, None]))
+    refs = _reference_states(n)
+    for r in np.flatnonzero(degenerate.any(axis=1)):
+        starts = np.flatnonzero(~np.r_[False, degenerate[r]])
+        for a, b in zip(starts, np.r_[starts[1:], len(w[r])]):
+            if b - a > 1:
+                v[r, :, a:b] = _align_degenerate(v[r, :, a:b],
+                                                 refs[nexc[r, a]])
+    return w, _fix_phases(v), nexc
 
 
 def dfs4_states() -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +290,11 @@ def _align_degenerate(block: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvector phases: largest component real positive."""
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    """Deterministic eigenvector phases for a (B, dim, dim) stack of
+    column vectors: largest component of each column real positive."""
+    top = v[np.arange(len(v))[:, None], np.argmax(np.abs(v), axis=1),
+            np.arange(v.shape[2])]
     # hypot is the scalar abs() bit for bit (np.abs is not), and row-major
     # order keeps later products bit-identical whatever order ``v`` has.
-    return np.ascontiguousarray(v / (top / np.hypot(top.real, top.imag)))
+    return np.ascontiguousarray(v / (top / np.hypot(top.real, top.imag))
+                                [:, None])

@@ -19,8 +19,9 @@ from .coupling import (GAMMA, CouplingSet, SpectralParams, coupling_matrices,
 from .dynamics import (DEFAULT_RTOL, DriveSpec, Tone, Trajectory,
                        evolve_nojump, evolve_nojump_batch)
 from .geometry import Geometry
-from .hilbert import (CollectiveBasis, collective_eigenbasis, drive_operator,
-                      fidelity, fidelity_raw, ground_state, static_hamiltonian)
+from .hilbert import (LABELS, CollectiveBasis, _eigensystems, _hamiltonians,
+                      collective_eigenbasis, drive_operator, fidelity,
+                      fidelity_raw, ground_state)
 
 
 # Raman-offset calibration: points per scan grid, the step the returned
@@ -213,12 +214,20 @@ class _Transfer:
                    else basis.vector("b"))
         return initial, basis.vector(self.target)
 
-    def member(self, g: Geometry, coupling: CouplingSet) -> tuple:
-        """Batch member for emitters at ``g``: coherent H0, initial state,
-        target state and unit drive."""
-        psi0, target = self.states(g, collective_eigenbasis(coupling))
-        return (static_hamiltonian(coupling, decay=False), psi0, target,
-                drive_operator(self.phases(g)))
+    def members(self, geoms: list, couplings: list) -> tuple:
+        """Batch members for emitters at each of ``geoms``, with their
+        ``couplings``, as stacks with one row per geometry: coherent H0,
+        initial states, target states and unit drives."""
+        delta = np.array([c.delta for c in couplings])
+        gammas = np.array([c.gammas for c in couplings])
+        _, v, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
+        target = v[:, :, LABELS.index(self.target)]
+        initial = (np.broadcast_to(ground_state(self.geometry.n), v.shape[:2])
+                   if self.protocol == "prepare"
+                   else v[:, :, LABELS.index("b")])
+        phases = _phases_for(np.array([g.positions[:, 0] for g in geoms]),
+                             self.geometry.spacing, self.kdr)
+        return _hamiltonians(delta), initial, target, drive_operator(phases)
 
     def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
             decay: bool, **tolerance) -> tuple:
@@ -241,12 +250,14 @@ class _Transfer:
         return traj, t_pi, fidelity(psi, target), fidelity_raw(psi, target)
 
 
-def _batched_fidelities(members: list, drives: list, times: np.ndarray,
+def _batched_fidelities(members: tuple, drives: list, times: np.ndarray,
                         rtol: float) -> np.ndarray:
     """Best fidelity over ``times`` for each batch member, all in one
-    solve; member ``i`` (from ``_Transfer.member``) is driven at the tone
-    amplitudes and detunings ``drives[i]``."""
-    h_stack, psi0, targets, units = (np.array(x) for x in zip(*members))
+    solve; member ``i`` (row ``i`` of the ``_Transfer.members`` stacks, or
+    their one row for every drive) is driven at the tone amplitudes and
+    detunings ``drives[i]``."""
+    h_stack, psi0, targets, units = (
+        np.broadcast_to(x, (len(drives),) + x.shape[1:]) for x in members)
     tone_stacks = [(np.array([amps[k] * unit
                               for (amps, _), unit in zip(drives, units)]),
                     np.array([dets[k] for _, dets in drives]))
@@ -351,13 +362,12 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
     times = np.linspace(0.0, t_end, int(min(max(t_end / 2e-3, 1000), 10000)))
-    member = tr.member(g, tr.coupling)
+    member = tr.members([g], [tr.coupling])
 
     def scores(offsets: np.ndarray) -> np.ndarray:
         return _batched_fidelities(
-            [member] * len(offsets),
-            [(tr.amplitudes, tr.detunings(w)) for w in offsets], times,
-            CALIBRATION_RTOL)
+            member, [(tr.amplitudes, tr.detunings(w)) for w in offsets],
+            times, CALIBRATION_RTOL)
 
     return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)
 

@@ -35,7 +35,8 @@ PROTOCOLS = ("prepare", "rotate")
 
 # Disordered draws whose coupling scale exceeds the nominal one by this
 # factor are so far detuned that the transfer fidelity is effectively zero;
-# skipping their integration keeps pathological draws from stalling sweeps.
+# they are not integrated and count as fidelity 0 in the mean, which keeps
+# pathological draws from stalling sweeps.
 # The draws kept are solved in octaves of the scale ratio (2-4, 4-8, ...,
 # 32-50), plus one solve for every draw below twice the nominal scale.
 SCALE_CUTOFF = 50.0
@@ -162,7 +163,8 @@ class _BaseRun:
         self.result = res
         self.transfer = _Transfer(base.protocol, g, amplitudes,
                                   base.omega_delta, base.k_dot_r)
-        self.nominal_member = self.transfer.member(g, self.transfer.coupling)
+        self.nominal_member = self.transfer.members([g],
+                                                    [self.transfer.coupling])
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
@@ -189,7 +191,7 @@ class _BaseRun:
 def _grid_fidelities(run: _BaseRun, points: list, rtol: float) -> np.ndarray:
     """Fidelity at the nominal inversion time for each (axis, deviation)
     point, evaluated in one batched solve."""
-    return _batched_fidelities([run.nominal_member] * len(points),
+    return _batched_fidelities(run.nominal_member,
                                [run.drive(axis, dev) for axis, dev in points],
                                run.eval_times, rtol)
 
@@ -207,21 +209,22 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
 
     nominal_scale = max(1.0, float(np.max(np.abs(
         run.transfer.coupling.delta))))
-    fids = np.zeros(samples)
+    couplings = [coupling_matrices(gg) for gg in geoms]
+    scales = np.array([np.max(np.abs(c.delta)) for c in couplings])
+    kept = np.flatnonzero(scales <= SCALE_CUTOFF * nominal_scale)
     buckets: dict[int, list] = {}
-    for idx, gg in enumerate(geoms):
-        coupling = coupling_matrices(gg)
-        scale = float(np.max(np.abs(coupling.delta)))
-        if scale > SCALE_CUTOFF * nominal_scale:
-            continue
-        buckets.setdefault(int(np.log2(max(scale / nominal_scale, 1.0))),
-                           []).append((idx, run.transfer.member(gg, coupling)))
-
-    for bucket in buckets.values():
-        idx, members = zip(*bucket)
-        fids[list(idx)] = _batched_fidelities(
-            members, [run.drive("rabi", 0.0)] * len(idx), run.eval_times,
-            rtol)
+    for row, ratio in enumerate(scales[kept] / nominal_scale):
+        buckets.setdefault(int(np.log2(max(ratio, 1.0))), []).append(row)
+    # Every kept draw's member is built in one stack, and each bucket's
+    # solve takes its rows from it.
+    stack = (run.transfer.members([geoms[i] for i in kept],
+                                  [couplings[i] for i in kept])
+             if kept.size else ())
+    fids = np.zeros(samples)
+    for rows in buckets.values():
+        fids[kept[rows]] = _batched_fidelities(
+            tuple(x[rows] for x in stack),
+            [run.drive("rabi", 0.0)] * len(rows), run.eval_times, rtol)
     return fids, float(swaps.mean())
 
 

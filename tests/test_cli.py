@@ -99,6 +99,20 @@ class TestRun:
         assert ((first / "cluster-growth_growth.csv").read_bytes()
                 == (second / "cluster-growth_growth.csv").read_bytes())
 
+    def test_percent_in_output_directory(self, tmp_path, capsys):
+        # A '%' is a plain character in any config value, and the manifest
+        # keeps it.
+        out = tmp_path / "a%b"
+        cfg = tmp_path / "growth.cfg"
+        cfg.write_text("[scenario]\nname = g\ntype = cluster-growth\n"
+                       "[cluster]\np = 0.9\nops = 10\n"
+                       f"[run]\nout = {out}\n")
+        assert main(["run", str(cfg)]) == 0
+        manifest = (out / "g_manifest.cfg").read_text()
+        assert f"out = {out}\n" in manifest
+        assert cli._configure(str(out / "g_manifest.cfg"))[1]["run.out"] \
+            == str(out)
+
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -353,6 +367,15 @@ class TestConfigValidation:
         with open(manifest, "w") as fh:
             cfg.write(fh)
         assert cli._configure(str(manifest)) == (cfg, values)
+
+    def test_percent_in_a_number_exits_2(self, tmp_path, capsys, no_solve):
+        cfg = _one_key_config(tmp_path, "cluster-growth", "cluster", "p",
+                              "0.9%")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[cluster] p" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["r_nm", "lambda0_nm"])
     def test_spacing_given_twice_exits_2(self, tmp_path, capsys, no_solve,

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsim import (DisorderSpec, collective_eigenbasis, coupling_matrices,
                    dfs4_states, dicke_coupling, fidelity, fidelity_raw,
-                   linear_array_xi, sample_disorder)
-from dfsim.hilbert import (_fix_phases, excitation_numbers, ground_state,
+                   hilbert, linear_array_xi, sample_disorder)
+from dfsim.hilbert import (DEGENERACY_TOLERANCE, _align_degenerate,
+                           _eigensystems, _fix_phases, _reference_states,
+                           excitation_numbers, ground_state,
                            lowering_operators, static_hamiltonian)
 
 
@@ -109,13 +114,15 @@ def fix_phases_loop(v: np.ndarray) -> np.ndarray:
 class TestVectorisedBasis:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_phases_match_column_loop_bit_for_bit(self, order):
+        # One stack of 200 matrices, each row-major (C) or column-major (F).
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            v = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            v = np.asarray(v, order=order)
-            got = _fix_phases(v)
-            assert np.array_equal(got, fix_phases_loop(v))
-            assert got.flags["C_CONTIGUOUS"]
+        v = rng.normal(size=(200, 8, 8)) + 1j * rng.normal(size=(200, 8, 8))
+        if order == "F":
+            v = np.ascontiguousarray(v.transpose(0, 2, 1)).transpose(0, 2, 1)
+        got = _fix_phases(v)
+        assert got.flags["C_CONTIGUOUS"]
+        for k in range(len(v)):
+            assert np.array_equal(got[k], fix_phases_loop(v[k]))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_excitation_counts_match_column_loop(self, n):
@@ -128,6 +135,112 @@ class TestVectorisedBasis:
             want = [int(round(float(numbers @ w[:, k] / np.sum(w[:, k]))))
                     for k in range(basis.dim)]
             assert basis.n_excitations.tolist() == want
+
+
+def eigensystem_oracle(c):
+    """One matrix at a time, as a plain loop over levels and degenerate
+    groups: scipy's eig, sort, column norms, alignment and phase fix."""
+    w, v = scipy.linalg.eig(static_hamiltonian(c))
+    weights = np.abs(v) ** 2
+    nexc = np.rint(excitation_numbers(c.n) @ weights
+                   / weights.sum(axis=0)).astype(int)
+    order = np.lexsort((w.real, nexc))
+    w, v, nexc = w[order], v[:, order], nexc[order]
+    v = v / np.linalg.norm(v, axis=0)
+    scale = max(1.0, float(np.max(np.abs(w.real))))
+    k = 0
+    while k < len(w):
+        end = k
+        while (end + 1 < len(w) and nexc[end + 1] == nexc[k]
+               and abs(w[end + 1].real - w[end].real)
+               < DEGENERACY_TOLERANCE * scale):
+            end += 1
+        if end > k:
+            v[:, k:end + 1] = _align_degenerate(
+                v[:, k:end + 1], _reference_states(c.n)[nexc[k]])
+        k = end + 1
+    return w, fix_phases_loop(v), nexc
+
+
+def assert_rows_match_one_row_calls(couplings):
+    """Each row of one stacked ``_eigensystems`` call equals
+    ``collective_eigenbasis`` of its coupling alone, bit for bit."""
+    w, v, nexc = _eigensystems(np.array([static_hamiltonian(c)
+                                         for c in couplings]))
+    for k, c in enumerate(couplings):
+        basis = collective_eigenbasis(c)
+        assert np.array_equal(w[k], basis.eigenvalues)
+        assert np.array_equal(v[k], basis.vectors)
+        assert np.array_equal(nexc[k], basis.n_excitations)
+
+
+def mixed_couplings(n: int) -> list:
+    """Nominal chains, table1 and table2 disorder draws (for n = 3; one
+    chain's draws for n = 4) and exactly degenerate Dicke couplings."""
+    chains = ([linear_array_xi(0.5, alpha=0.0),
+               linear_array_xi(0.15, alpha=np.pi / 2)] if n == 3 else
+              [linear_array_xi(0.15, n=4, alpha=np.pi / 2)])
+    variances = (0.005, 0.0016)
+    draws = [gg for g, var in zip(chains, variances)
+             for gg in sample_disorder(g, DisorderSpec(
+                 variance=var, samples=6, seed=20260809))]
+    geoms = [coupling_matrices(g) for g in chains + draws]
+    return (geoms[:4] + [dicke_coupling(n)] + geoms[4:]
+            + [dicke_coupling(n, delta=-4.0)])
+
+
+class TestStackedEigensystems:
+    @pytest.mark.parametrize("n,groups", [
+        (3, [2, 2, 2, 2]), (4, [3, 2, 3, 3, 3, 3, 2, 3])])
+    def test_rows_match_one_row_calls_bit_for_bit(self, monkeypatch, n,
+                                                  groups):
+        # Only the two Dicke rows hold exactly degenerate groups, so only
+        # they go through the alignment: for n = 3 a doublet in each of the
+        # one- and two-excitation sectors; for n = 4 triplets in the one-
+        # and three-excitation sectors, and the dark pair and a triplet in
+        # the two-excitation sector, ordered by the sign of the shift.
+        couplings = mixed_couplings(n)
+        aligned, align = [], hilbert._align_degenerate
+
+        def counted(block, refs):
+            aligned.append(block.shape[1])
+            return align(block, refs)
+
+        monkeypatch.setattr(hilbert, "_align_degenerate", counted)
+        _eigensystems(np.array([static_hamiltonian(c) for c in couplings]))
+        assert aligned == groups
+        assert_rows_match_one_row_calls(couplings)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([3, 4]), xi=st.floats(0.1, 1.0),
+           alpha=st.floats(0.0, np.pi / 2),
+           variance=st.floats(1e-7, 0.01),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_draws_match_one_row_calls(self, n, xi, alpha, variance,
+                                              seed):
+        g = linear_array_xi(xi, n=n, alpha=alpha)
+        draws = sample_disorder(g, DisorderSpec(variance=variance,
+                                                samples=5, seed=seed))
+        assert_rows_match_one_row_calls(
+            [coupling_matrices(gg) for gg in [g] + draws])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_per_matrix_oracle_bit_for_bit(self, n):
+        for c in mixed_couplings(n):
+            basis = collective_eigenbasis(c)
+            w, v, nexc = eigensystem_oracle(c)
+            assert np.array_equal(basis.eigenvalues, w)
+            assert np.array_equal(basis.vectors, v)
+            assert np.array_equal(basis.n_excitations, nexc)
+
+    def test_one_row_hamiltonian_is_the_stacked_one(self):
+        couplings = mixed_couplings(3)
+        for decay in (True, False):
+            coeff = np.array([c.delta - 0.5j * c.gammas if decay
+                              else c.delta for c in couplings])
+            stack = hilbert._hamiltonians(coeff)
+            for k, c in enumerate(couplings):
+                assert np.array_equal(stack[k], static_hamiltonian(c, decay))
 
 
 class TestDfs4:

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 
 from dfsim import dynamics, protocols
-from dfsim import (calibrate_detuning, collective_eigenbasis,
+from dfsim import (DisorderSpec, calibrate_detuning, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, effective_prep_coupling,
                    jump_operators, linear_array_xi, prepare_b, readout_coupling,
-                   readout_fluorescence, rotate_logical, spectral_params)
-from dfsim.hilbert import (drive_operator, excitation_numbers,
+                   readout_fluorescence, rotate_logical, sample_disorder,
+                   spectral_params)
+from dfsim.hilbert import (drive_operator, excitation_numbers, ground_state,
                            static_hamiltonian)
 from dfsim.protocols import (CALIBRATION_GRID, ProtocolError, _calibrate,
                              _phases_for, cphase4, find_first_inversion,
@@ -200,6 +201,32 @@ class TestRotateLogical:
         _, res = fig3a
         gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
         assert res.merit == pytest.approx(1.0 / (gm * res.t_pi), rel=1e-12)
+
+
+class TestTransferMembers:
+    @pytest.mark.parametrize("protocol,g,variance", [
+        ("prepare", linear_array_xi(0.5, alpha=0.0), 0.005),
+        ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016)])
+    def test_rows_match_one_draw_stacks(self, protocol, g, variance):
+        # Each row of a stacked build equals that draw built alone, and the
+        # one-row build equals the member read off the draw's collective
+        # basis: coherent H0, initial and target level, unit drive at the
+        # draw's positions.
+        tr = protocols._Transfer(protocol, g, (6.0, 15.0), 170.0, None)
+        geoms = [g] + sample_disorder(g, DisorderSpec(
+            variance=variance, samples=12, seed=20260809))
+        couplings = [coupling_matrices(gg) for gg in geoms]
+        stack = tr.members(geoms, couplings)
+        assert all(len(x) == len(geoms) for x in stack)
+        for k, (gg, c) in enumerate(zip(geoms, couplings)):
+            one = tr.members([gg], [c])
+            assert all(np.array_equal(x[k], y[0]) for x, y in zip(stack, one))
+            basis = collective_eigenbasis(c)
+            initial = (ground_state(3) if protocol == "prepare"
+                       else basis.vector("b"))
+            want = (static_hamiltonian(c, decay=False), initial,
+                    basis.vector(tr.target), drive_operator(tr.phases(gg)))
+            assert all(np.array_equal(y[0], w) for y, w in zip(one, want))
 
 
 class TestCalibration:

@@ -224,6 +224,45 @@ class TestPositionBatches:
         assert abs(fids.mean() - predicted.mean()) < 2e-3
 
 
+class TestStackedSweep:
+    def test_every_draw_past_the_cutoff_scores_zero(self, table1_run,
+                                                    monkeypatch):
+        # A draw past the cutoff counts as fidelity 0 in the mean; with
+        # every draw past it, no member stack is built and nothing solved.
+        built = []
+        members = protocols._Transfer.members
+
+        def recorded(self, geoms, couplings):
+            built.append(len(geoms))
+            return members(self, geoms, couplings)
+
+        monkeypatch.setattr(protocols._Transfer, "members", recorded)
+        monkeypatch.setattr(robustness, "SCALE_CUTOFF", 0.0)
+        monkeypatch.setattr(protocols, "evolve_nojump_batch", None)
+        res = robustness._sweep(table1_run, SweepSpec(
+            protocol="prepare", axis="position", values=(0.005,),
+            samples=5, seed=TABLE1_SEED))
+        assert res.mean_fidelity.tolist() == [0.0]
+        assert res.stderr.tolist() == [0.0]
+        fids, _ = robustness._position_fidelities(table1_run, 0.005, 5,
+                                                  TABLE1_SEED, 1e-8)
+        assert fids.tolist() == [0.0] * 5
+        assert built == []
+
+    def test_one_draw_sweep(self, table1_run):
+        # Draw 0 is the same draw whatever the sample count; alone it is
+        # solved on its own, so it agrees with the shared solve to the
+        # integrator tolerance.
+        one = robustness._sweep(table1_run, SweepSpec(
+            protocol="prepare", axis="position", values=(0.005,),
+            samples=1, seed=TABLE1_SEED))
+        fids, _ = robustness._position_fidelities(table1_run, 0.005, 5,
+                                                  TABLE1_SEED, 1e-8)
+        assert one.stderr.tolist() == [0.0]
+        assert 0.0 < one.mean_fidelity[0] < 1.0
+        assert abs(one.mean_fidelity[0] - fids[0]) < 1e-6
+
+
 class TestTolerance:
     def test_positive_and_nested(self, prep_base):
         t95 = tolerance(prep_base, "rabi", 0.95)
