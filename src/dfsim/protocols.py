@@ -171,7 +171,7 @@ def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.n
     """Per-emitter propagation phases with adjacent-emitter step k_dot_r,
     referenced to the nominal chain spacing."""
     if k_dot_r == 0.0:
-        return np.zeros(len(positions_x))
+        return np.zeros(np.shape(positions_x))
     return k_dot_r * positions_x / spacing
 
 
@@ -205,14 +205,19 @@ class _Transfer:
         sp = self.sp
         return (frequency, 0.5 * (3.0 * sp.delta13 - sp.omega) + frequency)
 
-    def phases(self, g: Geometry) -> np.ndarray:
-        return _phases_for(g.positions[:, 0], self.geometry.spacing, self.kdr)
+    def phases(self, x: np.ndarray) -> np.ndarray:
+        """Drive phases of emitters at x-positions ``x``: (n,), or (B, n)
+        for a stack of geometries."""
+        return _phases_for(x, self.geometry.spacing, self.kdr)
 
-    def states(self, g: Geometry, basis: CollectiveBasis) -> tuple:
-        """Initial and target state of emitters at ``g``."""
-        initial = (ground_state(g.n) if self.protocol == "prepare"
-                   else basis.vector("b"))
-        return initial, basis.vector(self.target)
+    def states(self, vectors: np.ndarray) -> tuple:
+        """Initial and target state from collective level ``vectors``
+        (columns): (dim, dim), or (B, dim, dim) for one row per stack."""
+        initial = (np.broadcast_to(ground_state(self.geometry.n),
+                                   vectors.shape[:-1])
+                   if self.protocol == "prepare"
+                   else vectors[..., LABELS.index("b")])
+        return initial, vectors[..., LABELS.index(self.target)]
 
     def members(self, geoms: list, couplings: list) -> tuple:
         """Batch members for emitters at each of ``geoms``, with their
@@ -221,13 +226,8 @@ class _Transfer:
         delta = np.array([c.delta for c in couplings])
         gammas = np.array([c.gammas for c in couplings])
         _, v, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
-        target = v[:, :, LABELS.index(self.target)]
-        initial = (np.broadcast_to(ground_state(self.geometry.n), v.shape[:2])
-                   if self.protocol == "prepare"
-                   else v[:, :, LABELS.index("b")])
-        phases = _phases_for(np.array([g.positions[:, 0] for g in geoms]),
-                             self.geometry.spacing, self.kdr)
-        return _hamiltonians(delta), initial, target, drive_operator(phases)
+        phases = self.phases(np.array([g.positions[:, 0] for g in geoms]))
+        return (_hamiltonians(delta), *self.states(v), drive_operator(phases))
 
     def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
             decay: bool, **tolerance) -> tuple:
@@ -236,11 +236,11 @@ class _Transfer:
         (trajectory, t_pi, fidelity, raw fidelity).  ``tolerance`` (the
         rotation's ``rtol``) is passed on to ``evolve_nojump``."""
         g = self.geometry
-        phases = self.phases(g)
+        phases = self.phases(g.positions[:, 0])
         drive = DriveSpec(tuple(
             Tone(amp, det, phases) for amp, det in
             zip(self.amplitudes, self.detunings(self.frequency))))
-        psi0, target = self.states(g, basis)
+        psi0, target = self.states(basis.vectors)
         traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
                              drive, t_end, decay=decay, basis=basis,
                              **tolerance)

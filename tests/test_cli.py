@@ -91,6 +91,18 @@ class TestRun:
             file = f"{name}_{suffix}"
             assert (a / file).read_bytes() == (b / file).read_bytes()
 
+    def test_table_at_zero_propagation_phase(self, tmp_path, table_cfg):
+        # With every emitter driven in phase the position sweep still
+        # builds one member per draw.
+        with open(table_cfg) as fh:
+            text = fh.read().replace("e_mu = 1.0\n",
+                                     "e_mu = 1.0\nk_dot_r = 0\n")
+        cfg = tmp_path / "k0.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "tbl_tolerances.csv").read_text()
+        assert "nan" not in rows.lower()
+
     def test_manifest_round_trip(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"

@@ -204,15 +204,17 @@ class TestRotateLogical:
 
 
 class TestTransferMembers:
-    @pytest.mark.parametrize("protocol,g,variance", [
-        ("prepare", linear_array_xi(0.5, alpha=0.0), 0.005),
-        ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016)])
-    def test_rows_match_one_draw_stacks(self, protocol, g, variance):
+    @pytest.mark.parametrize("protocol,g,variance,k_dot_r", [
+        ("prepare", linear_array_xi(0.5, alpha=0.0), 0.005, None),
+        ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016, None),
+        ("prepare", linear_array_xi(0.5, alpha=0.0), 0.005, 0.0),
+        ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016, 0.0)])
+    def test_rows_match_one_draw_stacks(self, protocol, g, variance, k_dot_r):
         # Each row of a stacked build equals that draw built alone, and the
         # one-row build equals the member read off the draw's collective
         # basis: coherent H0, initial and target level, unit drive at the
-        # draw's positions.
-        tr = protocols._Transfer(protocol, g, (6.0, 15.0), 170.0, None)
+        # draw's positions.  At k.r = 0 every drive is in phase.
+        tr = protocols._Transfer(protocol, g, (6.0, 15.0), 170.0, k_dot_r)
         geoms = [g] + sample_disorder(g, DisorderSpec(
             variance=variance, samples=12, seed=20260809))
         couplings = [coupling_matrices(gg) for gg in geoms]
@@ -225,8 +227,11 @@ class TestTransferMembers:
             initial = (ground_state(3) if protocol == "prepare"
                        else basis.vector("b"))
             want = (static_hamiltonian(c, decay=False), initial,
-                    basis.vector(tr.target), drive_operator(tr.phases(gg)))
+                    basis.vector(tr.target),
+                    drive_operator(tr.phases(gg.positions[:, 0])))
             assert all(np.array_equal(y[0], w) for y, w in zip(one, want))
+        if k_dot_r == 0.0:
+            assert np.array_equal(stack[3][0], drive_operator(np.zeros(3)))
 
 
 class TestCalibration:
