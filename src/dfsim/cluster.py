@@ -53,17 +53,17 @@ def grow_chain(p: float, m: int, seed: int = 0,
         raise ValueError("success probability must lie in [0, 1]")
     if m < 1:
         raise ValueError("at least one attempt is required")
+    if initial_length < 1:
+        raise ValueError("the chain starts with at least one qubit")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     wins = rng.random(m) < p
     increments = np.where(wins, 1, -2).astype(int)
-    lengths = np.empty(m, dtype=int)
-    length = initial_length
-    for k, inc in enumerate(increments):
-        if inc > 0:
-            length += 1
-        else:
-            length = length - 2 if length - 2 >= 1 else 1
-        lengths[k] = length
+    # The boundary rule makes each length max(previous + increment, 1), a
+    # walk reflected at 1.  With S the running sum of the increments, its
+    # closed form is S plus the larger of the initial length and 1 - min S.
+    steps = np.cumsum(increments)
+    lengths = steps + np.maximum(initial_length,
+                                 1 - np.minimum.accumulate(steps))
     return GrowthRun(p_success=p, ops=m, lengths=lengths,
                      increments=increments, seed=seed,
                      initial_length=initial_length)

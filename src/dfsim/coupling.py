@@ -9,6 +9,7 @@ splits into a coherent shift (real part) and a cross-damping rate
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,16 +58,27 @@ class SpectralParams:
     delta13: float
 
 
-def _radiative_kernel(xi: float) -> float:
-    """(sin x - x cos x) / x^3, series-evaluated at small argument where the
-    direct form loses ~x^-2 digits to cancellation (the damping matrix must
-    stay positive semidefinite to 1e-10 even deep in the small-spacing
-    regime)."""
-    if xi < 0.1:
-        x2 = xi * xi
-        return (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 * (1.0 / 840.0
-                                                      - x2 / 45360.0)))
-    return (np.sin(xi) - xi * np.cos(xi)) / xi**3
+def _pair_coefficients(xi: np.ndarray,
+                       alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the pair coefficient, elementwise over
+    separations ``xi`` and dipole angles ``alpha``.  Powers go through
+    ``np.float_power``, which rounds as a scalar ``**`` does, so a value
+    does not depend on the shape of the array it is computed in."""
+    sin_xi, cos_xi, xi3 = np.sin(xi), np.cos(xi), np.float_power(xi, 3)
+    x2 = xi * xi
+    # The radiative kernel (sin x - x cos x) / x^3 is series-evaluated at
+    # small argument, where the direct form loses ~x^-2 digits to
+    # cancellation (the damping matrix must stay positive semidefinite to
+    # 1e-10 even deep in the small-spacing regime).
+    kernel = np.where(xi < 0.1,
+                      1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 * (1.0 / 840.0
+                                                            - x2 / 45360.0)),
+                      (sin_xi - xi * cos_xi) / xi3)
+    sin2 = np.float_power(np.sin(alpha), 2)
+    b = 1.0 - 3.0 * np.float_power(np.cos(alpha), 2)
+    re = -0.75 * GAMMA / xi3 * (cos_xi * (x2 * sin2 - b) - sin_xi * xi * b)
+    im = -0.75 * GAMMA * (sin2 * sin_xi / xi - b * kernel)
+    return re, im
 
 
 def xi_coefficient(xi: float, alpha: float) -> complex:
@@ -79,12 +91,7 @@ def xi_coefficient(xi: float, alpha: float) -> complex:
     """
     if xi <= 0:
         raise ValueError("xi must be positive: the coefficient diverges at contact")
-    sin2 = np.sin(alpha) ** 2
-    b = 1.0 - 3.0 * np.cos(alpha) ** 2
-    re = -0.75 * GAMMA / xi**3 * (np.cos(xi) * (xi * xi * sin2 - b)
-                                  - np.sin(xi) * xi * b)
-    im = -0.75 * GAMMA * (sin2 * np.sin(xi) / xi - b * _radiative_kernel(xi))
-    return complex(re, im)
+    return complex(*_pair_coefficients(np.float64(xi), np.float64(alpha)))
 
 
 def coupling_matrices(g) -> CouplingSet:
@@ -92,24 +99,42 @@ def coupling_matrices(g) -> CouplingSet:
 
     The per-pair dipole angle is taken between the common dipole direction
     and the actual separation vector, so disordered (non-collinear)
-    geometries are handled correctly.
+    geometries are handled correctly.  This is the one-row case of the
+    stacked build a position-disorder sweep runs over all its draws.
     """
-    n = g.n
-    delta = np.zeros((n, n))
-    gammas = np.zeros((n, n))
-    dip = g.dipole
-    for i in range(n):
-        gammas[i, i] = GAMMA
-        for j in range(i + 1, n):
-            rij = g.positions[i] - g.positions[j]
-            dist = np.linalg.norm(rij)
-            cos_a = float(np.dot(dip, rij) / dist)
-            cos_a = min(1.0, max(-1.0, cos_a))
-            coeff = xi_coefficient(TWO_PI * dist, float(np.arccos(cos_a)))
-            delta[i, j] = delta[j, i] = coeff.real
-            gammas[i, j] = gammas[j, i] = -2.0 * coeff.imag
-    gammas = _enforce_psd(gammas)
-    return CouplingSet(delta=delta, gammas=gammas)
+    delta, gammas = _coupling_stack(g.positions[None], g.dipole)
+    return CouplingSet(delta=delta[0], gammas=gammas[0])
+
+
+def _coupling_stack(positions: np.ndarray,
+                    dipole: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coherent-shift and damping matrices (B, N, N) of emitters at
+    positions (B, N, 3) with a common ``dipole`` direction, all pairs of
+    all rows at once.  Separations and projections onto the dipole are
+    taken as (1, 3) @ (3, 1) products, one BLAS dot per pair as a scalar
+    ``np.dot`` takes them."""
+    b, n = positions.shape[:2]
+    i, j = _pairs(n)
+    rij = (positions[:, i] - positions[:, j])[..., None]
+    dist = np.sqrt(rij.transpose(0, 1, 3, 2) @ rij)[..., 0, 0]
+    cos_a = np.minimum(np.maximum((dipole[None] @ rij)[..., 0, 0] / dist,
+                                  -1.0), 1.0)
+    re, im = _pair_coefficients(TWO_PI * dist, np.arccos(cos_a))
+    delta = np.zeros((b, n, n))
+    gammas = np.zeros((b, n, n))
+    delta[:, i, j] = delta[:, j, i] = re
+    gammas[:, i, j] = gammas[:, j, i] = -2.0 * im
+    gammas[:, np.arange(n), np.arange(n)] = GAMMA
+    return delta, _enforce_psd(gammas)
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (i < j) of every pair of n emitters."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def dicke_coupling(n: int = 3, delta: float = 10.0) -> CouplingSet:
@@ -148,14 +173,15 @@ def spectral_params(c: CouplingSet) -> SpectralParams:
 
 
 def _enforce_psd(gammas: np.ndarray) -> np.ndarray:
-    """Clamp tiny negative relaxation eigenvalues; reject real violations."""
+    """Clamp tiny negative relaxation eigenvalues of a (B, N, N) stack of
+    damping matrices; reject real violations.  One ``eigh`` covers the
+    stack, and only rows with a negative eigenvalue are rebuilt."""
     w, v = np.linalg.eigh(gammas)
-    if w.min() >= 0.0:
-        return gammas
-    if w.min() < -PSD_TOLERANCE * GAMMA:
-        raise ValueError("relaxation matrix is not positive semidefinite "
-                         f"(min eigenvalue {w.min():.3e}); geometry outside "
-                         "the validity regime")
-    w = np.clip(w, 0.0, None)
-    fixed = (v * w) @ v.T
-    return 0.5 * (fixed + fixed.T)
+    for r in np.flatnonzero(w[:, 0] < 0.0):
+        if w[r, 0] < -PSD_TOLERANCE * GAMMA:
+            raise ValueError("relaxation matrix is not positive semidefinite "
+                             f"(min eigenvalue {w[r, 0]:.3e}); geometry "
+                             "outside the validity regime")
+        fixed = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].T
+        gammas[r] = 0.5 * (fixed + fixed.T)
+    return gammas

@@ -42,10 +42,7 @@ class Geometry:
         if pos.shape[0] < 2:
             raise ValueError("at least two emitters are required")
         object.__setattr__(self, "positions", pos)
-        sep = self.separations()
-        n = pos.shape[0]
-        off = sep[~np.eye(n, dtype=bool)]
-        if np.any(off < MIN_SEPARATION):
+        if _coincident(pos):
             raise ValueError("coincident emitters: pairwise separation below "
                              f"{MIN_SEPARATION} wavelengths")
 
@@ -59,8 +56,7 @@ class Geometry:
 
     def separations(self) -> np.ndarray:
         """Pairwise distance matrix |r_i - r_j| (wavelength units)."""
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
+        return _separations(self.positions)
 
     def xi_matrix(self) -> np.ndarray:
         """Dimensionless separations xi_ij = k0 |r_i - r_j|."""
@@ -91,6 +87,20 @@ class DisorderSpec:
             raise ValueError("variance must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+
+
+def _separations(positions: np.ndarray) -> np.ndarray:
+    """Pairwise distances (..., N, N) of positions (..., N, 3)."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    return np.linalg.norm(diff, axis=-1)
+
+
+def _coincident(positions: np.ndarray) -> np.ndarray:
+    """Whether two emitters of positions (..., N, 3) lie closer than
+    MIN_SEPARATION, one flag per position set."""
+    off = ~np.eye(positions.shape[-2], dtype=bool)
+    return np.any(_separations(positions)[..., off] < MIN_SEPARATION,
+                  axis=-1)
 
 
 def linear_array(r: float, n: int = 3, alpha: float = 0.0) -> Geometry:
@@ -125,19 +135,29 @@ def sample_disorder(g: Geometry, spec: DisorderSpec) -> list[Geometry]:
     closer than MIN_SEPARATION are redrawn (the pair coefficient diverges);
     redraws are counted in the log.
     """
+    return [Geometry(positions=pos, alpha=g.alpha)
+            for pos in _disorder_positions(g, spec)]
+
+
+def _disorder_positions(g: Geometry, spec: DisorderSpec) -> np.ndarray:
+    """Positions (samples, N, 3) of the draws ``sample_disorder`` returns.
+
+    Every sample draws from its own generator.  The minimum separation is
+    checked once per pass over all samples still to draw, and a sample
+    that fails it draws again from its own generator until it passes.
+    """
     sigma = np.sqrt(spec.variance)
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.samples)
-    out = []
+    rngs = [np.random.default_rng(ss)
+            for ss in np.random.SeedSequence(spec.seed).spawn(spec.samples)]
+    out = np.empty((spec.samples,) + g.positions.shape)
+    todo = np.arange(spec.samples)
     redraws = 0
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        while True:
-            displaced = g.positions + rng.normal(0.0, sigma, size=g.positions.shape)
-            try:
-                out.append(Geometry(positions=displaced, alpha=g.alpha))
-                break
-            except ValueError:
-                redraws += 1
+    while todo.size:
+        out[todo] = g.positions + np.array(
+            [rngs[k].normal(0.0, sigma, size=g.positions.shape)
+             for k in todo])
+        todo = todo[_coincident(out[todo])]
+        redraws += todo.size
     if redraws:
         log.info("sample_disorder: %d redraws due to near-coincident emitters",
                  redraws)

@@ -219,15 +219,21 @@ class _Transfer:
                    else vectors[..., LABELS.index("b")])
         return initial, vectors[..., LABELS.index(self.target)]
 
-    def members(self, geoms: list, couplings: list) -> tuple:
-        """Batch members for emitters at each of ``geoms``, with their
-        ``couplings``, as stacks with one row per geometry: coherent H0,
-        initial states, target states and unit drives."""
-        delta = np.array([c.delta for c in couplings])
-        gammas = np.array([c.gammas for c in couplings])
+    def members(self, positions: np.ndarray, delta: np.ndarray,
+                gammas: np.ndarray) -> tuple:
+        """Batch members for emitters at positions (B, n, 3) with coupling
+        matrices ``delta`` and ``gammas`` (B, n, n), as stacks with one row
+        per position set: coherent H0, initial states, target states and
+        unit drives."""
         _, v, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
-        phases = self.phases(np.array([g.positions[:, 0] for g in geoms]))
-        return (_hamiltonians(delta), *self.states(v), drive_operator(phases))
+        return (_hamiltonians(delta), *self.states(v),
+                drive_operator(self.phases(positions[..., 0])))
+
+    def nominal_member(self) -> tuple:
+        """``members`` of the nominal geometry alone (one row)."""
+        c = self.coupling
+        return self.members(self.geometry.positions[None], c.delta[None],
+                            c.gammas[None])
 
     def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
             decay: bool, **tolerance) -> tuple:
@@ -362,7 +368,7 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
     times = np.linspace(0.0, t_end, int(min(max(t_end / 2e-3, 1000), 10000)))
-    member = tr.members([g], [tr.coupling])
+    member = tr.nominal_member()
 
     def scores(offsets: np.ndarray) -> np.ndarray:
         return _batched_fidelities(

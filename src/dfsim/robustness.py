@@ -4,10 +4,12 @@ errors, Monte Carlo over position disorder, and tolerance tables.
 A sweep perturbs one control axis of a base protocol, re-evolves to the
 unperturbed inversion time, and records the fidelity there.  Control-field
 frequencies never track position errors.  Sample evaluations are
-independent; position draws use a per-sample split of the seed stream and
-share solver calls: every draw whose coupling scale is below twice the
-nominal one joins one solve, and each octave above that gets its own, so
-that a strongly coupled draw's short steps do not slow the others.  Every
+independent; position draws use a per-sample split of the seed stream.
+The draws, their couplings and their batch members are each built as one
+stack, one row per draw, and the draws share solver calls: every draw
+whose coupling scale is below twice the nominal one joins one solve, and
+each octave above that gets its own, so that a strongly coupled draw's
+short steps do not slow the others.  Every
 variance of a sweep draws from the sweep's seed, so a variance's draws
 depend only on (seed, variance) and variances share common random numbers.
 Amplitude and detuning tolerances share one search: a batched doubling
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_matrices, spectral_params
-from .geometry import DisorderSpec, Geometry, linear_array_xi, sample_disorder
+from .coupling import _coupling_stack, coupling_matrices, spectral_params
+from .geometry import (DisorderSpec, Geometry, _disorder_positions,
+                       linear_array_xi)
 from .protocols import (ProtocolError, _batched_fidelities, _calibrate,
                         _Transfer, prepare_b, rotate_logical,
                         rotation_rate_estimate)
@@ -163,8 +166,7 @@ class _BaseRun:
         self.result = res
         self.transfer = _Transfer(base.protocol, g, amplitudes,
                                   base.omega_delta, base.k_dot_r)
-        self.nominal_member = self.transfer.members([g],
-                                                    [self.transfer.coupling])
+        self.nominal_member = self.transfer.nominal_member()
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
@@ -201,27 +203,25 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     """Per-sample fidelities under position disorder, plus the fraction of
     draws whose emitter order swapped along the chain."""
     g = run.base.geometry
-    geoms = sample_disorder(g, DisorderSpec(variance=variance,
-                                            samples=samples, seed=seed))
-    order = np.argsort(g.positions[:, 0])
-    swaps = np.array([not np.array_equal(np.argsort(gg.positions[:, 0]), order)
-                      for gg in geoms])
+    positions = _disorder_positions(g, DisorderSpec(
+        variance=variance, samples=samples, seed=seed))
+    swaps = np.any(np.argsort(positions[..., 0], axis=1)
+                   != np.argsort(g.positions[:, 0]), axis=1)
 
     nominal_scale = max(1.0, float(np.max(np.abs(
         run.transfer.coupling.delta))))
-    couplings = [coupling_matrices(gg) for gg in geoms]
-    scales = np.array([np.max(np.abs(c.delta)) for c in couplings])
+    delta, gammas = _coupling_stack(positions, g.dipole)
+    scales = np.max(np.abs(delta), axis=(1, 2))
     kept = np.flatnonzero(scales <= SCALE_CUTOFF * nominal_scale)
-    buckets: dict[int, list] = {}
-    for row, ratio in enumerate(scales[kept] / nominal_scale):
-        buckets.setdefault(int(np.log2(max(ratio, 1.0))), []).append(row)
-    # Every kept draw's member is built in one stack, and each bucket's
+    octaves = np.log2(np.maximum(scales[kept] / nominal_scale,
+                                 1.0)).astype(int)
+    # Every kept draw's member is built in one stack, and each octave's
     # solve takes its rows from it.
-    stack = (run.transfer.members([geoms[i] for i in kept],
-                                  [couplings[i] for i in kept])
+    stack = (run.transfer.members(positions[kept], delta[kept], gammas[kept])
              if kept.size else ())
     fids = np.zeros(samples)
-    for rows in buckets.values():
+    for octave in np.unique(octaves):
+        rows = np.flatnonzero(octaves == octave)
         fids[kept[rows]] = _batched_fidelities(
             tuple(x[rows] for x in stack),
             [run.drive("rabi", 0.0)] * len(rows), run.eval_times, rtol)

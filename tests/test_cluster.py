@@ -15,6 +15,18 @@ def ket(bits: str) -> np.ndarray:
     return psi
 
 
+def loop_lengths(increments, initial_length):
+    """Chain lengths one attempt at a time: a success adds a qubit, a
+    failure removes two, and a chain that would fall below one qubit
+    restarts from a single fresh one."""
+    lengths = np.empty(len(increments), dtype=int)
+    length = initial_length
+    for k, inc in enumerate(increments):
+        length = length + 1 if inc > 0 else max(length - 2, 1)
+        lengths[k] = length
+    return lengths
+
+
 class TestExpectedGrowth:
     def test_always_succeeding(self):
         assert expected_growth(1.0) == pytest.approx(1.0)
@@ -52,6 +64,21 @@ class TestGrowChain:
         run = grow_chain(p, 200, seed=seed)
         assert set(np.unique(run.increments)).issubset({1, -2})
         assert np.all(run.lengths >= 1)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 2.0 / 3.0, 0.9, 1.0])
+    @pytest.mark.parametrize("initial_length", [1, 2, 7])
+    def test_lengths_match_attempt_loop(self, p, initial_length):
+        for m, seed in [(1, 0), (2, 5), (37, 1), (1000, 202608),
+                        (10000, 7)]:
+            run = grow_chain(p, m, seed=seed, initial_length=initial_length)
+            want = loop_lengths(run.increments, initial_length)
+            assert run.lengths.dtype == want.dtype
+            assert np.array_equal(run.lengths, want)
+
+    @pytest.mark.parametrize("initial_length", [0, -4])
+    def test_rejects_empty_start(self, initial_length):
+        with pytest.raises(ValueError):
+            grow_chain(0.9, 2, seed=0, initial_length=initial_length)
 
     @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0, 0.75, 0.9])
     def test_mean_growth_matches_law(self, p):

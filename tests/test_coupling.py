@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsim import (CouplingSet, coupling_matrices, dicke_coupling,
-                   linear_array_xi, spectral_params, xi_coefficient)
+from dfsim import (CouplingSet, DisorderSpec, coupling, coupling_matrices,
+                   dicke_coupling, linear_array_xi, spectral_params,
+                   xi_coefficient)
+from dfsim.coupling import GAMMA, _coupling_stack
+from dfsim.geometry import TWO_PI, _disorder_positions
 from dfsim.hilbert import excitation_numbers, static_hamiltonian
 
 # Frozen 50-digit evaluations of the pair-coefficient formula (mpmath).
@@ -23,6 +26,54 @@ def oracle_coefficient(xi, alpha):
     br = x**2 * mp.sin(alpha)**2 - (1 - 1j * x) * (1 - 3 * mp.cos(alpha)**2)
     val = -mp.mpf(3) / 4 * mp.exp(1j * x) / x**3 * br
     return complex(val)
+
+
+def scalar_coefficient(xi, alpha):
+    """The pair coefficient one pair at a time, in scalar arithmetic."""
+    sin2 = np.sin(alpha) ** 2
+    b = 1.0 - 3.0 * np.cos(alpha) ** 2
+    if xi < 0.1:
+        x2 = xi * xi
+        kernel = (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 * (1.0 / 840.0
+                                                        - x2 / 45360.0)))
+    else:
+        kernel = (np.sin(xi) - xi * np.cos(xi)) / xi**3
+    re = -0.75 * GAMMA / xi**3 * (np.cos(xi) * (xi * xi * sin2 - b)
+                                  - np.sin(xi) * xi * b)
+    im = -0.75 * GAMMA * (sin2 * np.sin(xi) / xi - b * kernel)
+    return complex(re, im)
+
+
+def pair_loop_coupling(positions, alpha, clamp=True):
+    """Coupling matrices built pair by pair (scalar norm, dot and arccos).
+    With ``clamp`` the damping matrix is then checked with one eigh: a tiny
+    negative eigenvalue is clamped, one below -PSD_TOLERANCE raises."""
+    n = len(positions)
+    delta = np.zeros((n, n))
+    gammas = np.zeros((n, n))
+    dip = np.array([np.cos(alpha), np.sin(alpha), 0.0])
+    for i in range(n):
+        gammas[i, i] = GAMMA
+        for j in range(i + 1, n):
+            rij = positions[i] - positions[j]
+            dist = np.linalg.norm(rij)
+            cos_a = min(1.0, max(-1.0, float(np.dot(dip, rij) / dist)))
+            coeff = scalar_coefficient(TWO_PI * dist,
+                                       float(np.arccos(cos_a)))
+            delta[i, j] = delta[j, i] = coeff.real
+            gammas[i, j] = gammas[j, i] = -2.0 * coeff.imag
+    w, v = np.linalg.eigh(gammas)
+    if clamp and w.min() < 0.0:
+        if w.min() < -coupling.PSD_TOLERANCE * GAMMA:
+            raise ValueError("relaxation matrix is not positive semidefinite")
+        fixed = (v * np.clip(w, 0.0, None)) @ v.T
+        gammas = 0.5 * (fixed + fixed.T)
+    return delta, gammas
+
+
+# A Dicke-limit chain whose damping matrix comes out of eigh with a
+# negative eigenvalue of order 1e-16, so its row goes through the clamp.
+CLAMPED = linear_array_xi(1e-4, n=3, alpha=0.0)
 
 
 class TestXiCoefficient:
@@ -91,6 +142,62 @@ class TestCouplingMatrices:
         pos[1, 0] += 0.01
         c2 = coupling_matrices(Geometry(positions=pos, alpha=0.0))
         assert abs(c2.delta[0, 1] - c2.delta[1, 2]) > 1e-6
+
+
+class TestStackedCoupling:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([3, 4]),
+           xi=st.floats(min_value=1e-4, max_value=1.0),
+           alpha=st.floats(min_value=0.0, max_value=np.pi),
+           variance=st.sampled_from([0.0, 1e-8, 1e-5, 1e-3, 0.005]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_rows_match_pair_loop_bit_for_bit(self, n, xi, alpha, variance,
+                                              seed):
+        g = linear_array_xi(xi, n=n, alpha=alpha)
+        positions = np.concatenate([g.positions[None], _disorder_positions(
+            g, DisorderSpec(variance=variance, samples=6, seed=seed))])
+        delta, gammas = _coupling_stack(positions, g.dipole)
+        for pos, d, gm in zip(positions, delta, gammas):
+            want_d, want_g = pair_loop_coupling(pos, alpha)
+            assert np.array_equal(d, want_d)
+            assert np.array_equal(gm, want_g)
+        one = coupling_matrices(g)
+        assert np.array_equal(one.delta, delta[0])
+        assert np.array_equal(one.gammas, gammas[0])
+
+    def test_clamped_row_among_plain_rows(self):
+        # Only the Dicke-limit row has a negative damping eigenvalue; it is
+        # rebuilt from its clamped eigensystem, and the rows around it are
+        # left as built.
+        g = linear_array_xi(0.5, alpha=0.0)
+        positions = np.array([g.positions, CLAMPED.positions,
+                              g.positions + 0.01])
+        raw = [pair_loop_coupling(pos, 0.0, clamp=False)[1]
+               for pos in positions]
+        assert [np.linalg.eigh(x)[0].min() < 0.0 for x in raw] == [
+            False, True, False]
+        delta, gammas = _coupling_stack(positions, g.dipole)
+        for pos, d, gm in zip(positions, delta, gammas):
+            want_d, want_g = pair_loop_coupling(pos, 0.0)
+            assert np.array_equal(d, want_d)
+            assert np.array_equal(gm, want_g)
+        assert not np.array_equal(gammas[1], raw[1])
+        assert np.array_equal(gammas[1], gammas[1].T)
+        assert np.allclose(gammas[1], raw[1], rtol=0.0, atol=1e-14)
+
+    def test_row_below_tolerance_raises(self, monkeypatch):
+        # With no tolerance, the clamped row's negative eigenvalue is a
+        # violation, and it rejects the whole stack.
+        monkeypatch.setattr(coupling, "PSD_TOLERANCE", 0.0)
+        g = linear_array_xi(0.5, alpha=0.0)
+        positions = np.array([g.positions, CLAMPED.positions])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            pair_loop_coupling(CLAMPED.positions, 0.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _coupling_stack(positions, g.dipole)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            coupling_matrices(CLAMPED)
+        _coupling_stack(positions[:1], g.dipole)
 
 
 class TestSpectralParams:

@@ -1,9 +1,39 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsim import DisorderSpec, Geometry, linear_array, linear_array_xi, sample_disorder
+from dfsim import geometry
+from dfsim.geometry import _disorder_positions
+
+
+def draw_loop(g, spec):
+    """Disorder draws one sample at a time: a ``Geometry`` per attempt,
+    redrawn from the sample's own generator until it validates.  Returns
+    the positions and the number of redraws."""
+    sigma = np.sqrt(spec.variance)
+    out, redraws = [], 0
+    for ss in np.random.SeedSequence(spec.seed).spawn(spec.samples):
+        rng = np.random.default_rng(ss)
+        while True:
+            displaced = g.positions + rng.normal(0.0, sigma,
+                                                 size=g.positions.shape)
+            try:
+                out.append(Geometry(positions=displaced,
+                                    alpha=g.alpha).positions)
+                break
+            except ValueError:
+                redraws += 1
+    return np.array(out), redraws
+
+
+def logged_redraws(caplog):
+    return [r.args[0] for r in caplog.records
+            if r.name == "dfsim.geometry"
+            and r.getMessage().startswith("sample_disorder:")]
 
 
 class TestLinearArray:
@@ -101,6 +131,35 @@ class TestDisorder:
         se = v * np.sqrt(2.0 / (len(disp) - 1))
         assert abs(sample_var - v) < 3.0 * se
         assert abs(disp.mean()) < 3.0 * np.sqrt(v / len(disp))
+
+    @pytest.mark.parametrize("n,xi,variance,seed", [
+        (3, 0.5, 0.005, 20260809), (4, 0.15, 0.0016, 3), (3, 0.5, 0.0, 1)])
+    def test_stack_matches_draw_loop(self, caplog, n, xi, variance, seed):
+        g = linear_array_xi(xi, n=n, alpha=0.7)
+        spec = DisorderSpec(variance=variance, samples=40, seed=seed)
+        want, redraws = draw_loop(g, spec)
+        assert redraws == 0
+        with caplog.at_level(logging.INFO, logger="dfsim.geometry"):
+            stack = _disorder_positions(g, spec)
+        assert np.array_equal(stack, want)
+        assert np.array_equal(
+            [s.positions for s in sample_disorder(g, spec)], want)
+        assert logged_redraws(caplog) == []
+
+    def test_forced_redraws_match_draw_loop(self, caplog, monkeypatch):
+        # Raising the minimum separation above the chain spacing (0.08)
+        # makes many draws fail; each sample redraws from its own
+        # generator, and the logged count is the loop's.
+        g = linear_array_xi(0.5)
+        monkeypatch.setattr(geometry, "MIN_SEPARATION", 0.12)
+        spec = DisorderSpec(variance=0.005, samples=30, seed=11)
+        want, redraws = draw_loop(g, spec)
+        assert redraws > spec.samples
+        with caplog.at_level(logging.INFO, logger="dfsim.geometry"):
+            stack = _disorder_positions(g, spec)
+        assert np.array_equal(stack, want)
+        assert logged_redraws(caplog) == [redraws]
+        assert not geometry._coincident(stack).any()
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

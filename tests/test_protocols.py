@@ -218,10 +218,15 @@ class TestTransferMembers:
         geoms = [g] + sample_disorder(g, DisorderSpec(
             variance=variance, samples=12, seed=20260809))
         couplings = [coupling_matrices(gg) for gg in geoms]
-        stack = tr.members(geoms, couplings)
+        stack = tr.members(np.array([gg.positions for gg in geoms]),
+                           np.array([c.delta for c in couplings]),
+                           np.array([c.gammas for c in couplings]))
         assert all(len(x) == len(geoms) for x in stack)
+        assert all(np.array_equal(x, y[None])
+                   for x, y in zip(tr.nominal_member(), (z[0] for z in stack)))
         for k, (gg, c) in enumerate(zip(geoms, couplings)):
-            one = tr.members([gg], [c])
+            one = tr.members(gg.positions[None], c.delta[None],
+                             c.gammas[None])
             assert all(np.array_equal(x[k], y[0]) for x, y in zip(stack, one))
             basis = collective_eigenbasis(c)
             initial = (ground_state(3) if protocol == "prepare"

@@ -232,9 +232,9 @@ class TestStackedSweep:
         built = []
         members = protocols._Transfer.members
 
-        def recorded(self, geoms, couplings):
-            built.append(len(geoms))
-            return members(self, geoms, couplings)
+        def recorded(self, positions, delta, gammas):
+            built.append(len(positions))
+            return members(self, positions, delta, gammas)
 
         monkeypatch.setattr(protocols._Transfer, "members", recorded)
         monkeypatch.setattr(robustness, "SCALE_CUTOFF", 0.0)
