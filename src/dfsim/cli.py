@@ -129,6 +129,8 @@ _BOOLS = {"true": True, "yes": True, "1": True,
 _BOOL = _value(lambda raw: _BOOLS.get(raw.lower()), lambda v: v is not None,
                "true or false")
 _FINITE = _value(float, np.isfinite, "a finite number")
+_NONZERO = _value(float, lambda v: v != 0 and np.isfinite(v),
+                  "a finite nonzero number")
 _POSITIVE = _value(float, lambda v: 0 < v < np.inf,
                    "a finite positive number")
 _AMPLITUDE = _value(float, lambda v: 0 <= v < np.inf,
@@ -164,7 +166,7 @@ def _raman(e_mu=_REQUIRED, e_nu=_REQUIRED, omega_delta=_REQUIRED) -> dict:
     """The two tones of a Raman (two-tone) drive."""
     return {"drive.e_mu": (_AMPLITUDE, e_mu),
             "drive.e_nu": (_AMPLITUDE, e_nu),
-            "drive.omega_delta": (_FINITE, omega_delta)}
+            "drive.omega_delta": (_NONZERO, omega_delta)}
 
 
 def _merit(alpha: float) -> dict:

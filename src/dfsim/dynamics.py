@@ -87,9 +87,13 @@ class Tone:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """One or two tones driving all emitters simultaneously."""
+    """At most two tones driving all emitters simultaneously."""
 
     tones: tuple[Tone, ...]
+
+    def __post_init__(self):
+        if len(self.tones) > 2:
+            raise ValueError("a drive has at most two tones")
 
     @classmethod
     def off(cls) -> "DriveSpec":

@@ -19,7 +19,7 @@ from .coupling import (GAMMA, CouplingSet, SpectralParams, coupling_matrices,
 from .dynamics import (DEFAULT_RTOL, DriveSpec, Tone, Trajectory,
                        evolve_nojump, evolve_nojump_batch)
 from .geometry import Geometry
-from .hilbert import (LABELS, CollectiveBasis, _eigensystems, _hamiltonians,
+from .hilbert import (LABELS, _eigensystems, _hamiltonians,
                       collective_eigenbasis, drive_operator, fidelity,
                       fidelity_raw, ground_state)
 
@@ -129,25 +129,21 @@ def find_first_inversion(times: np.ndarray, pops: np.ndarray,
     if peak <= 0:
         raise ProtocolError("no population transfer observed")
     # First time the trace enters the near-complete-transfer band, then the
-    # running maximum until the trace falls back by a hysteresis margin.
-    # Small beats and residual ripples on the rise are thereby ignored.
+    # crest of the stretch before the trace first falls below its running
+    # maximum by a hysteresis margin.  Small beats and residual ripples on
+    # the rise are thereby ignored.
     reach = np.nonzero(seg >= 0.95 * peak)[0]
     if len(reach) == 0:
         raise ProtocolError("no population inversion found within the "
                             "integration window")
-    k = int(reach[0])
-    run_val, run_idx = seg[k], k
-    dropped = False
-    for m in range(k + 1, len(seg)):
-        if seg[m] > run_val:
-            run_val, run_idx = seg[m], m
-        elif run_val - seg[m] > 0.02 * peak:
-            dropped = True
-            break
-    if not dropped and run_idx >= len(seg) - 2:
+    tail = seg[reach[0]:]
+    fall = np.maximum.accumulate(tail) - tail > 0.02 * peak
+    end = int(np.argmax(fall)) if fall.any() else len(tail)
+    idx = int(reach[0]) + int(np.argmax(tail[:end]))
+    if end == len(tail) and idx >= len(seg) - 2:
         raise ProtocolError("population still rising at the end of the "
                             "integration window")
-    idx = run_idx + lo
+    idx += lo
     a = max(idx - 2 * w, 1)
     b = min(idx + 2 * w + 1, len(pops) - 1)
     j = a + int(np.argmax(pops[a:b]))
@@ -176,8 +172,9 @@ def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.n
 
 
 class _Transfer:
-    """A transfer protocol on a nominal geometry: the preparation (ground
-    state -> b, one tone) or the logical rotation (b -> c, two tones).
+    """A transfer protocol on a nominal geometry, whose coupling set and
+    collective basis it builds once: the preparation (ground state -> b,
+    one tone) or the logical rotation (b -> c, two tones).
 
     The swept ``frequency`` is the preparation tone or the Raman offset.
     Drive phases and tone detunings come from the nominal geometry, so a
@@ -187,15 +184,21 @@ class _Transfer:
 
     def __init__(self, protocol: str, g: Geometry, amplitudes: tuple,
                  omega_delta: float | None, k_dot_r: float | None):
+        if protocol == "rotate" and omega_delta == 0:
+            raise ValueError("Raman offset must be nonzero")
         self.protocol = protocol
         self.geometry = g
         self.coupling = coupling_matrices(g)
         self.sp = sp = spectral_params(self.coupling)
+        self.basis = collective_eigenbasis(self.coupling)
         self.kdr = g.xi12 if k_dot_r is None else k_dot_r
         self.amplitudes = amplitudes
         self.target = "b" if protocol == "prepare" else "c"
         self.frequency = (0.5 * (sp.delta13 - sp.omega)
                           if protocol == "prepare" else omega_delta)
+        # Three periods of the rotation's ripple; the preparation has none.
+        self.ripple = (0.0 if protocol == "prepare"
+                       else 3.0 * 2.0 * np.pi / abs(omega_delta))
 
     def detunings(self, frequency) -> tuple:
         """Tone detunings at the swept frequency.  The rotation's second
@@ -204,6 +207,19 @@ class _Transfer:
             return (frequency,)
         sp = self.sp
         return (frequency, 0.5 * (3.0 * sp.delta13 - sp.omega) + frequency)
+
+    def drive(self, axis: str, deviation: float) -> tuple:
+        """Tone amplitudes and detunings with the drive off nominal by
+        ``deviation`` along ``axis``.  A detuning deviation scales the swept
+        frequency.  A single-tone rabi deviation scales the amplitude; a
+        two-tone one is the product deviation, so each amplitude takes its
+        square root."""
+        scale = 1.0 + deviation
+        if axis != "rabi":
+            return [*self.amplitudes], self.detunings(self.frequency * scale)
+        scale = scale if len(self.amplitudes) == 1 else np.sqrt(scale)
+        return ([amp * scale for amp in self.amplitudes],
+                self.detunings(self.frequency))
 
     def phases(self, x: np.ndarray) -> np.ndarray:
         """Drive phases of emitters at x-positions ``x``: (n,), or (B, n)
@@ -226,34 +242,65 @@ class _Transfer:
         per position set: coherent H0, initial states, target states and
         unit drives."""
         _, v, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
-        return (_hamiltonians(delta), *self.states(v),
-                drive_operator(self.phases(positions[..., 0])))
+        return self._rows(positions, delta, v)
 
     def nominal_member(self) -> tuple:
-        """``members`` of the nominal geometry alone (one row)."""
-        c = self.coupling
-        return self.members(self.geometry.positions[None], c.delta[None],
-                            c.gammas[None])
+        """``members`` of the nominal geometry alone (one row), read off
+        the nominal basis."""
+        return self._rows(self.geometry.positions[None],
+                          self.coupling.delta[None], self.basis.vectors[None])
 
-    def run(self, basis: CollectiveBasis, t_end: float, smooth: float,
-            decay: bool, **tolerance) -> tuple:
-        """Evolve the nominal drive from the initial state and locate the
-        first inversion into the target level (smoothed over ``smooth``):
-        (trajectory, t_pi, fidelity, raw fidelity).  ``tolerance`` (the
-        rotation's ``rtol``) is passed on to ``evolve_nojump``."""
-        g = self.geometry
-        phases = self.phases(g.positions[:, 0])
-        drive = DriveSpec(tuple(
-            Tone(amp, det, phases) for amp, det in
-            zip(self.amplitudes, self.detunings(self.frequency))))
+    def _rows(self, positions, delta, vectors) -> tuple:
+        return (_hamiltonians(delta), *self.states(vectors),
+                drive_operator(self.phases(positions[..., 0])))
+
+    def window(self) -> float:
+        """Default integration window: 1.8 inversion times of the analytic
+        rate for the preparation, 1.1 for the rotation, whose secular
+        two-path estimate undershoots the full multi-level rate."""
+        if self.protocol == "prepare":
+            rate, cycles = abs(effective_prep_coupling(
+                self.sp, *self.amplitudes, self.kdr)), 1.8
+        else:
+            rate, cycles = rotation_rate_estimate(
+                self.sp, *self.amplitudes, self.kdr, self.frequency), 1.1
+        if rate == 0:
+            raise ProtocolError("estimated transfer rate vanishes; pass "
+                                "t_end explicitly")
+        return cycles * np.pi / (2.0 * rate)
+
+    def run(self, t_end: float | None = None, decay: bool = False,
+            **tolerance) -> ProtocolResult:
+        """Evolve the nominal drive from the initial state over ``t_end``
+        (default ``window()``) and score the first inversion into the
+        target level, smoothed over the ripple.  ``tolerance`` (the
+        rotation's ``rtol``) is passed on to ``evolve_nojump`` and recorded
+        in ``params_used``.  The merit is inversions per lifetime at the
+        mean linewidth of the levels transferred between (b, or b and c)."""
+        t_end = self.window() if t_end is None else t_end
+        basis, detunings = self.basis, self.detunings(self.frequency)
+        phases = self.phases(self.geometry.positions[:, 0])
+        drive = DriveSpec(tuple(Tone(amp, det, phases) for amp, det in
+                                zip(self.amplitudes, detunings)))
         psi0, target = self.states(basis.vectors)
         traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
                              drive, t_end, decay=decay, basis=basis,
                              **tolerance)
         pop = traj.populations_renormalized[:, basis.index(self.target)]
-        t_pi, j = find_first_inversion(traj.times, pop, smooth_window=smooth)
+        t_pi, j = find_first_inversion(
+            traj.times, pop, smooth_window=min(self.ripple, t_end / 10.0))
+        gammas = {f"gamma_{lab}": basis.linewidth(lab)
+                  for lab in "bc"[:len(self.amplitudes)]}
+        params = dict(zip(("e_mu", "e_nu"), self.amplitudes))
+        if self.protocol == "rotate":
+            params["omega_delta"] = self.frequency
+        params.update(zip(("omega_mu", "omega_nu"), detunings))
+        params.update(k_dot_r=self.kdr, **gammas, decay=decay, **tolerance,
+                      t_end=t_end)
         psi = traj.states[j]
-        return traj, t_pi, fidelity(psi, target), fidelity_raw(psi, target)
+        return ProtocolResult(
+            fidelity(psi, target), fidelity_raw(psi, target), t_pi,
+            len(gammas) / (sum(gammas.values()) * t_pi), traj, params)
 
 
 def _batched_fidelities(members: tuple, drives: list, times: np.ndarray,
@@ -284,27 +331,7 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
     the dimensionless spacing (wavevector along the chain), which is the
     configuration the published benchmark numbers correspond to.
     """
-    tr = _Transfer("prepare", g, (e_mu,), None, k_dot_r)
-    basis = collective_eigenbasis(tr.coupling)
-    if t_end is None:
-        est = abs(effective_prep_coupling(tr.sp, e_mu, tr.kdr))
-        if est == 0:
-            raise ProtocolError("estimated preparation coupling vanishes; "
-                                "pass t_end explicitly")
-        t_end = 1.8 * np.pi / (2.0 * est)
-
-    traj, t_pi, f, f_raw = tr.run(basis, t_end, 0.0, decay)
-    gamma_b = basis.linewidth("b")
-    return ProtocolResult(
-        fidelity=f,
-        fidelity_raw=f_raw,
-        t_pi=t_pi,
-        merit=1.0 / (gamma_b * t_pi),
-        trajectory=traj,
-        params_used={"e_mu": e_mu, "omega_mu": tr.frequency,
-                     "k_dot_r": tr.kdr, "gamma_b": gamma_b, "decay": decay,
-                     "t_end": t_end},
-    )
+    return _Transfer("prepare", g, (e_mu,), None, k_dot_r).run(t_end, decay)
 
 
 def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
@@ -317,33 +344,8 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
     w_nu = (3*delta13 - Omega)/2 + omega_delta, so both tones sit
     ``omega_delta`` above the shared upper level of the Raman pair.
     """
-    tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta, k_dot_r)
-    basis = collective_eigenbasis(tr.coupling)
-    if t_end is None:
-        est = rotation_rate_estimate(tr.sp, e_mu, e_nu, tr.kdr, omega_delta)
-        if est == 0:
-            raise ProtocolError("estimated rotation rate vanishes (zero "
-                                "propagation-phase gradient?); pass t_end")
-        # The secular two-path estimate undershoots the full multi-level
-        # rate, so a window of one estimated half-cycle is generous.
-        t_end = 1.1 * np.pi / (2.0 * est)
-
-    smooth = min(3.0 * 2.0 * np.pi / abs(omega_delta), t_end / 10.0)
-    traj, t_pi, f, f_raw = tr.run(basis, t_end, smooth, decay, rtol=rtol)
-    w_mu, w_nu = tr.detunings(omega_delta)
-    gamma_b = basis.linewidth("b")
-    gamma_c = basis.linewidth("c")
-    return ProtocolResult(
-        fidelity=f,
-        fidelity_raw=f_raw,
-        t_pi=t_pi,
-        merit=2.0 / ((gamma_b + gamma_c) * t_pi),
-        trajectory=traj,
-        params_used={"e_mu": e_mu, "e_nu": e_nu, "omega_delta": omega_delta,
-                     "omega_mu": w_mu, "omega_nu": w_nu, "k_dot_r": tr.kdr,
-                     "gamma_b": gamma_b, "gamma_c": gamma_c, "decay": decay,
-                     "rtol": rtol, "t_end": t_end},
-    )
+    return _Transfer("rotate", g, (e_mu, e_nu), omega_delta,
+                     k_dot_r).run(t_end, decay, rtol=rtol)
 
 
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
@@ -355,15 +357,11 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     The scan covers ``+- CALIBRATION_WINDOW`` (relative) around the nominal
     value with two successive batched grids (``_calibrate``) solved at
     ``CALIBRATION_RTOL``; each candidate scores its best transfer fidelity
-    over a window of 1.45 probe inversion times.  Raises if the maximum
-    sits at the scan edge.
+    over a window of 1.45 probe inversion times, the probe being the
+    nominal rotation.  Raises if the maximum sits at the scan edge.
     """
-    if omega_delta_nominal == 0:
-        raise ValueError("nominal detuning must be nonzero")
     tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta_nominal, k_dot_r)
-
-    probe = rotate_logical(g, e_mu, e_nu, omega_delta_nominal,
-                           k_dot_r=tr.kdr, rtol=10.0 * CALIBRATION_RTOL)
+    probe = tr.run(rtol=10.0 * CALIBRATION_RTOL)
     # Detunings at the low scan edge slow the transfer; size the window so
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi

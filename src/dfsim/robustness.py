@@ -150,56 +150,38 @@ class ToleranceTable:
 
 
 class _BaseRun:
-    """Nominal protocol run plus its transfer definition, from which runs
-    with a perturbed drive or a displaced geometry are built."""
+    """A base protocol's transfer and its nominal run, from which runs with
+    a perturbed drive or a displaced geometry are built."""
 
     def __init__(self, base: ScenarioBase):
-        g = base.geometry
         self.base = base
-        if base.protocol == "prepare":
-            res = prepare_b(g, base.e_mu, k_dot_r=base.k_dot_r)
-            amplitudes = (base.e_mu,)
-        else:
-            res = rotate_logical(g, base.e_mu, base.e_nu, base.omega_delta,
-                                 k_dot_r=base.k_dot_r, rtol=base.rtol)
-            amplitudes = (base.e_mu, base.e_nu)
-        self.result = res
-        self.transfer = _Transfer(base.protocol, g, amplitudes,
-                                  base.omega_delta, base.k_dot_r)
-        self.nominal_member = self.transfer.nominal_member()
+        rotate = base.protocol == "rotate"
+        self.transfer = tr = _Transfer(
+            base.protocol, base.geometry,
+            (base.e_mu, base.e_nu) if rotate else (base.e_mu,),
+            base.omega_delta, base.k_dot_r)
+        self.result = res = tr.run(rtol=base.rtol) if rotate else tr.run()
+        self.nominal_member = tr.nominal_member()
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
         # window spanning a few ripple periods around the nominal t_pi.
-        window = (3.0 * 2.0 * np.pi / abs(base.omega_delta)
-                  if base.protocol == "rotate" else 0.01 * res.t_pi)
+        window = tr.ripple if rotate else 0.01 * res.t_pi
         self.eval_times = np.linspace(max(res.t_pi - window, 0.0),
                                       res.t_pi + window, 81)
 
-    def drive(self, axis: str, deviation: float) -> tuple:
-        """Tone amplitudes and detunings with the drive off nominal by
-        ``deviation`` along ``axis``.  A detuning deviation scales the swept
-        frequency.  A single-tone rabi deviation scales the amplitude; a
-        two-tone one is the product deviation, so each amplitude takes its
-        square root."""
-        tr, scale = self.transfer, 1.0 + deviation
-        if axis != "rabi":
-            return list(tr.amplitudes), tr.detunings(tr.frequency * scale)
-        scale = scale if len(tr.amplitudes) == 1 else np.sqrt(scale)
-        return ([amp * scale for amp in tr.amplitudes],
-                tr.detunings(tr.frequency))
 
-
-def _grid_fidelities(run: _BaseRun, points: list, rtol: float) -> np.ndarray:
+def _grid_fidelities(run: _BaseRun, points: list) -> np.ndarray:
     """Fidelity at the nominal inversion time for each (axis, deviation)
     point, evaluated in one batched solve."""
-    return _batched_fidelities(run.nominal_member,
-                               [run.drive(axis, dev) for axis, dev in points],
-                               run.eval_times, rtol)
+    return _batched_fidelities(
+        run.nominal_member, [run.transfer.drive(axis, dev)
+                             for axis, dev in points],
+        run.eval_times, run.base.rtol)
 
 
 def _position_fidelities(run: _BaseRun, variance: float, samples: int,
-                         seed: int, rtol: float) -> tuple[np.ndarray, float]:
+                         seed: int) -> tuple[np.ndarray, float]:
     """Per-sample fidelities under position disorder, plus the fraction of
     draws whose emitter order swapped along the chain."""
     g = run.base.geometry
@@ -224,20 +206,19 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
         rows = np.flatnonzero(octaves == octave)
         fids[kept[rows]] = _batched_fidelities(
             tuple(x[rows] for x in stack),
-            [run.drive("rabi", 0.0)] * len(rows), run.eval_times, rtol)
+            [run.transfer.drive("rabi", 0.0)] * len(rows), run.eval_times,
+            run.base.rtol)
     return fids, float(swaps.mean())
 
 
 def _sweep(run: _BaseRun, spec: SweepSpec) -> SweepResult:
     """``sweep`` on an existing base run."""
     values = np.asarray(spec.values, dtype=float)
-    rtol = run.base.rtol
     if spec.axis != "position":
-        fids = _grid_fidelities(run, [(spec.axis, v) for v in values],
-                                rtol)
+        fids = _grid_fidelities(run, [(spec.axis, v) for v in values])
         return SweepResult(spec, values, fids, np.zeros_like(fids),
                            run.result.fidelity, run.result.t_pi)
-    draws = [_position_fidelities(run, v, spec.samples, spec.seed, rtol)
+    draws = [_position_fidelities(run, v, spec.samples, spec.seed)
              for v in values]
     means = np.array([f.mean() for f, _ in draws])
     errs = np.array([f.std(ddof=1) / np.sqrt(len(f)) if len(f) > 1 else 0.0
@@ -280,8 +261,7 @@ def _tolerances(run: _BaseRun, axes: tuple, thresholds: tuple) -> dict:
     def score(points):
         new = list(dict.fromkeys(p for p in points if p not in fidelity))
         if new:
-            fidelity.update(zip(new, _grid_fidelities(run, new,
-                                                      run.base.rtol)))
+            fidelity.update(zip(new, _grid_fidelities(run, new)))
 
     # 0.001 ... 0.512; doubling on its own stops at the cap of 1 after it.
     rungs = [TOLERANCE_RESOLUTION * 2.0**i for i in range(10)]

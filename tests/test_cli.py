@@ -287,6 +287,7 @@ class TestConfigValidation:
         ("table-prepare", "sweep", "variances", "0.9,high"),
         ("prepare", "drive", "e_mu", "-1.0"),
         ("rotate", "drive", "e_nu", "-1.0"),
+        ("rotate", "drive", "omega_delta", "0"),
         ("cphase4", "drive", "e_pulse", "-1.0"),
         ("table-prepare", "sweep", "samples", "0"),
         ("table-prepare", "sweep", "variances", "-0.1"),

@@ -12,7 +12,7 @@ from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    evolve_nojump, jump_operators, linear_array_xi)
 from dfsim import dynamics
 from dfsim.coupling import spectral_params
-from dfsim.dynamics import _tone_arrays, evolve_nojump_batch
+from dfsim.dynamics import Tone, _tone_arrays, evolve_nojump_batch
 from dfsim.hilbert import (drive_operator, excitation_numbers, ground_state,
                            lowering_operators, raising_operators,
                            static_hamiltonian)
@@ -215,6 +215,13 @@ class TestNoJump:
         d = DriveSpec.single(1.0, -5.0, np.zeros(4))
         with pytest.raises(ValueError, match="phase list"):
             evolve_nojump(ground_state(3), c, d, 1.0)
+
+    def test_rejects_more_than_two_tones(self):
+        # Both engines take one or two tones; a third is refused when the
+        # drive is built rather than run as one tone.
+        tone = Tone(1.0, -5.0, np.zeros(3))
+        with pytest.raises(ValueError, match="at most two tones"):
+            DriveSpec((tone, tone, tone))
 
     def test_rejects_state_of_wrong_dimension(self):
         # A three-emitter state with a four-emitter coupling set: both

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfsim import dynamics, protocols
 from dfsim import (DisorderSpec, calibrate_detuning, collective_eigenbasis,
@@ -11,7 +13,7 @@ from dfsim import (DisorderSpec, calibrate_detuning, collective_eigenbasis,
 from dfsim.hilbert import (drive_operator, excitation_numbers, ground_state,
                            static_hamiltonian)
 from dfsim.protocols import (CALIBRATION_GRID, ProtocolError, _calibrate,
-                             _phases_for, cphase4, find_first_inversion,
+                             _parabola_peak, _phases_for, cphase4, find_first_inversion,
                              rotation_rate_estimate)
 
 
@@ -268,8 +270,77 @@ class TestCalibration:
         with pytest.raises(ProtocolError, match="no interior"):
             _calibrate(score, 200.0, 0.3)
 
+    def test_zero_offset_rejected(self):
+        # A zero Raman offset has no smoothing window and no rotation rate;
+        # the rotation's transfer refuses it, whoever builds it.
+        with pytest.raises(ValueError, match="Raman offset must be nonzero"):
+            rotate_logical(self.G, 24.0, 60.0, 0.0, t_end=1.0)
+        with pytest.raises(ValueError, match="Raman offset must be nonzero"):
+            calibrate_detuning(self.G, 24.0, 60.0, 0.0)
+
+
+def loop_first_inversion(times, pops, smooth_window=0.0):
+    """Oracle for ``find_first_inversion``: the same search with the
+    hysteresis scan written as a per-sample loop."""
+    dt = times[1] - times[0]
+    w = int(round(smooth_window / dt)) if smooth_window > 0 else 1
+    if w > 1:
+        smoothed = np.convolve(pops, np.ones(w) / w, mode="same")
+        lo, hi = w, len(pops) - w
+    else:
+        smoothed = pops
+        lo, hi = 1, len(pops) - 1
+    if hi - lo < 3:
+        raise ProtocolError("trace too short for inversion search")
+    seg = smoothed[lo:hi]
+    peak = float(seg.max())
+    if peak <= 0:
+        raise ProtocolError("no population transfer observed")
+    reach = np.nonzero(seg >= 0.95 * peak)[0]
+    if len(reach) == 0:
+        raise ProtocolError("no population inversion found within the "
+                            "integration window")
+    k = int(reach[0])
+    run_val, run_idx = seg[k], k
+    dropped = False
+    for m in range(k + 1, len(seg)):
+        if seg[m] > run_val:
+            run_val, run_idx = seg[m], m
+        elif run_val - seg[m] > 0.02 * peak:
+            dropped = True
+            break
+    if not dropped and run_idx >= len(seg) - 2:
+        raise ProtocolError("population still rising at the end of the "
+                            "integration window")
+    idx = run_idx + lo
+    a = max(idx - 2 * w, 1)
+    b = min(idx + 2 * w + 1, len(pops) - 1)
+    j = a + int(np.argmax(pops[a:b]))
+    return _parabola_peak(times, pops, j), j
+
+
+def _outcome(search, times, pops, smooth_window):
+    try:
+        return search(times, pops, smooth_window=smooth_window)
+    except ProtocolError as exc:
+        return str(exc)
+
 
 class TestFirstInversion:
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.one_of(st.integers(0, 50), st.integers(46, 50)),
+                           min_size=4, max_size=60),
+           smooth_window=st.sampled_from([0.0, 0.02, 0.05]))
+    @example(levels=[0, 48, 47, 50, 0, 0], smooth_window=0.0)
+    def test_matches_per_sample_loop(self, levels, smooth_window):
+        # Integer levels give ties and plateaus; at a peak of 50 a drop of
+        # one level sits exactly on the hysteresis margin (2 % of the peak),
+        # so the scan must not stop at 47 in the example.
+        times = np.linspace(0.0, 1.0, len(levels))
+        pops = np.array(levels, dtype=float)
+        assert _outcome(find_first_inversion, times, pops, smooth_window) \
+            == _outcome(loop_first_inversion, times, pops, smooth_window)
+
     def test_clean_sine(self):
         t = np.linspace(0.0, 2.0, 4001)
         pop = np.sin(0.5 * np.pi * t / 0.9) ** 2

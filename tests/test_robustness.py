@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from dfsim import (DisorderSpec, ProtocolError, ScenarioBase, SweepSpec,
-                   collective_eigenbasis, coupling_matrices, linear_array_xi,
-                   rotate_logical, sample_disorder, spectral_params, sweep,
-                   tolerance)
-from dfsim import cli, protocols, robustness
+                   calibrate_detuning, collective_eigenbasis,
+                   coupling_matrices, linear_array_xi, rotate_logical,
+                   sample_disorder, spectral_params, sweep, tolerance)
+from dfsim import cli, coupling, hilbert, protocols, robustness
 from dfsim.hilbert import excitation_numbers
 from dfsim.robustness import rotate_merit_point, tolerance_table
 
@@ -105,9 +105,9 @@ class TestSweepEngine:
         draw = robustness._position_fidelities
         table = cli.tolerance_table
 
-        def counted_draw(run, variance, samples, seed, rtol):
+        def counted_draw(run, variance, samples, seed):
             draws.append((variance, seed))
-            return draw(run, variance, samples, seed, rtol)
+            return draw(run, variance, samples, seed)
 
         class CountedRun(robustness._BaseRun):
             def __init__(self, base):
@@ -173,7 +173,7 @@ def table1_batches(table1_run):
 
             mp.setattr(protocols, "evolve_nojump_batch", kept)
             robustness._position_fidelities(table1_run, variance, 100,
-                                            TABLE1_SEED, 1e-8)
+                                            TABLE1_SEED)
     return solves
 
 
@@ -211,7 +211,7 @@ class TestPositionBatches:
         # a predicted 0.9702.
         variance = 8e-7
         fids, _ = robustness._position_fidelities(table1_run, variance, 100,
-                                                  TABLE1_SEED, 1e-8)
+                                                  TABLE1_SEED)
         geoms = sample_disorder(table1_run.base.geometry, DisorderSpec(
             variance=variance, samples=100, seed=TABLE1_SEED))
         d = np.array([collective_eigenbasis(coupling_matrices(g)).energy("b")
@@ -222,6 +222,46 @@ class TestPositionBatches:
         predicted = res.fidelity * rabi**2 / w**2 * np.sin(w * res.t_pi)**2
         assert fids.mean() < 0.975
         assert abs(fids.mean() - predicted.mean()) < 2e-3
+
+
+class TestOneTransferPerRun:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Rows of every coupling build and every Hamiltonian
+        eigendecomposition, by kind."""
+        seen = {"couplings": [], "eigensystems": []}
+        stack, eigensystems = coupling._coupling_stack, hilbert._eigensystems
+
+        def counted_stack(positions, dipole):
+            seen["couplings"].append(len(positions))
+            return stack(positions, dipole)
+
+        def counted_eigensystems(h):
+            seen["eigensystems"].append(len(h))
+            return eigensystems(h)
+
+        monkeypatch.setattr(coupling, "_coupling_stack", counted_stack)
+        monkeypatch.setattr(hilbert, "_eigensystems", counted_eigensystems)
+        monkeypatch.setattr(protocols, "_eigensystems", counted_eigensystems)
+        return seen
+
+    @pytest.mark.parametrize("base", ["prep_base", "rot_base"])
+    def test_base_run_builds_the_nominal_system_once(self, builds, base,
+                                                     request):
+        # The nominal run, the nominal member and the sweep drives all come
+        # from one transfer: one coupling set, one eigendecomposition.
+        run = robustness._BaseRun(request.getfixturevalue(base))
+        assert builds == {"couplings": [1], "eigensystems": [1]}
+        assert np.array_equal(run.nominal_member[2][0],
+                              run.transfer.basis.vector(run.transfer.target))
+
+    def test_calibration_builds_the_nominal_system_once(self, builds,
+                                                        rot_base):
+        # The probe rotation and the scan member share the calibration's
+        # transfer.
+        calibrate_detuning(rot_base.geometry, rot_base.e_mu, rot_base.e_nu,
+                           rot_base.omega_delta)
+        assert builds == {"couplings": [1], "eigensystems": [1]}
 
 
 class TestStackedSweep:
@@ -245,7 +285,7 @@ class TestStackedSweep:
         assert res.mean_fidelity.tolist() == [0.0]
         assert res.stderr.tolist() == [0.0]
         fids, _ = robustness._position_fidelities(table1_run, 0.005, 5,
-                                                  TABLE1_SEED, 1e-8)
+                                                  TABLE1_SEED)
         assert fids.tolist() == [0.0] * 5
         assert built == []
 
@@ -257,7 +297,7 @@ class TestStackedSweep:
             protocol="prepare", axis="position", values=(0.005,),
             samples=1, seed=TABLE1_SEED))
         fids, _ = robustness._position_fidelities(table1_run, 0.005, 5,
-                                                  TABLE1_SEED, 1e-8)
+                                                  TABLE1_SEED)
         assert one.stderr.tolist() == [0.0]
         assert 0.0 < one.mean_fidelity[0] < 1.0
         assert abs(one.mean_fidelity[0] - fids[0]) < 1e-6
@@ -338,8 +378,7 @@ def sequential_tolerance(run, axis, threshold):
     resolution = robustness.TOLERANCE_RESOLUTION
 
     def fidelity_at(eps):
-        return float(robustness._grid_fidelities(run, [(axis, eps)],
-                                                 run.base.rtol)[0])
+        return float(robustness._grid_fidelities(run, [(axis, eps)])[0])
 
     def crossing(sign):
         lo, hi = 0.0, resolution
