@@ -18,9 +18,11 @@ operators), a tone contributes S = A⊗1 - 1⊗A^T and its adjoint S^dag,
 and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
 
 Under one tone or none, G is constant and an unbatched propagation is
-exact: on the even sample grid t_k = k dt the state is
-e^{-i w1 N t_k} U(dt)^k psi0 with U(dt) = expm(-i G dt), no integrator and
-no tolerance involved.  Everything else, two-tone runs and batches, is
+exact: from one eigendecomposition G = V Lambda V^-1 the state is
+e^{-i w1 N t} V e^{-i Lambda t} V^-1 psi0 at every sample, no integrator
+and no tolerance involved.  When V is ill-conditioned the state is stepped
+along the even sample grid t_k = k dt instead, as U(dt)^k psi0 with
+U(dt) = expm(-i G dt).  Everything else, two-tone runs and batches, is
 integrated with DOP853 at tolerance ``rtol``.  A two-tone G is periodic
 with the beat (Floquet propagation): the propagator U(s) over one period
 T = 2 pi/|D| is integrated once (at ``rtol`` divided by the number of
@@ -44,8 +46,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .coupling import GAMMA, PSD_TOLERANCE, CouplingSet
 from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
@@ -63,6 +63,19 @@ PERIOD_RTOL_FLOOR = 1e-13
 _NODES = 0.5 - 0.5 * np.cos(np.pi * (np.arange(8) + 0.5) / 8)
 
 _log = logging.getLogger("dfsim.dynamics")
+
+
+# scipy is imported on first use: runs under at most one tone never load it.
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``."""
+    from scipy.integrate import solve_ivp as solve
+    return solve(*args, **kwargs)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``."""
+    from scipy.linalg import expm as exponential
+    return exponential(a)
 
 
 class IntegrationError(RuntimeError):
@@ -189,26 +202,43 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
     return np.linspace(0.0, t_end, n_samples)
 
 
+def _conditioned_eig(m: np.ndarray, psi0: np.ndarray, what: str):
+    """Eigenvalues (B, dim), eigenvectors (B, dim, dim), the coefficients
+    (B, dim, 1) of ``psi0`` in them and the largest eigenvector condition
+    number of a stack of matrices, or None (with a warning) when that
+    condition number exceeds ``CONDITION_LIMIT``."""
+    lam, vecs = np.linalg.eig(m)
+    cond = float(np.max(np.linalg.cond(vecs)))
+    if cond > CONDITION_LIMIT:
+        _log.warning("%s eigenvectors ill-conditioned (cond %.3g > %.3g); "
+                     "stepping instead", what, cond, CONDITION_LIMIT)
+        return None
+    return lam, vecs, np.linalg.solve(vecs, psi0[:, :, None]), cond
+
+
+def _stepped_powers(u: np.ndarray, psi0: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """States U^n psi0 (B, dim, m) for ascending distinct counts n (m,),
+    applying U one step at a time."""
+    table = np.empty(psi0.shape + (len(counts),), dtype=complex)
+    psi, done = psi0, 0
+    for k, n in enumerate(counts):
+        for _ in range(n - done):
+            psi = np.einsum("bij,bj->bi", u, psi)
+        table[:, :, k], done = psi, n
+    return table
+
+
 def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
     """States U(T)^n psi0 (B, dim, m) for ascending distinct period counts
     n (m,).  Powers come from the eigendecomposition of U(T); with an
     ill-conditioned eigenvector matrix the states are stepped one period
     at a time instead."""
-    lam, vecs = np.linalg.eig(u_t)
-    cond = float(np.max(np.linalg.cond(vecs)))
-    if cond <= CONDITION_LIMIT:
-        coef = np.linalg.solve(vecs, psi0[:, :, None])
-        return vecs @ (np.exp(np.log(lam)[:, :, None] * counts) * coef)
-    _log.warning("period propagator eigenvectors ill-conditioned "
-                 "(cond %.3g > %.3g); stepping %d periods one by one",
-                 cond, CONDITION_LIMIT, counts.max())
-    table = np.empty(psi0.shape + (len(counts),), dtype=complex)
-    psi, done = psi0, 0
-    for k, n in enumerate(counts):
-        for _ in range(n - done):
-            psi = np.einsum("bij,bj->bi", u_t, psi)
-        table[:, :, k], done = psi, n
-    return table
+    eig = _conditioned_eig(u_t, psi0, "period propagator")
+    if eig is None:
+        return _stepped_powers(u_t, psi0, counts)
+    lam, vecs, coef, _ = eig
+    return vecs @ (np.exp(np.log(lam)[:, :, None] * counts) * coef)
 
 
 def _node_weights(x: np.ndarray) -> np.ndarray:
@@ -264,6 +294,8 @@ def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
                     rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR))
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
+    _log.debug("DOP853: %d members, %d periods, nfev %d", b, n_periods,
+               sol.nfev)
     levels, lev = np.unique(number, return_inverse=True)
 
     def frame(t):
@@ -297,18 +329,28 @@ def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
 def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
                      times: np.ndarray, number: np.ndarray) -> np.ndarray:
     """Sampled states (nt, dim) of a problem under at most one tone,
-    propagated exactly in the tone frame (see the module docstring).
+    propagated exactly in the tone frame from the eigendecomposition of its
+    constant generator G (see the module docstring).
 
-    ``times`` must be an even grid from 0: the one-tone generator is the
-    two-tone case with the period set to one grid step, so the state at
-    t_k = k dt is e^{-i w N t_k} U(dt)^k psi0 with U(dt) = expm(-i G dt).
+    With ill-conditioned eigenvectors ``times`` must be an even grid from
+    0: the state at t_k = k dt is then stepped as U(dt)^k psi0 with
+    U(dt) = expm(-i G dt).
     """
     det = tones[0][1] if tones else 0.0
     gen = hs - det * np.diag(number) + sum(a + a.conj().T for a, _ in tones)
-    step = times[1] if len(times) > 1 else 0.0
-    counts = np.arange(len(times))
-    powers = _period_powers(expm(-1j * step * gen)[None], psi0[None], counts)
-    return np.exp(-1j * det * np.outer(times, number)) * powers[0].T
+    eig = _conditioned_eig(gen[None], psi0[None], "generator")
+    if eig is None:
+        step = times[1] if len(times) > 1 else 0.0
+        phi = _stepped_powers(expm(-1j * step * gen)[None], psi0[None],
+                              np.arange(len(times)))[0]
+        _log.debug("one-tone expm steps: dim %d, %d samples", len(gen),
+                   len(times))
+    else:
+        lam, vecs, coef, cond = eig
+        phi = vecs[0] @ (np.exp(-1j * np.outer(lam[0], times)) * coef[0])
+        _log.debug("one-tone eig: dim %d, %d samples, eigenvector cond %.3g",
+                   len(gen), len(times), cond)
+    return np.exp(-1j * det * np.outer(times, number)) * phi.T
 
 
 def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,

@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfsim
 from dfsim import cli, dynamics, prepare_b, readout_fluorescence
 from dfsim.cli import ConfigError, list_scenarios, main, run
 
@@ -15,6 +19,7 @@ def no_solve(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", fail)
     monkeypatch.setattr(dynamics, "expm", fail)
+    monkeypatch.setattr(dynamics, "_evolve_one_tone", fail)
 
 
 KINDS = ("prepare", "rotate", "readout", "cphase4", "merit-prepare",
@@ -67,6 +72,52 @@ class TestListScenarios:
         assert main(["list"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == list_scenarios()
+
+
+# Printed by a fresh interpreter: which scipy solver modules it has loaded.
+SCIPY_LOADED = ("import sys\nprint(sorted(m for m in "
+                "('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+
+
+def _fresh(code: str) -> str:
+    """Last line that ``code`` prints in a fresh interpreter importing this
+    dfsim."""
+    src = str(Path(dfsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True,
+                          text=True).stdout.splitlines()[-1]
+
+
+class TestStartup:
+    """scipy is imported on the first solve that needs it: importing dfsim
+    and running scenarios under at most one tone never load it."""
+
+    def test_import_loads_no_scipy_solver(self):
+        assert _fresh("import dfsim, dfsim.cli\n" + SCIPY_LOADED) == "[]"
+
+    @pytest.mark.parametrize("name", ["prep-fig2a", "cluster-growth"])
+    def test_one_tone_run_loads_no_scipy_solver(self, tmp_path, name):
+        code = (f"from dfsim import cli\n"
+                f"cli.run({name!r}, out_dir={str(tmp_path)!r})\n")
+        assert _fresh(code + SCIPY_LOADED) == "[]"
+
+    def test_two_tone_rotation_loads_scipy_through_solve_ivp(self):
+        code = """
+import sys
+from dfsim import dynamics, linear_array_xi, rotate_logical
+lazy, calls = dynamics.solve_ivp, []
+def spy(*args, **kwargs):
+    calls.append(args[1])
+    return lazy(*args, **kwargs)
+dynamics.solve_ivp = spy
+before = 'scipy.integrate' in sys.modules
+rotate_logical(linear_array_xi(0.15, alpha=1.5707963267948966), 6.0, 15.0,
+               170.18, rtol=1e-7)
+print(before, len(calls), 'scipy.integrate' in sys.modules)
+"""
+        assert _fresh(code) == "False 1 True"
 
 
 class TestRun:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, evolve_lindblad,
@@ -325,15 +326,31 @@ class TestOneTone:
         assert "ill-conditioned" in caplog.text
         assert np.max(np.abs(got.states - want.states)) < 1e-10
 
+    def test_each_propagation_logs_its_engine_and_work(self, caplog):
+        c, d = fig2a_system()
+        c2, d2, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            evolve_nojump(ground_state(3), c, d, 1.0, n_samples=50)
+            evolve_nojump(psi0, c2, d2, 2.5 * 2.0 * np.pi / abs(beat),
+                          n_samples=40)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        assert lines[0].startswith("one-tone eig: dim 8, 50 samples, "
+                                   "eigenvector cond ")
+        assert lines[1].startswith("DOP853: 1 members, 3 periods, nfev ")
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("decay", [False, True])
     def test_batch_matches_expm_oracle(self, n, decay):
-        # Members differ in amplitude and detuning, and the samples lie in
-        # a window away from 0, as in the robustness sweeps.
+        # Members differ in amplitude and detuning, and the batch samples
+        # lie in a window away from 0, as in the robustness sweeps.  Each
+        # member also runs unbatched over several thousand samples, where
+        # the engine is exact.
         c = coupling_matrices(linear_array_xi(0.4, n=n, alpha=0.3))
         hs = static_hamiltonian(c, decay)
-        unit = drive_operator(0.4 * np.arange(n))
-        number = np.diag(excitation_numbers(n))
+        phases = 0.4 * np.arange(n)
+        unit = drive_operator(phases)
+        number = excitation_numbers(n)
         psi0 = np.exp(1j * np.arange(2**n)) / np.sqrt(2**n)
         members = [(1.0, -4.0), (2.5, 3.0), (0.4, 12.0)]
         times = np.linspace(0.7, 1.3, 25)
@@ -341,11 +358,18 @@ class TestOneTone:
             np.array([psi0] * 3), np.array([hs] * 3),
             [(np.array([rabi * unit for rabi, _ in members]),
               np.array([det for _, det in members]))], times, rtol=1e-10)
+
+        def oracle(gen, det, times):
+            return (np.exp(-1j * det * np.outer(times, number))
+                    * (expm(-1j * times[:, None, None] * gen) @ psi0))
+
         for k, (rabi, det) in enumerate(members):
-            gen = hs - det * number + rabi * (unit + unit.conj().T)
-            want = [np.exp(-1j * det * t * np.diag(number))
-                    * (expm(-1j * t * gen) @ psi0) for t in times]
-            assert np.max(np.abs(states[k] - want)) < 1e-8
+            gen = hs - det * np.diag(number) + rabi * (unit + unit.conj().T)
+            assert np.max(np.abs(states[k] - oracle(gen, det, times))) < 1e-8
+            traj = evolve_nojump(psi0, c, DriveSpec.single(rabi, det, phases),
+                                 1.3, decay=decay, n_samples=4000)
+            want = oracle(gen, det, traj.times)
+            assert np.max(np.abs(traj.states - want)) < 1e-10
 
 
 class TestTwoTone:
@@ -624,9 +648,43 @@ class TestMasterEquation:
         want = master_oracle(rho0, c, d, traj.times)
         assert np.max(np.abs(traj.states - want)) < 1e-8
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_one_tone_matches_expm_oracle(self, n, driven):
+        # The Liouvillian is built by applying the master equation, in the
+        # tone frame, to each matrix unit; its exponential acts on rho0 at
+        # every sample.
+        c = coupling_matrices(linear_array_xi(0.4, n=n, alpha=0.3))
+        d = (DriveSpec.single(2.5, 3.0, 0.4 * np.arange(n)) if driven
+             else DriveSpec.off())
+        det = d.tones[0].detuning if driven else 0.0
+        number = excitation_numbers(n)
+        heff = (static_hamiltonian(c) - det * np.diag(number)
+                + sum(a + a.conj().T for a, _ in _tone_arrays(c, d)))
+        jumps = jump_operators(c).operators
+        dim = 2**n
+
+        def master(rho):
+            return (-1j * (heff @ rho - rho @ heff.conj().T)
+                    + sum(j @ rho @ j.conj().T for j in jumps))
+
+        liouvillian = np.array([master(unit.reshape(dim, dim)).ravel()
+                                for unit in np.eye(dim * dim)]).T
+        rho0 = mixed_state(n)
+        traj = evolve_lindblad(rho0, c, d, 0.5)
+        times = traj.times
+        tone_frame = expm_multiply(liouvillian, rho0.ravel(), start=0.0,
+                                   stop=times[-1], num=len(times),
+                                   endpoint=True).reshape(-1, dim, dim)
+        frame = np.exp(-1j * det * np.outer(times, number))
+        want = frame[:, :, None] * tone_frame * frame[:, None, :].conj()
+        assert np.allclose(times, np.linspace(0.0, 0.5, len(times)))
+        assert np.max(np.abs(traj.states - want)) < 1e-10
+
     def test_equal_couplings_are_stepped(self, caplog):
         # The equal-coupling Liouvillian has ill-conditioned eigenvectors,
-        # so the step propagator's powers are taken one step at a time.
+        # so the state is stepped along the sample grid with the step
+        # propagator instead.
         c = dicke_coupling(3, delta=10.0)
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[7, 7] = 1.0
