@@ -297,9 +297,7 @@ def _run_prepare(values, out: _Output):
 
 
 def _run_rotate(values, out: _Output):
-    rtol, kdr = values["integrator.rtol"], values["drive.k_dot_r"]
-    out.add("rtol", rtol)
-    g = _geometry(values)
+    g, kdr = _geometry(values), values["drive.k_dot_r"]
     e_mu, e_nu = values["drive.e_mu"], values["drive.e_nu"]
     wd = values["drive.omega_delta"]
     if values["drive.calibrate"]:
@@ -307,8 +305,7 @@ def _run_rotate(values, out: _Output):
         out.add("omega_delta_nominal", wd)
         out.add("omega_delta_calibrated", wd_cal)
         wd = wd_cal
-    res = rotate_logical(g, e_mu, e_nu, wd, values["run.t_end"], k_dot_r=kdr,
-                         rtol=rtol)
+    res = rotate_logical(g, e_mu, e_nu, wd, values["run.t_end"], k_dot_r=kdr)
     _add_transfer(out, res, ("e_mu", "e_nu", "omega_delta", "k_dot_r",
                              "gamma_b", "gamma_c"),
                   "merit_rotations_per_lifetime")
@@ -367,12 +364,11 @@ def _run_merit_prepare(values, out: _Output):
 
 
 def _run_merit_rotate(values, out: _Output):
-    rtol, xi_values = values["integrator.rtol"], values["merit.xi_values"]
-    out.add("rtol", rtol)
+    xi_values = values["merit.xi_values"]
     points = [rotate_merit_point(xi, values["geometry.alpha"],
                                  values["merit.f_target"],
                                  values["drive.e_mu"], values["drive.e_nu"],
-                                 values["drive.omega_delta"], rtol=rtol)
+                                 values["drive.omega_delta"])
               for xi in xi_values]
     saturated = [int(p["saturated"]) for p in points]
     out.add_csv("merit", ["xi12", "amplitude_scale", "t_pi", "fidelity",
@@ -388,14 +384,14 @@ def _run_merit_rotate(values, out: _Output):
 
 
 def _run_table(protocol: str, values, out: _Output):
-    rtol = values["integrator.rtol"]
-    out.add("rtol", rtol)
+    if protocol == "prepare":
+        out.add("rtol", values["integrator.rtol"])
     two_tone = {} if protocol == "prepare" else {
         "e_nu": values["drive.e_nu"],
         "omega_delta": values["drive.omega_delta"]}
     base = ScenarioBase(geometry=_geometry(values), e_mu=values["drive.e_mu"],
                         k_dot_r=values["drive.k_dot_r"], protocol=protocol,
-                        rtol=rtol, **two_tone)
+                        rtol=values["integrator.rtol"], **two_tone)
     thresholds = values["sweep.thresholds"]
     variances = values["sweep.variances"]
     table = tolerance_table(base, thresholds=thresholds,
@@ -431,9 +427,9 @@ def _run_cluster(values, out: _Output):
 
 
 # Scenario type -> (handler(values, out), schema of the keys it takes
-# besides _COMMON).  The handlers whose solves the tolerance governs (two
-# tones, one-tone batches) record it in the summary; the others propagate
-# exactly and ignore it.
+# besides _COMMON).  The tolerance governs only one-tone batches, so only
+# table-prepare records it in the summary; the others propagate exactly
+# and ignore it.
 _TYPES = {
     "prepare": (_run_prepare, {**_ARRAY, **_E_MU, **_T_END}),
     "rotate": (_run_rotate, {**_ARRAY, **_raman(), **_T_END,
@@ -519,8 +515,8 @@ def main(argv=None) -> int:
                        f"(default: config, then ${ENV_OUTDIR}, then ./out)")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--tol", type=float, default=None,
-                       help="integrator relative tolerance of two-tone and "
-                            "batched one-tone solves")
+                       help="integrator relative tolerance of batched "
+                            "one-tone solves")
     sub.add_parser("list", help="list bundled scenario configs")
     args = parser.parse_args(argv)
 

@@ -17,32 +17,25 @@ H⊗1 - 1⊗H* + i sum_l J_l⊗J_l* (H the no-jump Hamiltonian, J_l the jump
 operators), a tone contributes S = A⊗1 - 1⊗A^T and its adjoint S^dag,
 and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
 
-Under one tone or none, G is constant and an unbatched propagation is
-exact: from one eigendecomposition G = V Lambda V^-1 the state is
-e^{-i w1 N t} V e^{-i Lambda t} V^-1 psi0 at every sample, no integrator
-and no tolerance involved.  When V is ill-conditioned the state is stepped
-along the even sample grid t_k = k dt instead, as U(dt)^k psi0 with
-U(dt) = expm(-i G dt).  Everything else, two-tone runs and batches, is
-integrated with DOP853 at tolerance ``rtol``.  A two-tone G is periodic
-with the beat (Floquet propagation): the propagator U(s) over one period
-T = 2 pi/|D| is integrated once (at ``rtol`` divided by the number of
-periods), and the state at t = n T + s is e^{-i w1 N t} U(s) U(T)^n psi0.
-U(T)^n psi0 is formed once per distinct n from the eigendecomposition of
-U(T), or stepped one period at a time when its eigenvectors are
-ill-conditioned.  On each solver step, DOP853's dense output U(s) is a
-degree-7 polynomial in the step fraction: a step holding more than 8
-samples is evaluated at 8 Chebyshev nodes only, and each sample is the
-Lagrange combination of the node propagators applied to its period power;
-a step holding 8 or fewer is evaluated at its samples.  One-tone batches, and
-two tones with no beat or a period no shorter than the window, integrate
-the initial states over the window itself in one span; the solver samples
-that span at the requested times and keeps no interpolant.  The frame
-factor is evaluated once per distinct excitation number.
+Under one tone (or two at zero beat, acting as one of summed amplitude) G
+is constant: with G = V L V^-1 the state is e^{-i w1 N t} V e^{-i L t} V^-1
+psi0.  Under two tones, in the frame of the stronger one, G is periodic:
+from one eigh (eig if S is not Hermitian) of its Sambe matrix, S - q D on
+the diagonal for |q| <= K and A2, A2^dag beside it, each Floquet state's
+copy centred nearest q = 0 is kept, its harmonics +-(K+1) added to first
+order, and psi(t) = e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t}
+phi_{k,q} (Shirley, Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7,
+2203 (1973)).  K starts from the bound min(1, (2r)^q / q!) on harmonic q,
+r = |A2| / |D|, and rises by 2 until sum_k |a_k| |phi_{k,+-(K+1)}| <=
+``_TAIL_LIMIT``.  With ill-conditioned eigenvectors (of G, or the mode sums
+at t = 0) the state, or the Sambe state, is stepped along the even sample
+grid with expm(-i G dt).  Only one-tone batches integrate (DOP853, rtol).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +48,8 @@ from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# Floor of the per-period tolerance of two-tone propagation.
-PERIOD_RTOL_FLOOR = 1e-13
-
-# DOP853's dense output is a degree-7 polynomial in the step fraction, so
-# its values at these 8 Chebyshev nodes of a step fix it on the whole step.
-_NODES = 0.5 - 0.5 * np.cos(np.pi * (np.arange(8) + 0.5) / 8)
+# Largest amplitude a Floquet propagation may leave in its edge harmonics.
+_TAIL_LIMIT = 1e-8
 
 _log = logging.getLogger("dfsim.dynamics")
 
@@ -202,181 +191,206 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
     return np.linspace(0.0, t_end, n_samples)
 
 
-def _conditioned_eig(m: np.ndarray, psi0: np.ndarray, what: str):
-    """Eigenvalues (B, dim), eigenvectors (B, dim, dim), the coefficients
-    (B, dim, 1) of ``psi0`` in them and the largest eigenvector condition
-    number of a stack of matrices, or None (with a warning) when that
-    condition number exceeds ``CONDITION_LIMIT``."""
-    lam, vecs = np.linalg.eig(m)
-    cond = float(np.max(np.linalg.cond(vecs)))
+def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
+             what: str, cond: float) -> np.ndarray:
+    """States e^{-i gen t} psi0 (B, dim, nt) of a stack on the even grid
+    ``times``, stepped from its first time with expm(-i gen dt) because the
+    eigenvectors of ``what`` have condition number ``cond``."""
+    _log.warning("%s eigenvectors ill-conditioned (cond %.3g > %.3g); "
+                 "stepping instead", what, cond, CONDITION_LIMIT)
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    u = expm(-1j * dt * gen)
+    out = [np.einsum("bij,bj->bi", expm(-1j * times[0] * gen), psi0)]
+    for _ in times[1:]:
+        out.append(np.einsum("bij,bj->bi", u, out[-1]))
+    return np.stack(out, axis=-1)
+
+
+def _grid_phases(freqs: np.ndarray, times: np.ndarray) -> tuple:
+    """Factors (..., A, W) and (..., J, W) of e^{-i f t} for ``freqs``
+    (..., W) on the even grid ``times``: sample J a + c is the product of
+    row a of the first and row c of the second, J about sqrt(nt)."""
+    nt = len(times)
+    dt = (times[-1] - times[0]) / max(nt - 1, 1)
+    span = math.isqrt(nt - 1) + 1
+    f = np.asarray(freqs)[..., None, :]
+    coarse = times[0] + span * dt * np.arange(-(-nt // span))
+    return (np.exp(-1j * f * coarse[:, None]),
+            np.exp(-1j * f * (dt * np.arange(span))[:, None]))
+
+
+def _sambe(static: np.ndarray, a2: np.ndarray, delta: float,
+           k: int) -> np.ndarray:
+    """Sambe matrices (B, (2k+1) dim, (2k+1) dim): static - q delta on the
+    diagonal for q = -k..k, a2 below it and a2^dag above it."""
+    (b, dim, _), n = static.shape, 2 * k + 1
+    h = np.zeros((b, n, dim, n, dim), dtype=np.result_type(static, a2))
+    for i in range(n):
+        h[:, i, :, i] = static - (i - k) * delta * np.eye(dim)
+        if i:
+            h[:, i, :, i - 1] = a2
+            h[:, i - 1, :, i] = a2.conj().transpose(0, 2, 1)
+    return h.reshape(b, n * dim, n * dim)
+
+
+def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
+                    times: np.ndarray, number: np.ndarray,
+                    k: int | None = None) -> np.ndarray:
+    """States (B, nt, dim) of a two-tone stack from its Floquet modes (see
+    the module docstring); arguments as for ``evolve_nojump_batch``, plus
+    the number diagonal and a K to start from instead of the a-priori one."""
+    if np.max(np.abs(np.diff(times, 2)), initial=0) > 1e-9 * times[-1]:
+        raise ValueError("two-tone propagation needs an even sample grid")
+    norms = [np.max(np.linalg.norm(a, 2, axis=(1, 2))) for a, _ in tones]
+    # The frame is the stronger tone's, so the weaker one is modulated.
+    (a1, det1), (a2, det2) = tones if norms[0] >= norms[1] else tones[::-1]
+    delta = float(det2[0] - det1[0])
+    (b, dim), eye = psi0.shape, np.eye(psi0.shape[1])
+    static = (hs + a1 + a1.conj().transpose(0, 2, 1)
+              - det1[:, None, None] * np.diag(number))
+    if k is None:  # the edge harmonics are K + 1
+        k, term = -1, 1.0
+        while term > _TAIL_LIMIT:
+            k += 1
+            term = min(1.0, term * 2.0 * min(norms) / abs(delta) / (k + 1))
+    hermitian = np.array_equal(static, static.conj().transpose(0, 2, 1))
+    # A stack that the emitter mirror P maps onto its conjugate (a nominal
+    # chain) is real in the basis v = ((1 + i) + (1 - i) P) / 2.
+    mirror = [int(f"{s:0{dim.bit_length() - 1}b}"[::-1], 2)
+              for s in range(dim)]
+    v, blocks = eye, (static, a2)
+    if all(np.array_equal(x[:, mirror][:, :, mirror], x.conj())
+           for x in blocks):
+        v = ((1 + 1j) * eye + (1 - 1j) * eye[mirror]) / 2
+        blocks = [(v.conj().T @ x @ v).real for x in blocks]
+    tail = np.nan
+    while True:
+        h = _sambe(*blocks, delta, k)
+        quasi, vecs = (np.linalg.eigh if hermitian else np.linalg.eig)(h)
+        # Per member, the dim modes whose weight is centred nearest q = 0.
+        vecs = vecs.reshape(b, 2 * k + 1, dim, -1)
+        centre = np.arange(-k, k + 1) @ np.sum(np.abs(vecs) ** 2, axis=2)
+        keep = np.argsort(np.abs(centre), axis=1, kind="stable")[:, :dim]
+        quasi = np.take_along_axis(quasi, keep, axis=1)
+        modes = v @ np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
+        # (e - S +- (K+1) D) u_{+-(K+1)} = A2 u_K or A2^dag u_{-K}.
+        edges = [np.linalg.solve(
+            quasi[:, :, None, None] * eye - static[:, None]
+            + sign * (k + 1) * delta * eye,
+            (op @ inner).transpose(0, 2, 1)[..., None])[..., 0]
+            .transpose(0, 2, 1)
+            for sign, op, inner in ((-1, a2.conj().transpose(0, 2, 1),
+                                     modes[:, 0]), (1, a2, modes[:, -1]))]
+        modes = np.concatenate([edges[0][:, None], modes, edges[1][:, None]],
+                               axis=1)
+        start = modes.sum(axis=1)
+        cond = float(np.max(np.linalg.cond(start)))
+        if cond > CONDITION_LIMIT:
+            break
+        coef = np.linalg.solve(start, psi0[:, :, None])[:, :, 0]
+        tail = float(np.max(np.sum(np.abs(coef) * np.linalg.norm(
+            modes[:, [0, -1]], axis=(1, 2)), axis=1)))
+        if tail <= _TAIL_LIMIT:
+            break
+        k += 2
+    _log.debug("Floquet (Sambe): %d members, dim %d, K %d, tail %.3g, "
+               "eigenvector cond %.3g", b, h.shape[1], k, tail, cond)
+    n = k + 1
     if cond > CONDITION_LIMIT:
-        _log.warning("%s eigenvectors ill-conditioned (cond %.3g > %.3g); "
-                     "stepping instead", what, cond, CONDITION_LIMIT)
-        return None
-    return lam, vecs, np.linalg.solve(vecs, psi0[:, :, None]), cond
+        psi = np.pad(psi0[:, None].astype(complex), ((0, 0), (n, n), (0, 0)))
+        sambe = _stepped(_sambe(static, a2, delta, n), psi.reshape(b, -1),
+                         times, "Floquet mode", cond)
+        phi = np.einsum("tq,bqit->bti", np.exp(-1j * np.outer(times, delta * (
+            np.arange(-n, n + 1)))), sambe.reshape(b, 2 * n + 1, dim, -1))
+        return phi * np.exp(-1j * det1[:, None, None] * times[:, None]
+                            * number)
+    # Phases split into coarse and fine grid factors, so that the sum over
+    # (k, q) of e^{-i (e_k + q D) t} a_k phi_{k,q} is one product.
+    (ce, fe), (cq, fq), (cf, ff) = (_grid_phases(f, times) for f in (
+        quasi, delta * np.arange(-n, n + 1), det1[:, None] * number))
+    coarse = ((ce[..., None] * cq[:, None])[..., None] * (
+        coef[:, :, None, None] * modes.transpose(0, 3, 1, 2))[:, None])
+    fine = (fe[..., None] * fq[:, None]).reshape(b, len(fq), -1)
+    phi = fine @ coarse.reshape(b, len(cq), -1, dim).swapaxes(1, 2).reshape(
+        b, fine.shape[2], -1)
+    phi = phi.reshape(b, len(fq), len(cq), dim) * ff[:, :, None] * cf[:, None]
+    return phi.swapaxes(1, 2).reshape(b, -1, dim)[:, :len(times)]
 
 
-def _stepped_powers(u: np.ndarray, psi0: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
-    """States U^n psi0 (B, dim, m) for ascending distinct counts n (m,),
-    applying U one step at a time."""
-    table = np.empty(psi0.shape + (len(counts),), dtype=complex)
-    psi, done = psi0, 0
-    for k, n in enumerate(counts):
-        for _ in range(n - done):
-            psi = np.einsum("bij,bj->bi", u, psi)
-        table[:, :, k], done = psi, n
-    return table
-
-
-def _period_powers(u_t: np.ndarray, psi0: np.ndarray, counts: np.ndarray):
-    """States U(T)^n psi0 (B, dim, m) for ascending distinct period counts
-    n (m,).  Powers come from the eigendecomposition of U(T); with an
-    ill-conditioned eigenvector matrix the states are stepped one period
-    at a time instead."""
-    eig = _conditioned_eig(u_t, psi0, "period propagator")
-    if eig is None:
-        return _stepped_powers(u_t, psi0, counts)
-    lam, vecs, coef, _ = eig
-    return vecs @ (np.exp(np.log(lam)[:, :, None] * counts) * coef)
-
-
-def _node_weights(x: np.ndarray) -> np.ndarray:
-    """Lagrange weights (8, m) of ``_NODES`` at step fractions x (m,)."""
-    gap = _NODES[:, None] - _NODES + np.eye(8)
-    fac = (x - _NODES[:, None]) / gap[:, :, None]
-    fac[np.arange(8), np.arange(8)] = 1.0
-    return fac.prod(axis=1)
-
-
-def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray,
-                       tones: list[tuple[np.ndarray, np.ndarray]],
+def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray, tone: tuple,
                        times: np.ndarray, number: np.ndarray,
                        rtol: float) -> np.ndarray:
-    """Sampled states (B, nt, dim) of a stack of one- or two-tone problems,
-    integrated with DOP853 in the frame of the first tone (see the module
-    docstring).  Arguments as for ``evolve_nojump_batch``, plus the number
-    diagonal."""
-    (a1, det1), *second = tones
-    b, dim = psi0.shape
-    psi0 = psi0.astype(complex)
-    t_end = float(times[-1])
-    # The factor -i of the equation is taken into every generator term
-    # once per solve, so that each right-hand side is a single matmul.
-    static = -1j * (hs + a1 + a1.conj().transpose(0, 2, 1)
-                    - det1[:, None, None] * np.diag(number))
-    delta = 0.0
-    if second:
-        (a2, det2), = second
-        beats = det2 - det1
-        delta = float(beats[0])
-        if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
-            raise ValueError("batch members must share the beat between the "
-                             "two tones")
-        a2, a2d = -1j * a2, -1j * a2.conj().transpose(0, 2, 1)
-    period = 2.0 * np.pi / abs(delta) if delta else np.inf
-    n_periods = int(np.ceil(t_end / period)) if period < t_end else 1
-    span = period if n_periods > 1 else t_end
-    y0 = (np.broadcast_to(np.eye(dim, dtype=complex), (b, dim, dim))
-          if n_periods > 1 else psi0[:, :, None])
-    cols = y0.shape[2]
-
-    def rhs(t, y):
-        gen = static
-        if second:
-            ph = np.exp(-1j * delta * t)
-            gen = static + ph * a2 + np.conj(ph) * a2d
-        return (gen @ y.reshape(b, dim, cols)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, span), y0.ravel(), method="DOP853",
-                    t_eval=None if n_periods > 1 else times,
-                    dense_output=n_periods > 1, atol=DEFAULT_ATOL,
-                    rtol=max(rtol / n_periods, PERIOD_RTOL_FLOOR))
+    """Sampled states (B, nt, dim) of a one-tone stack, integrated with
+    DOP853 in the tone frame; arguments as for ``evolve_nojump_batch``, plus
+    the number diagonal.  Each right-hand side is a single matmul."""
+    (a, det), (b, dim) = tone, psi0.shape
+    gen = -1j * (hs + a + a.conj().transpose(0, 2, 1)
+                 - det[:, None, None] * np.diag(number))
+    sol = solve_ivp(lambda t, y: (gen @ y.reshape(b, dim, 1)).ravel(),
+                    (0.0, float(times[-1])), psi0.astype(complex).ravel(),
+                    method="DOP853", t_eval=times, atol=DEFAULT_ATOL,
+                    rtol=rtol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    _log.debug("DOP853: %d members, %d periods, nfev %d", b, n_periods,
-               sol.nfev)
-    levels, lev = np.unique(number, return_inverse=True)
-
-    def frame(t):
-        return np.exp(-1j * det1[:, None, None] * t[None, :, None]
-                      * levels)[:, :, lev]
-
-    if n_periods == 1:
-        return frame(times) * sol.y.reshape(b, dim, -1).transpose(0, 2, 1)
-    counts = np.minimum(np.floor(times / span), n_periods - 1).astype(int)
-    phase_in_period = times - counts * span
-    needed, which = np.unique(counts, return_inverse=True)
-    powers = _period_powers(sol.y[:, -1].reshape(b, dim, dim), psi0, needed)
-    step = np.clip(np.searchsorted(sol.t, phase_in_period) - 1, 0,
-                   len(sol.t) - 2)
-    order = np.argsort(step, kind="stable")
-    out = np.empty((b, len(times), dim), dtype=complex)
-    for idx in np.split(order, np.flatnonzero(np.diff(step[order])) + 1):
-        p, x = powers[:, :, which[idx]], phase_in_period[idx]
-        if len(idx) > len(_NODES):
-            t0, t1 = sol.t[step[idx[0]]:step[idx[0]] + 2]
-            u_n = sol.sol(t0 + (t1 - t0) * _NODES).T.reshape(-1, b, dim, dim)
-            weights = _node_weights((x - t0) / (t1 - t0))
-            psi = sum(u @ (w * p) for u, w in zip(u_n, weights))
-        else:
-            u_s = sol.sol(x).reshape(b, dim, dim, len(idx))
-            psi = np.einsum("bijm,bjm->bim", u_s, p)
-        out[:, idx] = frame(times[idx]) * psi.transpose(0, 2, 1)
-    return out
+    _log.debug("DOP853: %d members, nfev %d", b, sol.nfev)
+    return (np.exp(-1j * det[:, None, None] * times[None, :, None] * number)
+            * sol.y.reshape(b, dim, -1).transpose(0, 2, 1))
 
 
 def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
                      times: np.ndarray, number: np.ndarray) -> np.ndarray:
-    """Sampled states (nt, dim) of a problem under at most one tone,
-    propagated exactly in the tone frame from the eigendecomposition of its
-    constant generator G (see the module docstring).
-
-    With ill-conditioned eigenvectors ``times`` must be an even grid from
-    0: the state at t_k = k dt is then stepped as U(dt)^k psi0 with
-    U(dt) = expm(-i G dt).
-    """
+    """Sampled states (nt, dim) under at most one tone, from the
+    eigendecomposition of the constant generator (see the module
+    docstring)."""
     det = tones[0][1] if tones else 0.0
     gen = hs - det * np.diag(number) + sum(a + a.conj().T for a, _ in tones)
-    eig = _conditioned_eig(gen[None], psi0[None], "generator")
-    if eig is None:
-        step = times[1] if len(times) > 1 else 0.0
-        phi = _stepped_powers(expm(-1j * step * gen)[None], psi0[None],
-                              np.arange(len(times)))[0]
-        _log.debug("one-tone expm steps: dim %d, %d samples", len(gen),
-                   len(times))
+    lam, vecs = np.linalg.eig(gen[None])
+    cond = float(np.max(np.linalg.cond(vecs)))
+    if cond > CONDITION_LIMIT:
+        phi = _stepped(gen[None], psi0[None], times, "generator", cond)[0]
     else:
-        lam, vecs, coef, cond = eig
+        coef = np.linalg.solve(vecs, psi0[None, :, None])
         phi = vecs[0] @ (np.exp(-1j * np.outer(lam[0], times)) * coef[0])
-        _log.debug("one-tone eig: dim %d, %d samples, eigenvector cond %.3g",
-                   len(gen), len(times), cond)
+    _log.debug("one-tone %s: dim %d, %d samples, eigenvector cond %.3g",
+               "expm steps" if cond > CONDITION_LIMIT else "eig", len(gen),
+               len(times), cond)
     return np.exp(-1j * det * np.outer(times, number)) * phi.T
 
 
+def _beat(tones: list) -> tuple:
+    """A stack's tones and the beat w2 - w1 all members share; two tones at
+    zero beat become one tone of summed amplitude, at beat 0."""
+    if len(tones) < 2:
+        return tones, 0.0
+    beats = tones[1][1] - tones[0][1]
+    delta = float(beats[0])
+    if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
+        raise ValueError("batch members must share the beat between the "
+                         "two tones")
+    return (tones, delta) if delta else ([(tones[0][0] + tones[1][0],
+                                           tones[0][1])], 0.0)
+
+
 def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,
-               number: np.ndarray, times: np.ndarray,
-               rtol: float) -> np.ndarray:
-    """Sampled states (nt, dim) of i dy/dt = G(t) y from ``y0``, G being
-    ``static`` plus e^{-i w t} A + h.c. for each tone (A, w) in ``tones``,
-    with ``number`` the diagonal ``static`` conserves (see the module
-    docstring)."""
-    if len(tones) == 2:
-        return _evolve_integrated(
-            y0[None], static[None],
-            [(a[None], np.array([det])) for a, det in tones],
-            times, number, rtol)[0]
-    return _evolve_one_tone(y0, static, tones, times, number)
+               number: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Sampled states (nt, dim) of i dy/dt = G(t) y, G being ``static``
+    (which conserves the diagonal ``number``) plus e^{-i w t} A + h.c. for
+    each tone (A, w) in ``tones`` (see the module docstring)."""
+    tones, delta = _beat([(a[None], np.array([det])) for a, det in tones])
+    if delta:
+        return _evolve_floquet(y0[None], static[None], tones, times,
+                               number)[0]
+    return _evolve_one_tone(y0, static, [(a[0], det[0]) for a, det in tones],
+                            times, number)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
-                  t_end: float, rtol: float = DEFAULT_RTOL,
-                  decay: bool = True, n_samples: int | None = None,
+                  t_end: float, decay: bool = True,
+                  n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
     """Evolve i dpsi/dt = H_eff(t) psi on an even grid of ``n_samples``
-    times over [0, t_end]: exactly in the tone frame for at most one tone,
-    through one integrated beat period for two tones (see the module
-    docstring).  ``rtol`` applies to the two-tone period integration
-    only.
+    times over [0, t_end], exactly: in the tone frame for at most one tone,
+    from the Floquet modes for two (see the module docstring).
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -393,7 +407,7 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
     hs = static_hamiltonian(c, decay)
     tones = _tone_arrays(c, d)
     times = _sample_times(c, d, basis, t_end, n_samples)
-    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times, rtol)
+    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times)
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,
@@ -401,11 +415,11 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 
 def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
-                    t_end: float, rtol: float = DEFAULT_RTOL) -> Trajectory:
+                    t_end: float) -> Trajectory:
     """Evolve the master equation (no-jump generator plus jump refilling)
     through the propagator of ``evolve_nojump``, as a vectorised density
-    matrix (see the module docstring); ``rtol`` applies to two tones
-    only.  Hermiticity is enforced on every sampled state."""
+    matrix (see the module docstring).  Hermiticity is enforced on every
+    sampled state."""
     rho0 = np.asarray(rho0, dtype=complex)
     dim = 2**c.n
     if rho0.shape != (dim, dim):
@@ -430,8 +444,8 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
     number = excitation_numbers(c.n)
     times = _sample_times(c, d, basis, t_end, None)
     states = _propagate(rho0.ravel(), static, tones,
-                        np.subtract.outer(number, number).ravel(), times,
-                        rtol).reshape(-1, dim, dim)
+                        np.subtract.outer(number, number).ravel(),
+                        times).reshape(-1, dim, dim)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     traces = np.einsum("kii->k", states).real
     pops = np.einsum("lk,tkm,ml->tl", basis.left, states,
@@ -449,26 +463,22 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
                         tones: list[tuple[np.ndarray, np.ndarray]],
                         times: np.ndarray,
                         rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Integrate a stack of independent no-jump problems in one solver call.
+    """Propagate a stack of independent no-jump problems in one call.
 
     psi0 : (B, dim) initial states
     hs   : (B, dim, dim) static Hamiltonians
     tones: one or two (A, detunings), A of shape (B, dim, dim) and
            detunings of shape (B,)
-    times: strictly ascending sample times; the integration runs from 0
-           to the last of them
-    Returns the sampled history (B, nt, dim).  Sharing one solver keeps the
-    per-call overhead small for parameter scans.  Every member is
-    integrated with DOP853 in the frame of its first tone, at relative
-    tolerance ``rtol``; two tones go through one beat period, which all
-    members must share (see the module docstring).  The step controller
-    bounds the RMS of the scaled local error over the whole stacked state
-    (B dim entries, B dim^2 for a beat-period propagator), so one member's
-    error enters with weight 1/sqrt(entries): a member can err more than
-    ``rtol`` alone would allow, and a member with faster dynamics shortens
-    every member's steps.
+    times: ascending sample times, an even grid under two tones
+    Returns the sampled history (B, nt, dim).  Two tones are exact from
+    their Floquet modes; all members must share their beat.  One tone is
+    integrated with DOP853 from 0, at relative tolerance ``rtol`` on the RMS
+    error of the whole stack: one member can err more than ``rtol`` alone
+    would allow, and the fastest member sets every step.
     """
     _check_end(times[-1])
-    n = psi0.shape[1].bit_length() - 1
-    return _evolve_integrated(psi0, hs, tones, times, excitation_numbers(n),
-                              rtol)
+    number = excitation_numbers(psi0.shape[1].bit_length() - 1)
+    tones, delta = _beat(tones)
+    if delta:
+        return _evolve_floquet(psi0, hs, tones, times, number)
+    return _evolve_integrated(psi0, hs, tones[0], times, number, rtol)

@@ -25,12 +25,11 @@ from .hilbert import (LABELS, _eigensystems, _hamiltonians,
 
 
 # Raman-offset calibration: points per scan grid, the step the returned
-# offset is snapped to, the relative half-width of the scan around the
-# nominal offset, and the tolerance of its batched solves.
+# offset is snapped to, and the relative half-width of the scan around the
+# nominal offset.
 CALIBRATION_GRID = 11
 CALIBRATION_RESOLUTION = 0.01
 CALIBRATION_WINDOW = 0.2
-CALIBRATION_RTOL = 1e-5
 
 
 class ProtocolError(RuntimeError):
@@ -269,14 +268,13 @@ class _Transfer:
                                 "t_end explicitly")
         return cycles * np.pi / (2.0 * rate)
 
-    def run(self, t_end: float | None = None, decay: bool = False,
-            **tolerance) -> ProtocolResult:
+    def run(self, t_end: float | None = None,
+            decay: bool = False) -> ProtocolResult:
         """Evolve the nominal drive from the initial state over ``t_end``
         (default ``window()``) and score the first inversion into the
-        target level, smoothed over the ripple.  ``tolerance`` (the
-        rotation's ``rtol``) is passed on to ``evolve_nojump`` and recorded
-        in ``params_used``.  The merit is inversions per lifetime at the
-        mean linewidth of the levels transferred between (b, or b and c)."""
+        target level, smoothed over the ripple.  The merit is inversions
+        per lifetime at the mean linewidth of the levels transferred
+        between (b, or b and c)."""
         t_end = self.window() if t_end is None else t_end
         basis, detunings = self.basis, self.detunings(self.frequency)
         phases = self.phases(self.geometry.positions[:, 0])
@@ -284,8 +282,7 @@ class _Transfer:
                                 zip(self.amplitudes, detunings)))
         psi0, target = self.states(basis.vectors)
         traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
-                             drive, t_end, decay=decay, basis=basis,
-                             **tolerance)
+                             drive, t_end, decay=decay, basis=basis)
         pop = traj.populations_renormalized[:, basis.index(self.target)]
         t_pi, j = find_first_inversion(
             traj.times, pop, smooth_window=min(self.ripple, t_end / 10.0))
@@ -295,8 +292,7 @@ class _Transfer:
         if self.protocol == "rotate":
             params["omega_delta"] = self.frequency
         params.update(zip(("omega_mu", "omega_nu"), detunings))
-        params.update(k_dot_r=self.kdr, **gammas, decay=decay, **tolerance,
-                      t_end=t_end)
+        params.update(k_dot_r=self.kdr, **gammas, decay=decay, t_end=t_end)
         psi = traj.states[j]
         return ProtocolResult(
             fidelity(psi, target), fidelity_raw(psi, target), t_pi,
@@ -304,11 +300,11 @@ class _Transfer:
 
 
 def _batched_fidelities(members: tuple, drives: list, times: np.ndarray,
-                        rtol: float) -> np.ndarray:
+                        rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Best fidelity over ``times`` for each batch member, all in one
     solve; member ``i`` (row ``i`` of the ``_Transfer.members`` stacks, or
     their one row for every drive) is driven at the tone amplitudes and
-    detunings ``drives[i]``."""
+    detunings ``drives[i]``.  ``rtol`` governs one-tone batches only."""
     h_stack, psi0, targets, units = (
         np.broadcast_to(x, (len(drives),) + x.shape[1:]) for x in members)
     tone_stacks = [(np.array([amps[k] * unit
@@ -336,8 +332,8 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
 
 def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
                    omega_delta: float = 170.0, t_end: float | None = None,
-                   *, k_dot_r: float | None = None, decay: bool = False,
-                   rtol: float = DEFAULT_RTOL) -> ProtocolResult:
+                   *, k_dot_r: float | None = None,
+                   decay: bool = False) -> ProtocolResult:
     """Two-tone Raman rotation between the two lowest one-excitation levels.
 
     Tone detunings are w_mu = omega_delta and
@@ -345,7 +341,7 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
     ``omega_delta`` above the shared upper level of the Raman pair.
     """
     return _Transfer("rotate", g, (e_mu, e_nu), omega_delta,
-                     k_dot_r).run(t_end, decay, rtol=rtol)
+                     k_dot_r).run(t_end, decay)
 
 
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
@@ -355,13 +351,13 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     maximising the transfer fidelity over the first cycle.
 
     The scan covers ``+- CALIBRATION_WINDOW`` (relative) around the nominal
-    value with two successive batched grids (``_calibrate``) solved at
-    ``CALIBRATION_RTOL``; each candidate scores its best transfer fidelity
+    value with two successive batched grids (``_calibrate``); each
+    candidate scores its best transfer fidelity
     over a window of 1.45 probe inversion times, the probe being the
     nominal rotation.  Raises if the maximum sits at the scan edge.
     """
     tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta_nominal, k_dot_r)
-    probe = tr.run(rtol=10.0 * CALIBRATION_RTOL)
+    probe = tr.run()
     # Detunings at the low scan edge slow the transfer; size the window so
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
@@ -371,7 +367,7 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     def scores(offsets: np.ndarray) -> np.ndarray:
         return _batched_fidelities(
             member, [(tr.amplitudes, tr.detunings(w)) for w in offsets],
-            times, CALIBRATION_RTOL)
+            times)
 
     return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)
 

@@ -8,8 +8,8 @@ independent; position draws use a per-sample split of the seed stream.
 The draws, their couplings and their batch members are each built as one
 stack, one row per draw, and the draws share solver calls: every draw
 whose coupling scale is below twice the nominal one joins one solve, and
-each octave above that gets its own, so that a strongly coupled draw's
-short steps do not slow the others.  Every
+each octave above that gets its own, so that under one tone a strongly
+coupled draw's short integrator steps do not slow the others.  Every
 variance of a sweep draws from the sweep's seed, so a variance's draws
 depend only on (seed, variance) and variances share common random numbers.
 Amplitude and detuning tolerances share one search: a batched doubling
@@ -59,7 +59,7 @@ MERIT_CALIBRATION_WINDOW = 0.3
 
 @dataclass(frozen=True)
 class ScenarioBase:
-    """Base protocol parameters for a sweep."""
+    """Base protocol parameters for a sweep; rtol governs one-tone batches."""
 
     geometry: Geometry
     e_mu: float
@@ -160,7 +160,7 @@ class _BaseRun:
             base.protocol, base.geometry,
             (base.e_mu, base.e_nu) if rotate else (base.e_mu,),
             base.omega_delta, base.k_dot_r)
-        self.result = res = tr.run(rtol=base.rtol) if rotate else tr.run()
+        self.result = res = tr.run()
         self.nominal_member = tr.nominal_member()
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
@@ -368,8 +368,7 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
 
 def rotate_merit_point(xi: float, alpha: float, f_target: float,
                        e_mu: float = 6.0, e_nu: float = 15.0,
-                       omega_delta: float = 170.0,
-                       rtol: float = 1e-5) -> dict:
+                       omega_delta: float = 170.0) -> dict:
     """Largest common amplitude scale holding the rotation fidelity at the
     target, and the figure of merit there.
 
@@ -409,8 +408,7 @@ def rotate_merit_point(xi: float, alpha: float, f_target: float,
         if est <= 0 or np.pi / (2.0 * est) > MERIT_T_CAP:
             return None
         try:
-            return rotate_logical(g, e_mu * scale, e_nu * scale, omega_delta,
-                                  rtol=rtol)
+            return rotate_logical(g, e_mu * scale, e_nu * scale, omega_delta)
         except ProtocolError:
             return None
 
@@ -451,7 +449,7 @@ def _merit_offset(g: Geometry, e_mu: float, e_nu: float,
     rotation finds no inversion scores zero."""
     def first_inversion(w: float) -> float:
         try:
-            return rotate_logical(g, e_mu, e_nu, w, rtol=1e-4).fidelity
+            return rotate_logical(g, e_mu, e_nu, w).fidelity
         except ProtocolError:
             return 0.0
 

@@ -38,7 +38,7 @@ def fig3a_result():
     g = linear_array_xi(0.15, alpha=np.pi / 2)
     start = time.perf_counter()
     wd = calibrate_detuning(g, 6.0, 15.0, 170.0)
-    res = rotate_logical(g, 6.0, 15.0, wd, rtol=1e-8)
+    res = rotate_logical(g, 6.0, 15.0, wd)
     return wd, res, time.perf_counter() - start
 
 

@@ -20,6 +20,7 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_ivp", fail)
     monkeypatch.setattr(dynamics, "expm", fail)
     monkeypatch.setattr(dynamics, "_evolve_one_tone", fail)
+    monkeypatch.setattr(dynamics, "_evolve_floquet", fail)
 
 
 KINDS = ("prepare", "rotate", "readout", "cphase4", "merit-prepare",
@@ -92,7 +93,7 @@ def _fresh(code: str) -> str:
 
 class TestStartup:
     """scipy is imported on the first solve that needs it: importing dfsim
-    and running scenarios under at most one tone never load it."""
+    and running scenarios without a one-tone batch never load it."""
 
     def test_import_loads_no_scipy_solver(self):
         assert _fresh("import dfsim, dfsim.cli\n" + SCIPY_LOADED) == "[]"
@@ -103,21 +104,12 @@ class TestStartup:
                 f"cli.run({name!r}, out_dir={str(tmp_path)!r})\n")
         assert _fresh(code + SCIPY_LOADED) == "[]"
 
-    def test_two_tone_rotation_loads_scipy_through_solve_ivp(self):
-        code = """
-import sys
-from dfsim import dynamics, linear_array_xi, rotate_logical
-lazy, calls = dynamics.solve_ivp, []
-def spy(*args, **kwargs):
-    calls.append(args[1])
-    return lazy(*args, **kwargs)
-dynamics.solve_ivp = spy
-before = 'scipy.integrate' in sys.modules
-rotate_logical(linear_array_xi(0.15, alpha=1.5707963267948966), 6.0, 15.0,
-               170.18, rtol=1e-7)
-print(before, len(calls), 'scipy.integrate' in sys.modules)
-"""
-        assert _fresh(code) == "False 1 True"
+    def test_two_tone_rotation_loads_no_scipy_solver(self, tmp_path):
+        # Calibration grids and the rotation all propagate from Floquet
+        # modes.
+        code = (f"from dfsim import cli\n"
+                f"cli.run('rot-fig3a', out_dir={str(tmp_path)!r})\n")
+        assert _fresh(code + SCIPY_LOADED) == "[]"
 
 
 class TestRun:

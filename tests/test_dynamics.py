@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 from dfsim import (CouplingSet, DriveSpec, collective_eigenbasis,
                    coupling_matrices, dicke_coupling, evolve_lindblad,
                    evolve_nojump, jump_operators, linear_array_xi)
-from dfsim import dynamics
+from dfsim import dynamics, protocols, rotate_logical
 from dfsim.coupling import spectral_params
 from dfsim.dynamics import Tone, _tone_arrays, evolve_nojump_batch
 from dfsim.hilbert import (drive_operator, excitation_numbers, ground_state,
@@ -169,11 +170,14 @@ class TestNoJump:
         assert np.max(np.abs(traj.norms**2 - predicted)) < 1e-6
 
     def test_one_tone_is_independent_of_tolerance(self):
-        # One tone is propagated exactly: no tolerance enters.
+        # Unbatched runs are exact under any drive, so neither engine takes
+        # a tolerance.
         c, d = fig2a_system()
-        a = evolve_nojump(ground_state(3), c, d, 1.0, rtol=1e-3).states
-        b = evolve_nojump(ground_state(3), c, d, 1.0, rtol=1e-9).states
-        assert np.array_equal(a, b)
+        psi = ground_state(3)
+        with pytest.raises(TypeError, match="rtol"):
+            evolve_nojump(psi, c, d, 1.0, rtol=1e-3)
+        with pytest.raises(TypeError, match="rtol"):
+            evolve_lindblad(np.outer(psi, psi), c, d, 1.0, rtol=1e-3)
 
     def test_integrator_error_scales_with_tolerance(self):
         # One tone is exact in evolve_nojump; the batched engine
@@ -337,7 +341,12 @@ class TestOneTone:
         assert len(lines) == 2
         assert lines[0].startswith("one-tone eig: dim 8, 50 samples, "
                                    "eigenvector cond ")
-        assert lines[1].startswith("DOP853: 1 members, 3 periods, nfev ")
+        floquet = re.fullmatch(r"Floquet \(Sambe\): 1 members, dim (\d+), "
+                               r"K (\d+), tail (\S+), eigenvector cond \S+",
+                               lines[1])
+        dim, k, tail = floquet.groups()
+        assert int(dim) == 8 * (2 * int(k) + 1)
+        assert float(tail) <= dynamics._TAIL_LIMIT
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("decay", [False, True])
@@ -373,7 +382,7 @@ class TestOneTone:
 
 
 class TestTwoTone:
-    """Two-tone drives are propagated through one beat period."""
+    """Two-tone drives are propagated exactly from their Floquet modes."""
 
     @settings(max_examples=12, deadline=None)
     @given(xi=st.floats(0.12, 0.6), alpha=st.floats(0.0, np.pi / 2),
@@ -384,10 +393,9 @@ class TestTwoTone:
                                  decay, periods):
         c, d, psi0, beat = raman_system(xi, alpha, e_mu, e_nu, omega_delta)
         t_end = periods * 2.0 * np.pi / abs(beat)
-        traj = evolve_nojump(psi0, c, d, t_end, rtol=1e-9, decay=decay,
-                             n_samples=60)
+        traj = evolve_nojump(psi0, c, d, t_end, decay=decay, n_samples=60)
         want = rk45_oracle(psi0, c, d, traj.times, decay)
-        assert np.max(np.abs(traj.states - want)) < 1e-6
+        assert np.max(np.abs(traj.states - want)) < 1e-8
 
     def test_batch_members_with_different_tone_detunings(self):
         c, _, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 0.0)
@@ -400,21 +408,36 @@ class TestTwoTone:
             np.array([psi0] * 3), np.array([hs] * 3),
             [(np.array([e1 * unit for e1, _, _ in members]), det1),
              (np.array([e2 * unit for _, e2, _ in members]), det1 + beat)],
-            times, rtol=1e-8)
+            times)
         for k, (e1, e2, w) in enumerate(members):
             d = DriveSpec.two_tone(e1, w, e2, w + beat,
                                    0.3 * np.array([-1.0, 0.0, 1.0]))
             want = rk45_oracle(psi0, c, d, times, decay=False)
-            assert np.max(np.abs(states[k] - want)) < 1e-6
+            assert np.max(np.abs(states[k] - want)) < 1e-8
+
+    @pytest.mark.parametrize("decay", [False, True])
+    def test_members_without_mirror_symmetry(self, decay):
+        # Drive phases that the emitter mirror does not map onto their
+        # conjugates leave the complex Sambe matrices, with no real form.
+        c, _, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 40.0)
+        phases = np.array([-0.4, 0.1, 0.3])
+        d = DriveSpec.two_tone(6.0, 40.0, 15.0, 40.0 + beat, phases)
+        times = np.linspace(0.0, 3.5 * 2.0 * np.pi / abs(beat), 40)
+        tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
+        states = evolve_nojump_batch(psi0[None],
+                                     static_hamiltonian(c, decay)[None],
+                                     tones, times)[0]
+        want = rk45_oracle(psi0, c, d, times, decay)
+        assert np.max(np.abs(states - want)) < 1e-8
 
     def test_no_beat_matches_one_tone_of_summed_amplitude(self):
         c, d = fig2a_system()
         tone = d.tones[0]
         split = DriveSpec.two_tone(0.3, tone.detuning, 0.7, tone.detuning,
                                    tone.phases)
-        two = evolve_nojump(ground_state(3), c, split, 2.0, rtol=1e-10)
+        two = evolve_nojump(ground_state(3), c, split, 2.0)
         one = evolve_nojump(ground_state(3), c, d, 2.0)
-        assert np.max(np.abs(two.states - one.states)) < 1e-7
+        assert np.max(np.abs(two.states - one.states)) < 1e-12
 
     def test_members_with_different_beats_raise(self):
         c, d = fig2a_system()
@@ -427,6 +450,14 @@ class TestTwoTone:
                  (np.array([a, a]), np.array([100.0, 101.0]))],
                 np.linspace(0.0, 1.0, 5))
 
+    def test_uneven_sample_grid_raises(self):
+        # Floquet sampling splits every phase over an even grid.
+        c, d, psi0, _ = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
+        with pytest.raises(ValueError, match="even sample grid"):
+            evolve_nojump_batch(psi0[None], static_hamiltonian(c)[None],
+                                tones, np.array([0.1, 0.2, 0.4]))
+
     def test_ill_conditioned_period_is_stepped(self, monkeypatch, caplog):
         c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
         t_end = 7.3 * 2.0 * np.pi / abs(beat)
@@ -437,91 +468,38 @@ class TestTwoTone:
         assert "ill-conditioned" in caplog.text
         assert np.max(np.abs(got.states - want.states)) < 1e-10
 
-    def test_integrator_error_scales_with_tolerance(self):
-        # rtol governs the period integration: its error compounds over
-        # the ~90 periods of this window and still falls with rtol.
-        c, d, psi0, _ = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
-        ref = evolve_nojump(psi0, c, d, 2.0, rtol=1e-12).states
-        errs = []
-        for rtol in (1e-5, 1e-6):
-            y = evolve_nojump(psi0, c, d, 2.0, rtol=rtol).states
-            errs.append(np.max(np.abs(y - ref)))
-        ratio = errs[0] / errs[1]
-        assert 5.0 <= ratio <= 20.0
+    @pytest.mark.parametrize("xi, e_mu, e_nu, omega_delta", [
+        (0.15, 6.0, 15.0, 170.18), (0.15, 12.0, 30.0, 167.5),
+        (0.2, 6.0, 15.0, 72.44), (0.3, 3.0, 7.5, 20.1)])
+    def test_truncation_converges(self, caplog, xi, e_mu, e_nu,
+                                  omega_delta):
+        # Calibrated rotations over their default windows and sample grids
+        # (30 to 1000 beat periods): the truncation the tail check accepts
+        # agrees with two more harmonics, and a start far below it fails
+        # the check and is raised until it agrees too.
+        g = linear_array_xi(xi, alpha=np.pi / 2)
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            traj = rotate_logical(g, e_mu, e_nu, omega_delta).trajectory
+        k = int(re.search(r" K (\d+),", caplog.text).group(1))
+        tr = protocols._Transfer("rotate", g, (e_mu, e_nu), omega_delta, None)
+        hs, psi0, _, unit = tr.nominal_member()
+        tones = [(amp * unit, np.array([det])) for amp, det in
+                 zip(tr.amplitudes, tr.detunings(omega_delta))]
 
+        def states(start):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+                out = dynamics._evolve_floquet(
+                    psi0 / np.linalg.norm(psi0), hs, tones, traj.times,
+                    excitation_numbers(3), k=start)[0]
+            return out, int(re.search(r" K (\d+),", caplog.text).group(1))
 
-class TestStepSampling:
-    """Beat-period samples come from the solver step holding their phase:
-    from the step's interpolation nodes when it holds more than 8 samples,
-    from the dense output itself otherwise.  Both must give one
-    interpolant."""
-
-    @pytest.fixture
-    def batch(self, monkeypatch):
-        """A two-member two-tone batch over 100.5 beat periods: a function
-        of the sample times returning the states and the per-step sample
-        counts of its period solve."""
-        c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
-        hs = static_hamiltonian(c)
-        (a1, w1), (a2, w2) = _tone_arrays(c, d)
-        args = (np.array([psi0, psi0]), np.array([hs, hs]),
-                [(np.array([a1, 0.5 * a1]), np.array([w1, w1 + 3.0])),
-                 (np.array([a2, 1.5 * a2]), np.array([w2, w2 + 3.0]))])
-        solves = []
-
-        def spy(*a, **k):
-            solves.append(solve_ivp(*a, **k))
-            return solves[-1]
-
-        monkeypatch.setattr(dynamics, "solve_ivp", spy)
-
-        def run(times):
-            states = evolve_nojump_batch(*args, times, rtol=1e-9)
-            steps = solves[-1].t
-            per_step = np.histogram(np.mod(times, steps[-1]), steps)[0]
-            return states, per_step, steps
-
-        run.t_end = 100.5 * 2.0 * np.pi / abs(beat)
-        return run
-
-    def test_node_and_direct_sampling_agree(self, batch):
-        times = np.linspace(0.0, batch.t_end, 4000)
-        sparse = np.r_[times[:-1:16], times[-1]]
-        dense_states, dense_counts, _ = batch(times)
-        sparse_states, sparse_counts, _ = batch(sparse)
-        assert np.mean(dense_counts > 8) > 0.9
-        assert sparse_counts.max() <= 8
-        shared = np.isin(times, sparse)
-        assert np.max(np.abs(dense_states[:, shared] - sparse_states)) < 1e-13
-
-    def test_steps_holding_eight_and_nine_samples(self, batch):
-        _, _, steps = batch(np.array([0.5, 1.0]) * batch.t_end)
-        span, k = steps[-1], 10
-
-        def in_step(j, periods):
-            return [n * span + steps[j] + (q + 0.5) / len(periods)
-                    * (steps[j + 1] - steps[j])
-                    for q, n in enumerate(periods)]
-
-        eight, nine = in_step(k, range(3, 99, 12)), in_step(k + 1,
-                                                             range(5, 95, 10))
-        grid = np.sort(eight + nine + [batch.t_end])
-        both, counts, _ = batch(grid)
-        assert (counts[k], counts[k + 1]) == (8, 9)
-        for part in (np.sort(eight + nine[:5] + [batch.t_end]),
-                     np.sort(nine[5:] + [batch.t_end])):
-            states, counts, _ = batch(part)
-            assert counts[k + 1] <= 8
-            cols = np.searchsorted(grid, part)
-            assert np.max(np.abs(both[:, cols] - states)) < 1e-13
-
-    def test_node_weights_reproduce_degree_seven_polynomials(self):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0.0, 1.0, 50)
-        for _ in range(20):
-            poly = np.polynomial.Polynomial(rng.normal(size=8))
-            got = poly(dynamics._NODES) @ dynamics._node_weights(x)
-            assert np.max(np.abs(got - poly(x))) < 1e-13
+        wider, k_wider = states(k + 2)
+        assert k_wider == k + 2
+        assert np.max(np.abs(wider - traj.states)) <= 1e-10
+        raised, k_raised = states(1)
+        assert k_raised > 1
+        assert np.max(np.abs(raised - traj.states)) <= 1e-10
 
 
 class TestLindblad:
@@ -644,7 +622,7 @@ class TestMasterEquation:
         c, d, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 40.0)
         rho0 = np.outer(psi0, psi0.conj())
         t_end = 2.5 * 2.0 * np.pi / abs(beat)
-        traj = evolve_lindblad(rho0, c, d, t_end, rtol=1e-11)
+        traj = evolve_lindblad(rho0, c, d, t_end)
         want = master_oracle(rho0, c, d, traj.times)
         assert np.max(np.abs(traj.states - want)) < 1e-8
 

@@ -429,7 +429,7 @@ def test_merit_calibration_finds_shifted_resonance(caplog):
     assert scaled * (1.0 - robustness.MERIT_CALIBRATION_WINDOW) < wd < scaled
 
     def first_inversion(w):
-        return rotate_logical(g, e_mu, e_nu, w, rtol=1e-4).fidelity
+        return rotate_logical(g, e_mu, e_nu, w).fidelity
 
     assert first_inversion(wd) > first_inversion(scaled)
 
