@@ -26,10 +26,10 @@ copy centred nearest q = 0 is kept, its harmonics +-(K+1) added to first
 order, and psi(t) = e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t}
 phi_{k,q} (Shirley, Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7,
 2203 (1973)).  K starts from the bound min(1, (2r)^q / q!) on harmonic q,
-r = |A2| / |D|, and rises by 2 until sum_k |a_k| |phi_{k,+-(K+1)}| <=
-``_TAIL_LIMIT``.  With ill-conditioned eigenvectors (of G, or the mode sums
-at t = 0) the state, or the Sambe state, is stepped along the even sample
-grid with expm(-i G dt).  Only one-tone batches integrate (DOP853, rtol).
+r = |A2| / |D|, stopped near r/2 + 12, and grows by a quarter until
+sum_k |a_k| |phi_{k,+-(K+1)}| <= ``_TAIL_LIMIT``.  Ill-conditioned or
+inexact eigenvectors (``_cond``) step the state, or the Sambe state, along
+the even grid with expm(-i G dt).  Only one-tone batches integrate (DOP853).
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# Largest amplitude a Floquet propagation may leave in its edge harmonics.
-_TAIL_LIMIT = 1e-8
+# Largest amplitude a Floquet propagation may leave in its edge harmonics;
+# the states err by up to a few times as much.
+_TAIL_LIMIT = 1e-9
 
 _log = logging.getLogger("dfsim.dynamics")
 
@@ -206,6 +207,17 @@ def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
     return np.stack(out, axis=-1)
 
 
+def _cond(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+          basis: np.ndarray) -> float:
+    """Largest condition number of the stack ``basis``, times the largest
+    entry of the residual h v - e v of the unit eigenpairs (``vals``,
+    ``vecs``) of ``h``, over h's largest entry, in rounding units, at least
+    1 (eig errs near degeneracies)."""
+    res = np.abs(h @ vecs - vecs * vals[:, None]).max() / np.abs(h).max()
+    return float(np.max(np.linalg.cond(basis))
+                 * max(1.0, res / np.finfo(float).eps))
+
+
 def _grid_phases(freqs: np.ndarray, times: np.ndarray) -> tuple:
     """Factors (..., A, W) and (..., J, W) of e^{-i f t} for ``freqs``
     (..., W) on the even grid ``times``: sample J a + c is the product of
@@ -248,11 +260,12 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
     (b, dim), eye = psi0.shape, np.eye(psi0.shape[1])
     static = (hs + a1 + a1.conj().transpose(0, 2, 1)
               - det1[:, None, None] * np.diag(number))
-    if k is None:  # the edge harmonics are K + 1
+    r = min(norms) / abs(delta)
+    if k is None:  # the edge harmonics are K + 1; the bound overestimates
         k, term = -1, 1.0
-        while term > _TAIL_LIMIT:
+        while term > 10 * _TAIL_LIMIT and k < r / 2 + 12:
             k += 1
-            term = min(1.0, term * 2.0 * min(norms) / abs(delta) / (k + 1))
+            term = min(1.0, term * 2.0 * r / (k + 1))
     hermitian = np.array_equal(static, static.conj().transpose(0, 2, 1))
     # A stack that the emitter mirror P maps onto its conjugate (a nominal
     # chain) is real in the basis v = ((1 + i) + (1 - i) P) / 2.
@@ -272,7 +285,8 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
         centre = np.arange(-k, k + 1) @ np.sum(np.abs(vecs) ** 2, axis=2)
         keep = np.argsort(np.abs(centre), axis=1, kind="stable")[:, :dim]
         quasi = np.take_along_axis(quasi, keep, axis=1)
-        modes = v @ np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
+        vecs = np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
+        modes = v @ vecs
         # (e - S +- (K+1) D) u_{+-(K+1)} = A2 u_K or A2^dag u_{-K}.
         edges = [np.linalg.solve(
             quasi[:, :, None, None] * eye - static[:, None]
@@ -284,7 +298,7 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
         modes = np.concatenate([edges[0][:, None], modes, edges[1][:, None]],
                                axis=1)
         start = modes.sum(axis=1)
-        cond = float(np.max(np.linalg.cond(start)))
+        cond = _cond(h, quasi, vecs.reshape(b, -1, dim), start)
         if cond > CONDITION_LIMIT:
             break
         coef = np.linalg.solve(start, psi0[:, :, None])[:, :, 0]
@@ -292,7 +306,7 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
             modes[:, [0, -1]], axis=(1, 2)), axis=1)))
         if tail <= _TAIL_LIMIT:
             break
-        k += 2
+        k += max(2, k // 4)
     _log.debug("Floquet (Sambe): %d members, dim %d, K %d, tail %.3g, "
                "eigenvector cond %.3g", b, h.shape[1], k, tail, cond)
     n = k + 1
@@ -345,7 +359,7 @@ def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
     det = tones[0][1] if tones else 0.0
     gen = hs - det * np.diag(number) + sum(a + a.conj().T for a, _ in tones)
     lam, vecs = np.linalg.eig(gen[None])
-    cond = float(np.max(np.linalg.cond(vecs)))
+    cond = _cond(gen[None], lam, vecs, vecs)
     if cond > CONDITION_LIMIT:
         phi = _stepped(gen[None], psi0[None], times, "generator", cond)[0]
     else:

@@ -377,21 +377,25 @@ def _calibrate(scores, nominal: float, window: float) -> float:
     ``+- window`` (relative) of ``nominal``.
 
     A grid of ``CALIBRATION_GRID`` offsets brackets the maximum, a second
-    grid of the same size spans the winning bracket, and a parabola through
-    its best point refines the flat-topped maximum, snapped to
-    ``CALIBRATION_RESOLUTION``.  Raises ``ProtocolError`` if the maximum
-    sits at the scan edge.
+    grid of the same size spans the winning bracket, scoring only offsets
+    the first did not, and a parabola through its best point refines the
+    flat-topped maximum, snapped to ``CALIBRATION_RESOLUTION``.  Raises
+    ``ProtocolError`` if the maximum sits at the scan edge.
     """
     lo = nominal * (1.0 - window)
     hi = nominal * (1.0 + window)
     grid = np.linspace(lo, hi, CALIBRATION_GRID)
-    k = int(np.argmax(scores(grid)))
+    coarse = scores(grid)
+    k = int(np.argmax(coarse))
     if k in (0, len(grid) - 1):
         raise ProtocolError("no interior fidelity maximum in the detuning "
                             f"scan window [{lo:g}, {hi:g}]")
 
     fine = np.linspace(grid[k - 1], grid[k + 1], CALIBRATION_GRID)
-    fine_scores = scores(fine)
+    done = np.isin(fine, grid)
+    fine_scores = np.empty(len(fine))
+    fine_scores[done] = coarse[np.isin(grid, fine)]
+    fine_scores[~done] = scores(fine[~done])
     j = min(max(int(np.argmax(fine_scores)), 1), len(fine) - 2)
     best = _parabola_peak(fine, fine_scores, j)
     return float(np.round(best / CALIBRATION_RESOLUTION)

@@ -261,16 +261,20 @@ class TestCalibration:
 
     def test_peak_search_takes_any_score(self):
         # Coarse grid, bracket grid, parabola and snap, on a score whose
-        # vertex the parabola recovers exactly.
+        # vertex the parabola recovers exactly.  The bracket grid's ends
+        # and middle are coarse offsets, and no offset is scored twice.
         calls = []
 
         def score(offsets):
-            calls.append(len(offsets))
+            calls.append(offsets)
             return -(offsets - 101.234) ** 2
 
         assert _calibrate(score, 100.0, 0.3) == pytest.approx(101.23,
                                                                abs=1e-9)
-        assert calls == [CALIBRATION_GRID, CALIBRATION_GRID]
+        assert [len(c) for c in calls] == [CALIBRATION_GRID,
+                                           CALIBRATION_GRID - 3]
+        scored = np.concatenate(calls)
+        assert len(np.unique(scored)) == len(scored)
         with pytest.raises(ProtocolError, match="no interior"):
             _calibrate(score, 200.0, 0.3)
 
