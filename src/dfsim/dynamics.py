@@ -19,17 +19,20 @@ and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
 
 Under one tone (or two at zero beat, acting as one of summed amplitude) G
 is constant: with G = V L V^-1 the state is e^{-i w1 N t} V e^{-i L t} V^-1
-psi0.  Under two tones, in the frame of the stronger one, G is periodic:
-from one eigh (eig if S is not Hermitian) of its Sambe matrix, S - q D on
-the diagonal for |q| <= K and A2, A2^dag beside it, each Floquet state's
-copy centred nearest q = 0 is kept, its harmonics +-(K+1) added to first
-order, and psi(t) = e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t}
-phi_{k,q} (Shirley, Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7,
-2203 (1973)).  K starts from the bound min(1, (2r)^q / q!) on harmonic q,
-r = |A2| / |D|, stopped near r/2 + 12, and grows by a quarter until
+psi0.  Under two tones whose window holds more than one beat period, G in
+the frame of the stronger tone is periodic: from one eigh (eig if S is not
+Hermitian) of its Sambe matrix, S - q D on the diagonal for |q| <= K and
+A2, A2^dag beside it, each Floquet state's copy centred nearest q = 0 is
+kept, its harmonics +-(K+1) added to first order, and psi(t) =
+e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t} phi_{k,q} (Shirley,
+Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).  K starts
+from the bound min(1, (2r)^q / q!) on harmonic q, r = |A2| / |D| (at most
+|A2| t_end / 2 pi), stopped near r/2 + 12, and grows by a quarter until
 sum_k |a_k| |phi_{k,+-(K+1)}| <= ``_TAIL_LIMIT``.  Ill-conditioned or
-inexact eigenvectors (``_cond``) step the state, or the Sambe state, along
-the even grid with expm(-i G dt).  Only one-tone batches integrate (DOP853).
+inexact eigenvectors (``_cond``) step the state, or the Sambe state (whose
+edge harmonics pass the same check), along the even grid with
+expm(-i G dt).  Batches under one tone, and two tones whose beat period is
+no shorter than the window, integrate with DOP853.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ DEFAULT_ATOL = 1e-12
 # Largest amplitude a Floquet propagation may leave in its edge harmonics;
 # the states err by up to a few times as much.
 _TAIL_LIMIT = 1e-9
+# Relative tolerance of unbatched two-tone runs that integrate, so that they
+# err about as little as the Floquet ones.
+_WINDOW_RTOL = 1e-10
 
 _log = logging.getLogger("dfsim.dynamics")
 
@@ -193,18 +199,18 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
 
 
 def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
-             what: str, cond: float) -> np.ndarray:
-    """States e^{-i gen t} psi0 (B, dim, nt) of a stack on the even grid
-    ``times``, stepped from its first time with expm(-i gen dt) because the
-    eigenvectors of ``what`` have condition number ``cond``."""
+             what: str, cond: float):
+    """States e^{-i gen t} psi0 (B, dim) of a stack at each time of the even
+    grid ``times``, stepped from its first time with expm(-i gen dt)
+    because the eigenvectors of ``what`` have condition number ``cond``."""
     _log.warning("%s eigenvectors ill-conditioned (cond %.3g > %.3g); "
                  "stepping instead", what, cond, CONDITION_LIMIT)
     dt = times[1] - times[0] if len(times) > 1 else 0.0
     u = expm(-1j * dt * gen)
-    out = [np.einsum("bij,bj->bi", expm(-1j * times[0] * gen), psi0)]
-    for _ in times[1:]:
-        out.append(np.einsum("bij,bj->bi", u, out[-1]))
-    return np.stack(out, axis=-1)
+    psi = np.einsum("bij,bj->bi", expm(-1j * times[0] * gen), psi0)
+    for _ in times:
+        yield psi
+        psi = np.einsum("bij,bj->bi", u, psi)
 
 
 def _cond(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -267,18 +273,8 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
             k += 1
             term = min(1.0, term * 2.0 * r / (k + 1))
     hermitian = np.array_equal(static, static.conj().transpose(0, 2, 1))
-    # A stack that the emitter mirror P maps onto its conjugate (a nominal
-    # chain) is real in the basis v = ((1 + i) + (1 - i) P) / 2.
-    mirror = [int(f"{s:0{dim.bit_length() - 1}b}"[::-1], 2)
-              for s in range(dim)]
-    v, blocks = eye, (static, a2)
-    if all(np.array_equal(x[:, mirror][:, :, mirror], x.conj())
-           for x in blocks):
-        v = ((1 + 1j) * eye + (1 - 1j) * eye[mirror]) / 2
-        blocks = [(v.conj().T @ x @ v).real for x in blocks]
-    tail = np.nan
     while True:
-        h = _sambe(*blocks, delta, k)
+        h = _sambe(static, a2, delta, k)
         quasi, vecs = (np.linalg.eigh if hermitian else np.linalg.eig)(h)
         # Per member, the dim modes whose weight is centred nearest q = 0.
         vecs = vecs.reshape(b, 2 * k + 1, dim, -1)
@@ -286,7 +282,6 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
         keep = np.argsort(np.abs(centre), axis=1, kind="stable")[:, :dim]
         quasi = np.take_along_axis(quasi, keep, axis=1)
         vecs = np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
-        modes = v @ vecs
         # (e - S +- (K+1) D) u_{+-(K+1)} = A2 u_K or A2^dag u_{-K}.
         edges = [np.linalg.solve(
             quasi[:, :, None, None] * eye - static[:, None]
@@ -294,32 +289,38 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
             (op @ inner).transpose(0, 2, 1)[..., None])[..., 0]
             .transpose(0, 2, 1)
             for sign, op, inner in ((-1, a2.conj().transpose(0, 2, 1),
-                                     modes[:, 0]), (1, a2, modes[:, -1]))]
-        modes = np.concatenate([edges[0][:, None], modes, edges[1][:, None]],
+                                     vecs[:, 0]), (1, a2, vecs[:, -1]))]
+        modes = np.concatenate([edges[0][:, None], vecs, edges[1][:, None]],
                                axis=1)
         start = modes.sum(axis=1)
         cond = _cond(h, quasi, vecs.reshape(b, -1, dim), start)
         if cond > CONDITION_LIMIT:
-            break
-        coef = np.linalg.solve(start, psi0[:, :, None])[:, :, 0]
-        tail = float(np.max(np.sum(np.abs(coef) * np.linalg.norm(
-            modes[:, [0, -1]], axis=(1, 2)), axis=1)))
+            # The Sambe state itself, stepped from psi0 at q = 0.
+            q, phi, tail = np.arange(-k - 1, k + 2), [], 0.0
+            psi = np.pad(psi0[:, None].astype(complex),
+                         ((0, 0), (k + 1, k + 1), (0, 0))).reshape(b, -1)
+            for t, state in zip(times, _stepped(_sambe(
+                    static, a2, delta, k + 1), psi, times, "Floquet mode",
+                    cond)):
+                state = state.reshape(b, -1, dim)
+                tail = max(tail, float(np.max(np.linalg.norm(
+                    state[:, [0, -1]], axis=2))))
+                phi.append(np.exp(-1j * delta * t * q) @ state)
+        else:
+            coef = np.linalg.solve(start, psi0[:, :, None])[:, :, 0]
+            tail = float(np.max(np.sum(np.abs(coef) * np.linalg.norm(
+                modes[:, [0, -1]], axis=(1, 2)), axis=1)))
         if tail <= _TAIL_LIMIT:
             break
         k += max(2, k // 4)
     _log.debug("Floquet (Sambe): %d members, dim %d, K %d, tail %.3g, "
                "eigenvector cond %.3g", b, h.shape[1], k, tail, cond)
-    n = k + 1
     if cond > CONDITION_LIMIT:
-        psi = np.pad(psi0[:, None].astype(complex), ((0, 0), (n, n), (0, 0)))
-        sambe = _stepped(_sambe(static, a2, delta, n), psi.reshape(b, -1),
-                         times, "Floquet mode", cond)
-        phi = np.einsum("tq,bqit->bti", np.exp(-1j * np.outer(times, delta * (
-            np.arange(-n, n + 1)))), sambe.reshape(b, 2 * n + 1, dim, -1))
-        return phi * np.exp(-1j * det1[:, None, None] * times[:, None]
-                            * number)
+        return np.stack(phi, axis=1) * np.exp(
+            -1j * det1[:, None, None] * times[:, None] * number)
     # Phases split into coarse and fine grid factors, so that the sum over
     # (k, q) of e^{-i (e_k + q D) t} a_k phi_{k,q} is one product.
+    n = k + 1
     (ce, fe), (cq, fq), (cf, ff) = (_grid_phases(f, times) for f in (
         quasi, delta * np.arange(-n, n + 1), det1[:, None] * number))
     coarse = ((ce[..., None] * cq[:, None])[..., None] * (
@@ -331,22 +332,32 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
     return phi.swapaxes(1, 2).reshape(b, -1, dim)[:, :len(times)]
 
 
-def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray, tone: tuple,
-                       times: np.ndarray, number: np.ndarray,
-                       rtol: float) -> np.ndarray:
-    """Sampled states (B, nt, dim) of a one-tone stack, integrated with
-    DOP853 in the tone frame; arguments as for ``evolve_nojump_batch``, plus
-    the number diagonal.  Each right-hand side is a single matmul."""
-    (a, det), (b, dim) = tone, psi0.shape
+def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray, tones: list,
+                       times: np.ndarray, number: np.ndarray, rtol: float,
+                       delta: float = 0.0) -> np.ndarray:
+    """Sampled states (B, nt, dim) of a stack integrated with DOP853 in the
+    first tone's frame, a second tone modulated at the beat ``delta``;
+    arguments as for ``evolve_nojump_batch``, plus the number diagonal."""
+    (a, det), *second = tones
+    b, dim = psi0.shape
     gen = -1j * (hs + a + a.conj().transpose(0, 2, 1)
                  - det[:, None, None] * np.diag(number))
-    sol = solve_ivp(lambda t, y: (gen @ y.reshape(b, dim, 1)).ravel(),
-                    (0.0, float(times[-1])), psi0.astype(complex).ravel(),
-                    method="DOP853", t_eval=times, atol=DEFAULT_ATOL,
-                    rtol=rtol)
+    mod = [(-1j * a2, -1j * a2.conj().transpose(0, 2, 1)) for a2, _ in second]
+
+    def rhs(t, y):
+        g = gen
+        for up, down in mod:
+            g = (g + np.exp(-1j * delta * t) * up
+                 + np.exp(1j * delta * t) * down)
+        return (g @ y.reshape(b, dim, 1)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, float(times[-1])),
+                    psi0.astype(complex).ravel(), method="DOP853",
+                    t_eval=times, atol=DEFAULT_ATOL, rtol=rtol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    _log.debug("DOP853: %d members, nfev %d", b, sol.nfev)
+    _log.debug("DOP853: %d members, %d tones, nfev %d", b, len(tones),
+               sol.nfev)
     return (np.exp(-1j * det[:, None, None] * times[None, :, None] * number)
             * sol.y.reshape(b, dim, -1).transpose(0, 2, 1))
 
@@ -361,7 +372,8 @@ def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
     lam, vecs = np.linalg.eig(gen[None])
     cond = _cond(gen[None], lam, vecs, vecs)
     if cond > CONDITION_LIMIT:
-        phi = _stepped(gen[None], psi0[None], times, "generator", cond)[0]
+        phi = np.array(list(_stepped(gen[None], psi0[None], times,
+                                     "generator", cond)))[:, 0].T
     else:
         coef = np.linalg.solve(vecs, psi0[None, :, None])
         phi = vecs[0] @ (np.exp(-1j * np.outer(lam[0], times)) * coef[0])
@@ -391,9 +403,12 @@ def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,
     (which conserves the diagonal ``number``) plus e^{-i w t} A + h.c. for
     each tone (A, w) in ``tones`` (see the module docstring)."""
     tones, delta = _beat([(a[None], np.array([det])) for a, det in tones])
-    if delta:
+    if abs(delta) * times[-1] > 2.0 * np.pi:
         return _evolve_floquet(y0[None], static[None], tones, times,
                                number)[0]
+    if delta:
+        return _evolve_integrated(y0[None], static[None], tones, times,
+                                  number, _WINDOW_RTOL, delta)[0]
     return _evolve_one_tone(y0, static, [(a[0], det[0]) for a, det in tones],
                             times, number)
 
@@ -403,8 +418,9 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
                   n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
     """Evolve i dpsi/dt = H_eff(t) psi on an even grid of ``n_samples``
-    times over [0, t_end], exactly: in the tone frame for at most one tone,
-    from the Floquet modes for two (see the module docstring).
+    times over [0, t_end]: exactly in the tone frame for at most one tone,
+    from the Floquet modes for two, or integrated at ``_WINDOW_RTOL`` if
+    the beat period spans the window (see the module docstring).
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -484,8 +500,9 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     tones: one or two (A, detunings), A of shape (B, dim, dim) and
            detunings of shape (B,)
     times: ascending sample times, an even grid under two tones
-    Returns the sampled history (B, nt, dim).  Two tones are exact from
-    their Floquet modes; all members must share their beat.  One tone is
+    Returns the sampled history (B, nt, dim).  All members must share their
+    beat.  Two tones whose window holds more than one beat period are exact
+    from their Floquet modes.  One tone, or two at a longer beat period, is
     integrated with DOP853 from 0, at relative tolerance ``rtol`` on the RMS
     error of the whole stack: one member can err more than ``rtol`` alone
     would allow, and the fastest member sets every step.
@@ -493,6 +510,6 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     _check_end(times[-1])
     number = excitation_numbers(psi0.shape[1].bit_length() - 1)
     tones, delta = _beat(tones)
-    if delta:
+    if abs(delta) * times[-1] > 2.0 * np.pi:
         return _evolve_floquet(psi0, hs, tones, times, number)
-    return _evolve_integrated(psi0, hs, tones[0], times, number, rtol)
+    return _evolve_integrated(psi0, hs, tones, times, number, rtol, delta)

@@ -418,7 +418,7 @@ class TestTwoTone:
     @pytest.mark.parametrize("decay", [False, True])
     def test_members_without_mirror_symmetry(self, decay):
         # Drive phases that the emitter mirror does not map onto their
-        # conjugates leave the complex Sambe matrices, with no real form.
+        # conjugates, as in position-disordered members.
         c, _, psi0, beat = raman_system(0.3, np.pi / 2, 6.0, 15.0, 40.0)
         phases = np.array([-0.4, 0.1, 0.3])
         d = DriveSpec.two_tone(6.0, 40.0, 15.0, 40.0 + beat, phases)
@@ -467,6 +467,46 @@ class TestTwoTone:
             got = evolve_nojump(psi0, c, d, t_end, decay=True, n_samples=40)
         assert "ill-conditioned" in caplog.text
         assert np.max(np.abs(got.states - want.states)) < 1e-10
+
+    def test_ill_conditioned_truncation_is_raised(self, monkeypatch, caplog):
+        # The expm steps check the edge harmonics of the Sambe state as the
+        # Floquet modes do: a start far below the truncation that passes is
+        # stepped, fails the check and is raised until it passes.
+        c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        times = np.linspace(0.0, 3.3 * 2.0 * np.pi / abs(beat), 40)
+        tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
+        monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            got = dynamics._evolve_floquet(
+                psi0[None], static_hamiltonian(c)[None], tones, times,
+                excitation_numbers(3), k=0)[0]
+        assert caplog.text.count("ill-conditioned") > 1
+        k, tail = re.search(r" K (\d+), tail (\S+),", caplog.text).groups()
+        assert int(k) > 0 and float(tail) <= dynamics._TAIL_LIMIT
+        want = rk45_oracle(psi0, c, d, times, decay=True)
+        assert np.max(np.abs(got - want)) < 1e-8
+
+    @pytest.mark.parametrize("gap", [1e-6, "ulp"])
+    def test_beat_far_below_the_drive_is_integrated(self, caplog, gap):
+        # A beat period far longer than the window would need a Floquet
+        # truncation of order drive / beat; such a window is integrated in
+        # one span, unbatched and batched.
+        c, _, psi0, _ = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+        w2 = np.nextafter(170.0, 171.0) if gap == "ulp" else 170.0 + gap
+        d = DriveSpec.two_tone(6.0, 170.0, 15.0, w2,
+                               0.15 * np.array([-1.0, 0.0, 1.0]))
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            traj = evolve_nojump(psi0, c, d, 0.3, n_samples=60)
+        want = rk45_oracle(psi0, c, d, traj.times, decay=True)
+        assert np.max(np.abs(traj.states - want)) < 1e-8
+        tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            states = evolve_nojump_batch(psi0[None],
+                                         static_hamiltonian(c)[None], tones,
+                                         traj.times, rtol=1e-10)[0]
+        assert np.max(np.abs(states - want)) < 1e-8
+        assert caplog.text.count("DOP853: 1 members, 2 tones") == 2
+        assert "Floquet" not in caplog.text
 
     @pytest.mark.parametrize("xi, e_mu, e_nu, omega_delta", [
         (0.15, 6.0, 15.0, 170.18), (0.15, 12.0, 30.0, 167.5),
@@ -631,7 +671,7 @@ class TestMasterEquation:
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
         phases = 0.5 * np.arange(3)
         d = (DriveSpec.single(1e-22, 0.0, phases) if tones == 1 else
-             DriveSpec.two_tone(1e-22, 0.0, 1e-22, 7.0, phases))
+             DriveSpec.two_tone(1e-22, 0.0, 1e-22, 70.0, phases))
         with caplog.at_level(logging.WARNING, logger="dfsim.dynamics"):
             got = evolve_lindblad(mixed_state(3), c, d, 0.3)
         assert "ill-conditioned" in caplog.text
