@@ -26,13 +26,12 @@ A2, A2^dag beside it, each Floquet state's copy centred nearest q = 0 is
 kept, its harmonics +-(K+1) added to first order, and psi(t) =
 e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t} phi_{k,q} (Shirley,
 Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).  K starts
-from the bound min(1, (2r)^q / q!) on harmonic q, r = |A2| / |D| (at most
-|A2| t_end / 2 pi), stopped near r/2 + 12, and grows by a quarter until
-sum_k |a_k| |phi_{k,+-(K+1)}| <= ``_TAIL_LIMIT``.  Ill-conditioned or
-inexact eigenvectors (``_cond``) step the state, or the Sambe state (whose
-edge harmonics pass the same check), along the even grid with
-expm(-i G dt).  Batches under one tone, and two tones whose beat period is
-no shorter than the window, integrate with DOP853.
+from the bound min(1, (2r)^q / q!) on harmonic q, r = |A2| / |D|, stopped
+near r/2 + 12, and grows by a quarter until the edge amplitude, the state's
+or sum_k |a_k| |phi_{k,+-(K+1)}|, is <= ``_TAIL_LIMIT``; ill-conditioned or
+inexact eigenvectors (``_cond``) step the state, or the Sambe state, with
+expm(-i G dt).  Batches under one tone, and two tones whose beat period
+spans the window, integrate with DOP853.
 """
 
 from __future__ import annotations
@@ -51,11 +50,10 @@ from .hilbert import (CONDITION_LIMIT, CollectiveBasis, collective_eigenbasis,
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
-# Largest amplitude a Floquet propagation may leave in its edge harmonics;
-# the states err by up to a few times as much.
+# Largest amplitude a Floquet propagation may leave in its edge harmonics
+# (the states err by up to a few times as much), and the tolerance that
+# makes unbatched two-tone runs that integrate err about as little.
 _TAIL_LIMIT = 1e-9
-# Relative tolerance of unbatched two-tone runs that integrate, so that they
-# err about as little as the Floquet ones.
 _WINDOW_RTOL = 1e-10
 
 _log = logging.getLogger("dfsim.dynamics")
@@ -500,12 +498,12 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     tones: one or two (A, detunings), A of shape (B, dim, dim) and
            detunings of shape (B,)
     times: ascending sample times, an even grid under two tones
-    Returns the sampled history (B, nt, dim).  All members must share their
-    beat.  Two tones whose window holds more than one beat period are exact
-    from their Floquet modes.  One tone, or two at a longer beat period, is
-    integrated with DOP853 from 0, at relative tolerance ``rtol`` on the RMS
-    error of the whole stack: one member can err more than ``rtol`` alone
-    would allow, and the fastest member sets every step.
+    Returns the sampled history (B, nt, dim); all members must share their
+    beat.  Floquet modes give two tones exactly (see the module docstring);
+    one tone, or two whose beat period spans the window, is integrated with
+    DOP853 from 0 at relative tolerance ``rtol`` on the RMS error of the
+    whole stack: one member can err more than ``rtol`` alone would allow,
+    and the fastest member sets every step.
     """
     _check_end(times[-1])
     number = excitation_numbers(psi0.shape[1].bit_length() - 1)
