@@ -459,6 +459,9 @@ class TestTwoTone:
                                 tones, np.array([0.1, 0.2, 0.4]))
 
     def test_ill_conditioned_period_is_stepped(self, monkeypatch, caplog):
+        # The expm steps check the Sambe state's edge harmonics as the
+        # Floquet modes do: a start far below the truncation that passes is
+        # stepped, fails the check and is raised until it passes.
         c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
         t_end = 7.3 * 2.0 * np.pi / abs(beat)
         want = evolve_nojump(psi0, c, d, t_end, decay=True, n_samples=40)
@@ -467,24 +470,16 @@ class TestTwoTone:
             got = evolve_nojump(psi0, c, d, t_end, decay=True, n_samples=40)
         assert "ill-conditioned" in caplog.text
         assert np.max(np.abs(got.states - want.states)) < 1e-10
-
-    def test_ill_conditioned_truncation_is_raised(self, monkeypatch, caplog):
-        # The expm steps check the edge harmonics of the Sambe state as the
-        # Floquet modes do: a start far below the truncation that passes is
-        # stepped, fails the check and is raised until it passes.
-        c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
-        times = np.linspace(0.0, 3.3 * 2.0 * np.pi / abs(beat), 40)
+        caplog.clear()
         tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
-        monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
         with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
-            got = dynamics._evolve_floquet(
-                psi0[None], static_hamiltonian(c)[None], tones, times,
+            raised = dynamics._evolve_floquet(
+                psi0[None], static_hamiltonian(c)[None], tones, want.times,
                 excitation_numbers(3), k=0)[0]
         assert caplog.text.count("ill-conditioned") > 1
         k, tail = re.search(r" K (\d+), tail (\S+),", caplog.text).groups()
         assert int(k) > 0 and float(tail) <= dynamics._TAIL_LIMIT
-        want = rk45_oracle(psi0, c, d, times, decay=True)
-        assert np.max(np.abs(got - want)) < 1e-8
+        assert np.max(np.abs(raised - want.states)) < 1e-8
 
     @pytest.mark.parametrize("gap", [1e-6, "ulp"])
     def test_beat_far_below_the_drive_is_integrated(self, caplog, gap):
