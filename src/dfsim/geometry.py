@@ -41,6 +41,8 @@ class Geometry:
             raise ValueError("positions must be an (N, 3) array")
         if pos.shape[0] < 2:
             raise ValueError("at least two emitters are required")
+        if not (np.all(np.isfinite(pos)) and np.isfinite(self.alpha)):
+            raise ValueError("positions and alpha must be finite")
         object.__setattr__(self, "positions", pos)
         if _coincident(pos):
             raise ValueError("coincident emitters: pairwise separation below "
@@ -83,8 +85,8 @@ class DisorderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
+        if not 0 <= self.variance < np.inf:
+            raise ValueError("variance must be finite and nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -109,8 +111,8 @@ def linear_array(r: float, n: int = 3, alpha: float = 0.0) -> Geometry:
     ``r`` is the nearest-neighbour spacing in wavelength units; for n=3 the
     positions are (-r, 0, +r) along x.
     """
-    if r <= 0:
-        raise ValueError("spacing r must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError("spacing r must be positive and finite")
     if n not in (3, 4):
         raise ValueError("supported array sizes are 3 and 4")
     offsets = (np.arange(n) - (n - 1) / 2.0) * r
@@ -121,8 +123,8 @@ def linear_array(r: float, n: int = 3, alpha: float = 0.0) -> Geometry:
 
 def linear_array_xi(xi12: float, n: int = 3, alpha: float = 0.0) -> Geometry:
     """Linear array specified by the dimensionless spacing xi12 = k0 * r."""
-    if xi12 <= 0:
-        raise ValueError("xi12 must be positive")
+    if not 0 < xi12 < np.inf:
+        raise ValueError("xi12 must be positive and finite")
     return linear_array(xi12 / TWO_PI, n=n, alpha=alpha)
 
 

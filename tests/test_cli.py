@@ -17,10 +17,8 @@ def no_solve(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a solve started before the config check")
 
-    monkeypatch.setattr(dynamics, "solve_ivp", fail)
-    monkeypatch.setattr(dynamics, "expm", fail)
-    monkeypatch.setattr(dynamics, "_evolve_one_tone", fail)
-    monkeypatch.setattr(dynamics, "_evolve_floquet", fail)
+    for name in ("_propagate", "solve_ivp", "expm"):
+        monkeypatch.setattr(dynamics, name, fail)
 
 
 KINDS = ("prepare", "rotate", "readout", "cphase4", "merit-prepare",

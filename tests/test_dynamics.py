@@ -199,7 +199,7 @@ class TestNoJump:
         with pytest.raises(ValueError):
             evolve_nojump(0.5 * ground_state(3), c, d, 1.0)
 
-    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.inf])
     def test_rejects_nonpositive_end_time(self, t_end):
         c, d = fig2a_system()
         with pytest.raises(ValueError, match="end time"):
@@ -214,6 +214,22 @@ class TestNoJump:
                                 static_hamiltonian(c)[None],
                                 [(a[None], np.array([det]))],
                                 np.linspace(0.0, t_end, 5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rabi", np.nan), ("rabi", np.inf), ("detuning", np.inf),
+        ("detuning", np.nan), ("phases", np.nan), ("n_samples", 0),
+        ("n_samples", 1)])
+    def test_rejects_nonfinite_drive_and_too_few_samples(self, field, value):
+        # Refused up front, naming the field, rather than deep in a solve.
+        c, d = fig2a_system()
+        tone = dict(rabi=1.0, detuning=-5.0, phases=np.zeros(3))
+        with pytest.raises(ValueError, match=field):
+            if field == "n_samples":
+                evolve_nojump(ground_state(3), c, d, 1.0, n_samples=value)
+            elif field == "phases":
+                Tone(**dict(tone, phases=np.array([0.0, value, 0.0])))
+            else:
+                Tone(**dict(tone, **{field: value}))
 
     def test_rejects_phase_count_mismatch(self):
         c = coupling_matrices(linear_array_xi(0.5, alpha=0.0))
@@ -269,6 +285,19 @@ def rk45_oracle(psi0, c, d, times, decay, rtol=1e-11):
     sol = solve_ivp(rhs, (0.0, times[-1]), psi0, method="RK45", rtol=rtol,
                     atol=1e-13, t_eval=times)
     return sol.y.T
+
+
+def exact_inputs(hs, tones):
+    """The frame generator, modulated tone (A2, D) and frame frequencies
+    that the dispatcher hands the exact engine for a one-row stack of
+    three emitters under two tones at a nonzero beat: the frame is the
+    stronger tone's."""
+    (a1, w1), (a2, w2) = sorted(
+        tones, key=lambda tone: -np.linalg.norm(tone[0][0], 2))
+    number = excitation_numbers(3)
+    gen = (hs + a1 + a1.conj().transpose(0, 2, 1)
+           - w1[:, None, None] * np.diag(number))
+    return gen, (a2, float(w2[0] - w1[0])), w1[:, None] * number
 
 
 def master_oracle(rho0, c, d, times, rtol=1e-11):
@@ -335,16 +364,20 @@ class TestOneTone:
         c2, d2, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
         with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
             evolve_nojump(ground_state(3), c, d, 1.0, n_samples=50)
+            evolve_nojump(ground_state(3), c, d, 1.0, decay=False,
+                          n_samples=50)
             evolve_nojump(psi0, c2, d2, 2.5 * 2.0 * np.pi / abs(beat),
                           n_samples=40)
-        lines = [r.getMessage() for r in caplog.records]
-        assert len(lines) == 2
-        assert lines[0].startswith("one-tone eig: dim 8, 50 samples, "
-                                   "eigenvector cond ")
-        floquet = re.fullmatch(r"Floquet \(Sambe\): 1 members, dim (\d+), "
-                               r"K (\d+), tail (\S+), eigenvector cond \S+",
-                               lines[1])
-        dim, k, tail = floquet.groups()
+        lines = [re.fullmatch(r"exact \((\w+)\): 1 members, (\d+) samples, "
+                              r"dim (\d+), K (\d+), tail (\S+), "
+                              r"eigenvector cond \S+", r.getMessage())
+                 for r in caplog.records]
+        assert len(lines) == 3
+        # One tone is the K = 0 case: the Sambe matrix is the generator.
+        assert lines[0].groups() == ("eig", "50", "8", "0", "0")
+        assert lines[1].groups() == ("eigh", "50", "8", "0", "0")
+        method, samples, dim, k, tail = lines[2].groups()
+        assert (method, samples) == ("eig", "40")
         assert int(dim) == 8 * (2 * int(k) + 1)
         assert float(tail) <= dynamics._TAIL_LIMIT
 
@@ -472,10 +505,10 @@ class TestTwoTone:
         assert np.max(np.abs(got.states - want.states)) < 1e-10
         caplog.clear()
         tones = [(a[None], np.array([det])) for a, det in _tone_arrays(c, d)]
+        gen, mod, frame = exact_inputs(static_hamiltonian(c)[None], tones)
         with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
-            raised = dynamics._evolve_floquet(
-                psi0[None], static_hamiltonian(c)[None], tones, want.times,
-                excitation_numbers(3), k=0)[0]
+            raised = dynamics._evolve_exact(psi0[None], gen, mod, want.times,
+                                            frame, k=0)[0]
         assert caplog.text.count("ill-conditioned") > 1
         k, tail = re.search(r" K (\d+), tail (\S+),", caplog.text).groups()
         assert int(k) > 0 and float(tail) <= dynamics._TAIL_LIMIT
@@ -520,13 +553,14 @@ class TestTwoTone:
         hs, psi0, _, unit = tr.nominal_member()
         tones = [(amp * unit, np.array([det])) for amp, det in
                  zip(tr.amplitudes, tr.detunings(omega_delta))]
+        gen, mod, frame = exact_inputs(hs, tones)
 
         def states(start):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
-                out = dynamics._evolve_floquet(
-                    psi0 / np.linalg.norm(psi0), hs, tones, traj.times,
-                    excitation_numbers(3), k=start)[0]
+                out = dynamics._evolve_exact(
+                    psi0 / np.linalg.norm(psi0), gen, mod, traj.times, frame,
+                    k=start)[0]
             return out, int(re.search(r" K (\d+),", caplog.text).group(1))
 
         wider, k_wider = states(k + 2)
@@ -535,6 +569,42 @@ class TestTwoTone:
         raised, k_raised = states(1)
         assert k_raised > 1
         assert np.max(np.abs(raised - traj.states)) <= 1e-10
+
+
+# The one selection rule: DOP853 integrates two tones whose beat period
+# spans the window, and one-tone batches; every other run is exact.
+ENGINES = [  # drive, window in beat periods, batched, engine
+    ("one tone", 2.5, False, "exact"),
+    ("zero beat", 2.5, False, "exact"),
+    ("two tones", 2.5, False, "exact"),
+    ("two tones", 2.5, True, "exact"),
+    ("two tones", 0.5, False, "DOP853"),
+    ("two tones", 0.5, True, "DOP853"),
+    ("one tone", 2.5, True, "DOP853"),
+    ("zero beat", 2.5, True, "DOP853"),
+]
+
+
+@pytest.mark.parametrize("drive, periods, batched, engine", ENGINES)
+def test_engine_selection(caplog, drive, periods, batched, engine):
+    c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+    first, second = d.tones
+    if drive == "one tone":
+        d = DriveSpec((first,))
+    elif drive == "zero beat":
+        d = DriveSpec((first, Tone(second.rabi, first.detuning,
+                                   second.phases)))
+    t_end = periods * 2.0 * np.pi / abs(beat)
+    with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+        if batched:
+            evolve_nojump_batch(
+                psi0[None], static_hamiltonian(c)[None],
+                [(a[None], np.array([w])) for a, w in _tone_arrays(c, d)],
+                np.linspace(0.0, t_end, 40))
+        else:
+            evolve_nojump(psi0, c, d, t_end, n_samples=40)
+    assert [re.match(r"exact|DOP853", r.getMessage()).group()
+            for r in caplog.records] == [engine]
 
 
 class TestLindblad:
@@ -581,7 +651,7 @@ class TestLindblad:
         traj = evolve_lindblad(rho0, c, d, 10.0)
         assert traj.trace_error < 1e-9
 
-    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.inf])
     def test_rejects_nonpositive_end_time(self, t_end):
         c, d = fig2a_system()
         rho0 = np.zeros((8, 8), dtype=complex)

@@ -71,6 +71,23 @@ class TestLinearArray:
             linear_array(-0.1, n=3)
         with pytest.raises(ValueError):
             linear_array(0.1, n=5)
+        for value in (np.nan, np.inf):
+            for make in (linear_array, linear_array_xi):
+                with pytest.raises(ValueError, match="finite"):
+                    make(value)
+
+    @pytest.mark.parametrize("field", ["positions", "alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_geometry(self, field, value):
+        # A NaN position passes the coincidence check, so it is refused
+        # before it.
+        pos, alpha = linear_array(0.1).positions.copy(), 0.3
+        if field == "positions":
+            pos[1, 2] = value
+        else:
+            alpha = value
+        with pytest.raises(ValueError, match="finite"):
+            Geometry(positions=pos, alpha=alpha)
 
     def test_rejects_coincident_positions(self):
         pos = np.zeros((3, 3))
@@ -166,3 +183,6 @@ class TestDisorder:
             DisorderSpec(variance=-1.0, samples=10)
         with pytest.raises(ValueError):
             DisorderSpec(variance=0.1, samples=0)
+        for variance in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="variance"):
+                DisorderSpec(variance=variance, samples=10)
