@@ -218,15 +218,17 @@ def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
         psi = np.einsum("bij,bj->bi", u, psi)
 
 
-def _cond(h: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-          basis: np.ndarray) -> float:
-    """Largest condition number of the stack ``basis``, times the largest
-    entry of the residual h v - e v of the unit eigenpairs (``vals``,
-    ``vecs``) of ``h``, over h's largest entry, in rounding units, at least
-    1 (eig errs near degeneracies)."""
+def _cond(basis: np.ndarray, eig: tuple | None = None) -> float:
+    """Largest condition number of the stack ``basis``; given eig's
+    (h, vals, vecs), times the largest entry of the residual h v - e v of
+    the unit eigenpairs over h's largest entry, in rounding units, at least
+    1 (eig errs near degeneracies; eigh's vectors are unitary to rounding)."""
+    cond = float(np.max(np.linalg.cond(basis)))
+    if eig is None:
+        return cond
+    h, vals, vecs = eig
     res = np.abs(h @ vecs - vecs * vals[:, None]).max() / np.abs(h).max()
-    return float(np.max(np.linalg.cond(basis))
-                 * max(1.0, res / np.finfo(float).eps))
+    return cond * max(1.0, res / np.finfo(float).eps)
 
 
 def _grid_phases(freqs: np.ndarray, times: np.ndarray) -> tuple:
@@ -297,7 +299,8 @@ def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
             modes = np.concatenate([edges[0][:, None], vecs,
                                     edges[1][:, None]], axis=1)
         start, n = modes.sum(axis=1), k + edge
-        cond = _cond(h, quasi, vecs.reshape(b, -1, dim), start)
+        cond = _cond(start, None if hermitian
+                     else (h, quasi, vecs.reshape(b, -1, dim)))
         tail = 0.0
         if cond > CONDITION_LIMIT:
             # The Sambe state itself, stepped from psi0 at q = 0.
@@ -500,9 +503,8 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     beat.  Two tones over more than one beat period are exact (see the
     module docstring); one tone, or two whose beat period spans the
     window, is integrated with DOP853 from 0 at relative tolerance
-    ``rtol`` on the RMS error of the whole stack: one member can err more
-    than ``rtol`` alone would allow, and the fastest member sets every
-    step.
+    ``rtol`` on the RMS error of the whole stack, so one member can err
+    more than ``rtol`` alone would allow.
     """
     _check_end(times[-1])
     return _propagate(psi0, hs, tones, times, excitation_numbers(

@@ -6,12 +6,10 @@ unperturbed inversion time, and records the fidelity there.  Control-field
 frequencies never track position errors.  Sample evaluations are
 independent; position draws use a per-sample split of the seed stream.
 The draws, their couplings and their batch members are each built as one
-stack, one row per draw, and the draws share solver calls: every draw
-whose coupling scale is below twice the nominal one joins one solve, and
-each octave above that gets its own, so that under one tone a strongly
-coupled draw's short integrator steps do not slow the others.  Every
-variance of a sweep draws from the sweep's seed, so a variance's draws
-depend only on (seed, variance) and variances share common random numbers.
+stack, one row per draw, and every kept draw of a variance joins one
+batched solve.  Every variance of a sweep draws from the sweep's seed, so
+a variance's draws depend only on (seed, variance) and variances share
+common random numbers.
 Amplitude and detuning tolerances share one search: a batched doubling
 ladder brackets every crossing, then all brackets bisect in lockstep.
 """
@@ -38,10 +36,7 @@ PROTOCOLS = ("prepare", "rotate")
 
 # Disordered draws whose coupling scale exceeds the nominal one by this
 # factor are so far detuned that the transfer fidelity is effectively zero;
-# they are not integrated and count as fidelity 0 in the mean, which keeps
-# pathological draws from stalling sweeps.
-# The draws kept are solved in octaves of the scale ratio (2-4, 4-8, ...,
-# 32-50), plus one solve for every draw below twice the nominal scale.
+# they are not solved and count as fidelity 0 in the mean.
 SCALE_CUTOFF = 50.0
 
 # Tolerance crossings are bisected to this absolute deviation.
@@ -195,18 +190,11 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     delta, gammas = _coupling_stack(positions, g.dipole)
     scales = np.max(np.abs(delta), axis=(1, 2))
     kept = np.flatnonzero(scales <= SCALE_CUTOFF * nominal_scale)
-    octaves = np.log2(np.maximum(scales[kept] / nominal_scale,
-                                 1.0)).astype(int)
-    # Every kept draw's member is built in one stack, and each octave's
-    # solve takes its rows from it.
-    stack = (run.transfer.members(positions[kept], delta[kept], gammas[kept])
-             if kept.size else ())
     fids = np.zeros(samples)
-    for octave in np.unique(octaves):
-        rows = np.flatnonzero(octaves == octave)
-        fids[kept[rows]] = _batched_fidelities(
-            tuple(x[rows] for x in stack),
-            [run.transfer.drive("rabi", 0.0)] * len(rows), run.eval_times,
+    if kept.size:
+        fids[kept] = _batched_fidelities(
+            run.transfer.members(positions[kept], delta[kept], gammas[kept]),
+            [run.transfer.drive("rabi", 0.0)] * kept.size, run.eval_times,
             run.base.rtol)
     return fids, float(swaps.mean())
 
@@ -329,7 +317,8 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
     The fidelity decreases with amplitude from its weak-drive limit, so the
     crossing is bracketed by halving or doubling from a spectral-scale seed
     and then bisected; each amplitude is solved once.  Raises
-    ``ProtocolError`` if seven halvings never reach the target.
+    ``ProtocolError`` if seven halvings never reach the target or seven
+    doublings never fall below it.
     """
     g = linear_array_xi(xi, alpha=alpha)
     sp = spectral_params(coupling_matrices(g))
@@ -348,6 +337,9 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
         res_lo = fid(lo)
         best = max(best, res_lo.fidelity)
     while hi is None:
+        if lo > 64.0 * e_seed:
+            raise ProtocolError(f"preparation fidelity at xi={xi} stays at "
+                                f"or above {f_target} up to e_mu={lo:.6g}")
         res_hi = fid(2.0 * lo)
         if res_hi.fidelity < f_target:
             hi = 2.0 * lo

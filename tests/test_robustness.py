@@ -178,22 +178,22 @@ def table1_batches(table1_run):
 
 
 class TestPositionBatches:
-    def test_one_solve_below_twice_nominal(self, table1_batches):
-        # Draws below twice the nominal coupling scale share one solve; only
-        # the octaves above it are solved apart.  One solve per octave below
-        # nominal as well would take 10 and 6.
+    def test_one_solve_per_variance(self, table1_batches):
+        # Every kept draw of a variance joins one batched solve, whatever
+        # its coupling scale.
         sizes = {v: [len(args[0]) for args, _, _ in calls]
                  for v, calls in table1_batches.items()}
-        assert sizes == {0.005: [95, 3, 2], 0.08: [100]}
+        assert sizes == {0.005: [100], 0.08: [100]}
 
     def test_shared_batch_matches_expm_oracle(self, table1_run,
                                               table1_batches):
         # The step controller weighs the RMS error over the whole stacked
-        # state, so each of the 95 members is checked on its own.  Members
-        # are coherent and one-tone: G is constant and expm is exact.
+        # state, so each of the 100 members, weakly and strongly coupled
+        # alike, is checked on its own.  Members are coherent and one-tone:
+        # G is constant and expm is exact.
         (psi0, hs, [(a, det)], times), kwargs, states = \
             table1_batches[0.005][0]
-        assert len(psi0) == 95 and kwargs["rtol"] == 1e-8
+        assert len(psi0) == 100 and kwargs["rtol"] == 1e-8
         assert np.array_equal(times, table1_run.eval_times)
         number = excitation_numbers(3)
         for k in range(len(psi0)):
@@ -446,6 +446,23 @@ class TestPrepareMeritPoint:
         with pytest.raises(ProtocolError, match=r"xi=0.5 never reaches "
                                                 r"0.99999 \(best 0.999975\)"):
             robustness.prepare_merit_point(0.5, 0.0, 0.99999)
+
+    def test_target_never_crossed_raises(self, monkeypatch):
+        # The fidelity stays above so low a target at every amplitude; the
+        # doubling stops at 128 times the seed, as the halving stops at
+        # 1/128, instead of running on until the amplitude overflows.
+        amplitudes = []
+        solve = robustness.prepare_b
+
+        def counted(g, e_mu, *args, **kwargs):
+            amplitudes.append(e_mu)
+            return solve(g, e_mu, *args, **kwargs)
+
+        monkeypatch.setattr(robustness, "prepare_b", counted)
+        with pytest.raises(ProtocolError, match=r"xi=0.5 stays at or above "
+                                                r"0.01 up to e_mu="):
+            robustness.prepare_merit_point(0.5, 0.0, 0.01)
+        assert amplitudes == [amplitudes[0] * 2.0**k for k in range(8)]
 
     def test_each_amplitude_solved_once(self, monkeypatch):
         # The seed fails at this target, so the search halves once and
