@@ -171,33 +171,28 @@ def _phases_for(positions_x: np.ndarray, spacing: float, k_dot_r: float) -> np.n
 
 
 class _Transfer:
-    """A transfer protocol on a nominal geometry, whose coupling set and
-    collective basis it builds once: the preparation (ground state -> b,
-    one tone) or the logical rotation (b -> c, two tones).
+    """A transfer protocol on a nominal geometry, whose coupling set,
+    spectral constants and collective basis it builds once: the preparation
+    (ground state -> b, one tone) or the logical rotation (b -> c, two
+    tones).  Each run takes its drive: the tone amplitudes and the swept
+    ``frequency``, the preparation tone or the Raman offset.
 
-    The swept ``frequency`` is the preparation tone or the Raman offset.
     Drive phases and tone detunings come from the nominal geometry, so a
     member built for displaced emitters keeps them: control fields do not
     track position errors.
     """
 
-    def __init__(self, protocol: str, g: Geometry, amplitudes: tuple,
-                 omega_delta: float | None, k_dot_r: float | None):
-        if protocol == "rotate" and omega_delta == 0:
-            raise ValueError("Raman offset must be nonzero")
+    def __init__(self, protocol: str, g: Geometry, k_dot_r: float | None):
         self.protocol = protocol
         self.geometry = g
         self.coupling = coupling_matrices(g)
         self.sp = sp = spectral_params(self.coupling)
         self.basis = collective_eigenbasis(self.coupling)
         self.kdr = g.xi12 if k_dot_r is None else k_dot_r
-        self.amplitudes = amplitudes
         self.target = "b" if protocol == "prepare" else "c"
+        # The preparation's tone; a rotation run takes its Raman offset.
         self.frequency = (0.5 * (sp.delta13 - sp.omega)
-                          if protocol == "prepare" else omega_delta)
-        # Three periods of the rotation's ripple; the preparation has none.
-        self.ripple = (0.0 if protocol == "prepare"
-                       else 3.0 * 2.0 * np.pi / abs(omega_delta))
+                          if protocol == "prepare" else None)
 
     def detunings(self, frequency) -> tuple:
         """Tone detunings at the swept frequency.  The rotation's second
@@ -207,18 +202,11 @@ class _Transfer:
         sp = self.sp
         return (frequency, 0.5 * (3.0 * sp.delta13 - sp.omega) + frequency)
 
-    def drive(self, axis: str, deviation: float) -> tuple:
-        """Tone amplitudes and detunings with the drive off nominal by
-        ``deviation`` along ``axis``.  A detuning deviation scales the swept
-        frequency.  A single-tone rabi deviation scales the amplitude; a
-        two-tone one is the product deviation, so each amplitude takes its
-        square root."""
-        scale = 1.0 + deviation
-        if axis != "rabi":
-            return [*self.amplitudes], self.detunings(self.frequency * scale)
-        scale = scale if len(self.amplitudes) == 1 else np.sqrt(scale)
-        return ([amp * scale for amp in self.amplitudes],
-                self.detunings(self.frequency))
+    def ripple(self, frequency: float) -> float:
+        """Three periods of the rotation's off-resonant ripple at Raman
+        offset ``frequency``; the preparation has none."""
+        return (0.0 if self.protocol == "prepare"
+                else 3.0 * 2.0 * np.pi / abs(frequency))
 
     def phases(self, x: np.ndarray) -> np.ndarray:
         """Drive phases of emitters at x-positions ``x``: (n,), or (B, n)
@@ -253,44 +241,46 @@ class _Transfer:
         return (_hamiltonians(delta), *self.states(vectors),
                 drive_operator(self.phases(positions[..., 0])))
 
-    def window(self) -> float:
+    def window(self, amplitudes: tuple, frequency: float) -> float:
         """Default integration window: 1.8 inversion times of the analytic
         rate for the preparation, 1.1 for the rotation, whose secular
         two-path estimate undershoots the full multi-level rate."""
         if self.protocol == "prepare":
             rate, cycles = abs(effective_prep_coupling(
-                self.sp, *self.amplitudes, self.kdr)), 1.8
+                self.sp, *amplitudes, self.kdr)), 1.8
         else:
             rate, cycles = rotation_rate_estimate(
-                self.sp, *self.amplitudes, self.kdr, self.frequency), 1.1
+                self.sp, *amplitudes, self.kdr, frequency), 1.1
         if rate == 0:
             raise ProtocolError("estimated transfer rate vanishes; pass "
                                 "t_end explicitly")
         return cycles * np.pi / (2.0 * rate)
 
-    def run(self, t_end: float | None = None,
-            decay: bool = False) -> ProtocolResult:
-        """Evolve the nominal drive from the initial state over ``t_end``
-        (default ``window()``) and score the first inversion into the
-        target level, smoothed over the ripple.  The merit is inversions
-        per lifetime at the mean linewidth of the levels transferred
-        between (b, or b and c)."""
-        t_end = self.window() if t_end is None else t_end
-        basis, detunings = self.basis, self.detunings(self.frequency)
+    def run(self, amplitudes: tuple, frequency: float,
+            t_end: float | None = None, decay: bool = False) -> ProtocolResult:
+        """Evolve the tone ``amplitudes`` at the swept ``frequency`` from
+        the initial state over ``t_end`` (default ``window``) and score the
+        first inversion into the target level, smoothed over the ripple.
+        The merit is inversions per lifetime at the mean linewidth of the
+        levels transferred between (b, or b and c)."""
+        if self.protocol == "rotate" and frequency == 0:
+            raise ValueError("Raman offset must be nonzero")
+        t_end = self.window(amplitudes, frequency) if t_end is None else t_end
+        basis, detunings = self.basis, self.detunings(frequency)
         phases = self.phases(self.geometry.positions[:, 0])
         drive = DriveSpec(tuple(Tone(amp, det, phases) for amp, det in
-                                zip(self.amplitudes, detunings)))
+                                zip(amplitudes, detunings)))
         psi0, target = self.states(basis.vectors)
         traj = evolve_nojump(psi0 / np.linalg.norm(psi0), self.coupling,
                              drive, t_end, decay=decay, basis=basis)
         pop = traj.populations_renormalized[:, basis.index(self.target)]
         t_pi, j = find_first_inversion(
-            traj.times, pop, smooth_window=min(self.ripple, t_end / 10.0))
+            traj.times, pop, min(self.ripple(frequency), t_end / 10.0))
         gammas = {f"gamma_{lab}": basis.linewidth(lab)
-                  for lab in "bc"[:len(self.amplitudes)]}
-        params = dict(zip(("e_mu", "e_nu"), self.amplitudes))
+                  for lab in "bc"[:len(amplitudes)]}
+        params = dict(zip(("e_mu", "e_nu"), amplitudes))
         if self.protocol == "rotate":
-            params["omega_delta"] = self.frequency
+            params["omega_delta"] = frequency
         params.update(zip(("omega_mu", "omega_nu"), detunings))
         params.update(k_dot_r=self.kdr, **gammas, decay=decay, t_end=t_end)
         psi = traj.states[j]
@@ -327,7 +317,8 @@ def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
     the dimensionless spacing (wavevector along the chain), which is the
     configuration the published benchmark numbers correspond to.
     """
-    return _Transfer("prepare", g, (e_mu,), None, k_dot_r).run(t_end, decay)
+    tr = _Transfer("prepare", g, k_dot_r)
+    return tr.run((e_mu,), tr.frequency, t_end, decay)
 
 
 def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
@@ -340,8 +331,8 @@ def rotate_logical(g: Geometry, e_mu: float = 6.0, e_nu: float = 15.0,
     w_nu = (3*delta13 - Omega)/2 + omega_delta, so both tones sit
     ``omega_delta`` above the shared upper level of the Raman pair.
     """
-    return _Transfer("rotate", g, (e_mu, e_nu), omega_delta,
-                     k_dot_r).run(t_end, decay)
+    return _Transfer("rotate", g, k_dot_r).run((e_mu, e_nu), omega_delta,
+                                               t_end, decay)
 
 
 def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
@@ -356,8 +347,8 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     over a window of 1.45 probe inversion times, the probe being the
     nominal rotation.  Raises if the maximum sits at the scan edge.
     """
-    tr = _Transfer("rotate", g, (e_mu, e_nu), omega_delta_nominal, k_dot_r)
-    probe = tr.run()
+    tr = _Transfer("rotate", g, k_dot_r)
+    probe = tr.run((e_mu, e_nu), omega_delta_nominal)
     # Detunings at the low scan edge slow the transfer; size the window so
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
@@ -366,7 +357,7 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
 
     def scores(offsets: np.ndarray) -> np.ndarray:
         return _batched_fidelities(
-            member, [(tr.amplitudes, tr.detunings(w)) for w in offsets],
+            member, [((e_mu, e_nu), tr.detunings(w)) for w in offsets],
             times)
 
     return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)

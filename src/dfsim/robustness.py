@@ -26,8 +26,7 @@ from .coupling import _coupling_stack, coupling_matrices, spectral_params
 from .geometry import (DisorderSpec, Geometry, _disorder_positions,
                        linear_array_xi)
 from .protocols import (ProtocolError, _batched_fidelities, _calibrate,
-                        _Transfer, prepare_b, rotate_logical,
-                        rotation_rate_estimate)
+                        _Transfer, prepare_b, rotation_rate_estimate)
 
 log = logging.getLogger(__name__)
 
@@ -145,33 +144,46 @@ class ToleranceTable:
 
 
 class _BaseRun:
-    """A base protocol's transfer and its nominal run, from which runs with
-    a perturbed drive or a displaced geometry are built."""
+    """A base protocol's transfer, drive and nominal run, from which runs
+    with a perturbed drive or a displaced geometry are built."""
 
     def __init__(self, base: ScenarioBase):
         self.base = base
         rotate = base.protocol == "rotate"
-        self.transfer = tr = _Transfer(
-            base.protocol, base.geometry,
-            (base.e_mu, base.e_nu) if rotate else (base.e_mu,),
-            base.omega_delta, base.k_dot_r)
-        self.result = res = tr.run()
+        self.transfer = tr = _Transfer(base.protocol, base.geometry,
+                                       base.k_dot_r)
+        self.amplitudes = (base.e_mu, base.e_nu) if rotate else (base.e_mu,)
+        self.frequency = base.omega_delta if rotate else tr.frequency
+        self.result = res = tr.run(self.amplitudes, self.frequency)
         self.nominal_member = tr.nominal_member()
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
         # window spanning a few ripple periods around the nominal t_pi.
-        window = tr.ripple if rotate else 0.01 * res.t_pi
+        window = tr.ripple(self.frequency) if rotate else 0.01 * res.t_pi
         self.eval_times = np.linspace(max(res.t_pi - window, 0.0),
                                       res.t_pi + window, 81)
+
+    def drive(self, axis: str, deviation: float) -> tuple:
+        """Tone amplitudes and detunings with the drive off nominal by
+        ``deviation`` along ``axis``.  A detuning deviation scales the swept
+        frequency.  A single-tone rabi deviation scales the amplitude; a
+        two-tone one is the product deviation, so each amplitude takes its
+        square root."""
+        scale = 1.0 + deviation
+        detunings = self.transfer.detunings
+        if axis != "rabi":
+            return [*self.amplitudes], detunings(self.frequency * scale)
+        scale = scale if len(self.amplitudes) == 1 else np.sqrt(scale)
+        return ([amp * scale for amp in self.amplitudes],
+                detunings(self.frequency))
 
 
 def _grid_fidelities(run: _BaseRun, points: list) -> np.ndarray:
     """Fidelity at the nominal inversion time for each (axis, deviation)
     point, evaluated in one batched solve."""
     return _batched_fidelities(
-        run.nominal_member, [run.transfer.drive(axis, dev)
-                             for axis, dev in points],
+        run.nominal_member, [run.drive(axis, dev) for axis, dev in points],
         run.eval_times, run.base.rtol)
 
 
@@ -194,7 +206,7 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     if kept.size:
         fids[kept] = _batched_fidelities(
             run.transfer.members(positions[kept], delta[kept], gammas[kept]),
-            [run.transfer.drive("rabi", 0.0)] * kept.size, run.eval_times,
+            [run.drive("rabi", 0.0)] * kept.size, run.eval_times,
             run.base.rtol)
     return fids, float(swaps.mean())
 
@@ -321,33 +333,28 @@ def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
     doublings never fall below it.
     """
     g = linear_array_xi(xi, alpha=alpha)
-    sp = spectral_params(coupling_matrices(g))
-
-    def fid(e_mu: float):
-        return prepare_b(g, e_mu)
-
-    e_seed = sp.omega / 40.0
-    lo, res_lo = e_seed, fid(e_seed)
+    e_seed = spectral_params(coupling_matrices(g)).omega / 40.0
+    lo, res_lo = e_seed, prepare_b(g, e_seed)
     hi, best = None, res_lo.fidelity
     while res_lo.fidelity < f_target:
         if lo < e_seed / 64.0:
             raise ProtocolError(f"preparation fidelity at xi={xi} never "
                                 f"reaches {f_target} (best {best:.6g})")
         hi, lo = lo, lo / 2.0
-        res_lo = fid(lo)
+        res_lo = prepare_b(g, lo)
         best = max(best, res_lo.fidelity)
     while hi is None:
         if lo > 64.0 * e_seed:
             raise ProtocolError(f"preparation fidelity at xi={xi} stays at "
                                 f"or above {f_target} up to e_mu={lo:.6g}")
-        res_hi = fid(2.0 * lo)
+        res_hi = prepare_b(g, 2.0 * lo)
         if res_hi.fidelity < f_target:
             hi = 2.0 * lo
         else:
             lo, res_lo = 2.0 * lo, res_hi
     while hi / lo > 1.004:
         mid = np.sqrt(lo * hi)
-        res_mid = fid(mid)
+        res_mid = prepare_b(g, mid)
         if res_mid.fidelity >= f_target:
             lo, res_lo = mid, res_mid
         else:
@@ -372,41 +379,40 @@ def rotate_merit_point(xi: float, alpha: float, f_target: float,
     every point.  The amplitude scale is then searched downward so that
     every evaluated run is at least as fast as the returned one (the
     effective rate grows with the amplitude product, making weak drives
-    expensive).
+    expensive).  The calibration and every run of the search share one
+    transfer of the chain.
     """
     g = linear_array_xi(xi, alpha=alpha)
-    sp = spectral_params(coupling_matrices(g))
+    tr = _Transfer("rotate", g, None)
     sp_ref = spectral_params(coupling_matrices(
         linear_array_xi(MERIT_XI_REF, alpha=alpha)))
-    lam = sp.omega / sp_ref.omega
+    lam = tr.sp.omega / sp_ref.omega
     e_mu, e_nu = e_mu * lam, e_nu * lam
     omega_delta = omega_delta * lam
     # The scaling keeps the offset-to-gap ratio but not the drive-induced
     # level shifts: the first-inversion fidelity peaks about 10% below the
     # scaled offset at xi=0.1 (near 520 against 577) and 18% below at
     # xi=0.05 (near 3800 against 4636).  Calibrate over a wide window on
-    # that fidelity, the quantity the search reports.  The peak position is amplitude-independent (mismatch
-    # and rate both scale with the squared amplitude), so calibrating at
-    # double drive is cheap.
+    # that fidelity, the quantity the search reports.  The peak position
+    # is amplitude-independent (mismatch and rate both scale with the
+    # squared amplitude), so calibrating at double drive is cheap.
     try:
-        omega_delta = _merit_offset(g, 2.0 * e_mu, 2.0 * e_nu, omega_delta)
+        omega_delta = _merit_offset(tr, 2.0 * e_mu, 2.0 * e_nu, omega_delta)
     except ProtocolError as exc:
         log.warning("rotate_merit_point: calibration failed at xi=%g, "
                     "keeping the scaled offset %g: %s", xi, omega_delta, exc)
 
     def attempt(scale: float):
-        est = rotation_rate_estimate(sp, e_mu * scale, e_nu * scale,
-                                     g.xi12, omega_delta)
+        amplitudes = (e_mu * scale, e_nu * scale)
+        est = rotation_rate_estimate(tr.sp, *amplitudes, tr.kdr, omega_delta)
         if est <= 0 or np.pi / (2.0 * est) > MERIT_T_CAP:
             return None
         try:
-            return rotate_logical(g, e_mu * scale, e_nu * scale, omega_delta)
+            return tr.run(amplitudes, omega_delta)
         except ProtocolError:
             return None
 
-    results = {}
-    lo = None
-    hi = None
+    results, lo, hi = {}, None, None
     for s in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
         res = attempt(s)
         results[s] = res
@@ -433,15 +439,15 @@ def rotate_merit_point(xi: float, alpha: float, f_target: float,
     return _merit_dict(lo, res_lo, saturated=True)
 
 
-def _merit_offset(g: Geometry, e_mu: float, e_nu: float,
+def _merit_offset(tr: _Transfer, e_mu: float, e_nu: float,
                   omega_delta: float) -> float:
     """Raman offset within ``MERIT_CALIBRATION_WINDOW`` of ``omega_delta``
-    that maximises the fidelity ``rotate_logical`` reports at the drive
-    (e_mu, e_nu): the fidelity at the first inversion.  An offset whose
-    rotation finds no inversion scores zero."""
+    that maximises the fidelity a run of the rotation transfer ``tr``
+    reports at the drive (e_mu, e_nu): the fidelity at the first inversion.
+    An offset whose rotation finds no inversion scores zero."""
     def first_inversion(w: float) -> float:
         try:
-            return rotate_logical(g, e_mu, e_nu, w).fidelity
+            return tr.run((e_mu, e_nu), w).fidelity
         except ProtocolError:
             return 0.0
 

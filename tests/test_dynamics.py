@@ -549,10 +549,10 @@ class TestTwoTone:
         with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
             traj = rotate_logical(g, e_mu, e_nu, omega_delta).trajectory
         k = int(re.search(r" K (\d+),", caplog.text).group(1))
-        tr = protocols._Transfer("rotate", g, (e_mu, e_nu), omega_delta, None)
+        tr = protocols._Transfer("rotate", g, None)
         hs, psi0, _, unit = tr.nominal_member()
         tones = [(amp * unit, np.array([det])) for amp, det in
-                 zip(tr.amplitudes, tr.detunings(omega_delta))]
+                 zip((e_mu, e_nu), tr.detunings(omega_delta))]
         gen, mod, frame = exact_inputs(hs, tones)
 
         def states(start):

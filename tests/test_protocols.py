@@ -216,7 +216,7 @@ class TestTransferMembers:
         # one-row build equals the member read off the draw's collective
         # basis: coherent H0, initial and target level, unit drive at the
         # draw's positions.  At k.r = 0 every drive is in phase.
-        tr = protocols._Transfer(protocol, g, (6.0, 15.0), 170.0, k_dot_r)
+        tr = protocols._Transfer(protocol, g, k_dot_r)
         geoms = [g] + sample_disorder(g, DisorderSpec(
             variance=variance, samples=12, seed=20260809))
         couplings = [coupling_matrices(gg) for gg in geoms]
@@ -239,6 +239,32 @@ class TestTransferMembers:
             assert all(np.array_equal(y[0], w) for y, w in zip(one, want))
         if k_dot_r == 0.0:
             assert np.array_equal(stack[3][0], drive_operator(np.zeros(3)))
+
+
+class TestSharedTransfer:
+    @pytest.mark.parametrize("protocol,g,drives", [
+        ("prepare", linear_array_xi(0.5, alpha=0.0),
+         [((1.0,), None), ((2.0,), None), ((0.5,), None), ((1.0,), None)]),
+        ("rotate", linear_array_xi(0.15, alpha=np.pi / 2),
+         [((24.0, 60.0), 150.0), ((12.0, 30.0), 167.5),
+          ((24.0, 60.0), 170.0), ((24.0, 60.0), 150.0)])])
+    def test_runs_match_fresh_calls(self, protocol, g, drives):
+        # One transfer runs every drive, the first again after the others;
+        # each run equals the public call that builds its own transfer,
+        # bit for bit, so no run leaves state behind for the next.
+        tr = protocols._Transfer(protocol, g, None)
+        for amplitudes, offset in drives:
+            if protocol == "prepare":
+                got = tr.run(amplitudes, tr.frequency)
+                want = prepare_b(g, *amplitudes)
+            else:
+                got = tr.run(amplitudes, offset)
+                want = rotate_logical(g, *amplitudes, offset)
+            assert (got.fidelity, got.fidelity_raw, got.t_pi, got.merit) \
+                == (want.fidelity, want.fidelity_raw, want.t_pi, want.merit)
+            assert got.params_used == want.params_used
+            assert np.array_equal(got.trajectory.states,
+                                  want.trajectory.states)
 
 
 class TestCalibration:

@@ -263,6 +263,13 @@ class TestOneTransferPerRun:
                            rot_base.omega_delta)
         assert builds == {"couplings": [1], "eigensystems": [1]}
 
+    def test_rotation_merit_point_builds_its_chain_once(self, builds):
+        # The offset calibration, the amplitude ladder and the bisection all
+        # run on the point's transfer; the reference chain adds one coupling
+        # build for its splitting and no eigendecomposition.
+        rotate_merit_point(0.15, np.pi / 2, 0.98)
+        assert builds == {"couplings": [1, 1], "eigensystems": [1]}
+
 
 class TestStackedSweep:
     def test_every_draw_past_the_cutoff_scores_zero(self, table1_run,
@@ -402,7 +409,7 @@ def test_rotate_merit_point_logs_calibration_failure(monkeypatch, caplog):
         raise ProtocolError("no interior fidelity maximum")
 
     monkeypatch.setattr(robustness, "_merit_offset", fail)
-    monkeypatch.setattr(robustness, "rotate_logical", fail)
+    monkeypatch.setattr(protocols._Transfer, "run", fail)
     with caplog.at_level(logging.WARNING, logger="dfsim.robustness"):
         with pytest.raises(ProtocolError, match="never converged"):
             rotate_merit_point(0.1, np.pi / 2, 0.98)
@@ -425,7 +432,8 @@ def test_merit_calibration_finds_shifted_resonance(caplog):
     lam = om / omega(robustness.MERIT_XI_REF)[1]
     e_mu, e_nu, scaled = 12.0 * lam, 30.0 * lam, 170.0 * lam
     assert scaled == pytest.approx(577.31, abs=0.01)
-    wd = robustness._merit_offset(g, e_mu, e_nu, scaled)
+    wd = robustness._merit_offset(protocols._Transfer("rotate", g, None),
+                                  e_mu, e_nu, scaled)
     assert scaled * (1.0 - robustness.MERIT_CALIBRATION_WINDOW) < wd < scaled
 
     def first_inversion(w):
