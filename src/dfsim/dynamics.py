@@ -479,9 +479,9 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
     traces = np.einsum("kii->k", states).real
     pops = np.einsum("lk,tkm,ml->tl", basis.left, states,
                      basis.left.conj().T).real
-    positivity = bool(min(np.linalg.eigvalsh(states[k]).min()
-                          for k in range(0, len(states),
-                                         max(1, len(states) // 32))) < -1e-7)
+    # Every stride-th sampled state and the final one.
+    checked = states[np.r_[0:len(states):max(1, len(states) // 32), -1]]
+    positivity = bool(np.linalg.eigvalsh(checked).min() < -1e-7)
     return Trajectory(kind="lindblad", times=times, states=states,
                       norms=traces, populations=pops, labels=basis.labels,
                       positivity_warning=positivity,

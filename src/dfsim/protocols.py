@@ -177,9 +177,9 @@ class _Transfer:
     tones).  Each run takes its drive: the tone amplitudes and the swept
     ``frequency``, the preparation tone or the Raman offset.
 
-    Drive phases and tone detunings come from the nominal geometry, so a
-    member built for displaced emitters keeps them: control fields do not
-    track position errors.
+    Tone detunings come from the nominal levels, also on displaced
+    emitters: control fields do not track position errors.  Each emitter's
+    drive phase sits at its own x, referenced to the nominal spacing.
     """
 
     def __init__(self, protocol: str, g: Geometry, k_dot_r: float | None):
@@ -221,25 +221,6 @@ class _Transfer:
                    if self.protocol == "prepare"
                    else vectors[..., LABELS.index("b")])
         return initial, vectors[..., LABELS.index(self.target)]
-
-    def members(self, positions: np.ndarray, delta: np.ndarray,
-                gammas: np.ndarray) -> tuple:
-        """Batch members for emitters at positions (B, n, 3) with coupling
-        matrices ``delta`` and ``gammas`` (B, n, n), as stacks with one row
-        per position set: coherent H0, initial states, target states and
-        unit drives."""
-        _, v, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
-        return self._rows(positions, delta, v)
-
-    def nominal_member(self) -> tuple:
-        """``members`` of the nominal geometry alone (one row), read off
-        the nominal basis."""
-        return self._rows(self.geometry.positions[None],
-                          self.coupling.delta[None], self.basis.vectors[None])
-
-    def _rows(self, positions, delta, vectors) -> tuple:
-        return (_hamiltonians(delta), *self.states(vectors),
-                drive_operator(self.phases(positions[..., 0])))
 
     def window(self, amplitudes: tuple, frequency: float) -> float:
         """Default integration window: 1.8 inversion times of the analytic
@@ -288,23 +269,35 @@ class _Transfer:
             fidelity(psi, target), fidelity_raw(psi, target), t_pi,
             len(gammas) / (sum(gammas.values()) * t_pi), traj, params)
 
-
-def _batched_fidelities(members: tuple, drives: list, times: np.ndarray,
-                        rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Best fidelity over ``times`` for each batch member, all in one
-    solve; member ``i`` (row ``i`` of the ``_Transfer.members`` stacks, or
-    their one row for every drive) is driven at the tone amplitudes and
-    detunings ``drives[i]``.  ``rtol`` governs one-tone batches only."""
-    h_stack, psi0, targets, units = (
-        np.broadcast_to(x, (len(drives),) + x.shape[1:]) for x in members)
-    tone_stacks = [(np.array([amps[k] * unit
-                              for (amps, _), unit in zip(drives, units)]),
-                    np.array([dets[k] for _, dets in drives]))
-                   for k in range(len(drives[0][0]))]
-    states = evolve_nojump_batch(psi0, h_stack, tone_stacks, times, rtol=rtol)
-    norms2 = np.sum(np.abs(states) ** 2, axis=2)
-    overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
-    return (overlaps / norms2).max(axis=1)
+    def fidelities(self, drives: list, times: np.ndarray,
+                   rtol: float = DEFAULT_RTOL,
+                   draws: tuple | None = None) -> np.ndarray:
+        """Best target fidelity over ``times`` for each (amplitudes,
+        detunings) drive, all in one solve.  Every drive runs on the
+        nominal geometry, or drive ``i`` on draw ``i`` of ``draws``, the
+        (positions (B, n, 3), delta, gammas (B, n, n)) stacks of displaced
+        emitters, each from its own coherent H0, basis and drive phases.
+        ``rtol`` governs one-tone batches only."""
+        if draws is None:
+            positions, delta = (self.geometry.positions[None],
+                                self.coupling.delta[None])
+            vectors = self.basis.vectors[None]
+        else:
+            positions, delta, gammas = draws
+            _, vectors, _ = _eigensystems(_hamiltonians(delta - 0.5j * gammas))
+        h_stack, psi0, targets, units = (
+            np.broadcast_to(x, (len(drives),) + x.shape[1:])
+            for x in (_hamiltonians(delta), *self.states(vectors),
+                      drive_operator(self.phases(positions[..., 0]))))
+        tone_stacks = [(np.array([amps[k] * unit
+                                  for (amps, _), unit in zip(drives, units)]),
+                        np.array([dets[k] for _, dets in drives]))
+                       for k in range(len(drives[0][0]))]
+        states = evolve_nojump_batch(psi0, h_stack, tone_stacks, times,
+                                     rtol=rtol)
+        norms2 = np.sum(np.abs(states) ** 2, axis=2)
+        overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
+        return (overlaps / norms2).max(axis=1)
 
 
 def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
@@ -353,12 +346,10 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     # every candidate completes its first inversion.
     t_end = 1.45 * probe.t_pi
     times = np.linspace(0.0, t_end, int(min(max(t_end / 2e-3, 1000), 10000)))
-    member = tr.nominal_member()
 
     def scores(offsets: np.ndarray) -> np.ndarray:
-        return _batched_fidelities(
-            member, [((e_mu, e_nu), tr.detunings(w)) for w in offsets],
-            times)
+        return tr.fidelities([((e_mu, e_nu), tr.detunings(w))
+                              for w in offsets], times)
 
     return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)
 

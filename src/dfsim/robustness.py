@@ -5,7 +5,7 @@ A sweep perturbs one control axis of a base protocol, re-evolves to the
 unperturbed inversion time, and records the fidelity there.  Control-field
 frequencies never track position errors.  Sample evaluations are
 independent; position draws use a per-sample split of the seed stream.
-The draws, their couplings and their batch members are each built as one
+The draws, their couplings and their eigensystems are each built as one
 stack, one row per draw, and every kept draw of a variance joins one
 batched solve.  Every variance of a sweep draws from the sweep's seed, so
 a variance's draws depend only on (seed, variance) and variances share
@@ -25,8 +25,8 @@ import numpy as np
 from .coupling import _coupling_stack, coupling_matrices, spectral_params
 from .geometry import (DisorderSpec, Geometry, _disorder_positions,
                        linear_array_xi)
-from .protocols import (ProtocolError, _batched_fidelities, _calibrate,
-                        _Transfer, prepare_b, rotation_rate_estimate)
+from .protocols import (ProtocolError, _calibrate, _Transfer, prepare_b,
+                        rotation_rate_estimate)
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +155,6 @@ class _BaseRun:
         self.amplitudes = (base.e_mu, base.e_nu) if rotate else (base.e_mu,)
         self.frequency = base.omega_delta if rotate else tr.frequency
         self.result = res = tr.run(self.amplitudes, self.frequency)
-        self.nominal_member = tr.nominal_member()
         # Fidelities are compared crest-to-crest: a drive-frequency error
         # shifts the phase of the fast off-resonant ripple at the fixed
         # readout time, so each run is scored by its best fidelity inside a
@@ -182,9 +181,9 @@ class _BaseRun:
 def _grid_fidelities(run: _BaseRun, points: list) -> np.ndarray:
     """Fidelity at the nominal inversion time for each (axis, deviation)
     point, evaluated in one batched solve."""
-    return _batched_fidelities(
-        run.nominal_member, [run.drive(axis, dev) for axis, dev in points],
-        run.eval_times, run.base.rtol)
+    return run.transfer.fidelities(
+        [run.drive(axis, dev) for axis, dev in points], run.eval_times,
+        run.base.rtol)
 
 
 def _position_fidelities(run: _BaseRun, variance: float, samples: int,
@@ -204,10 +203,9 @@ def _position_fidelities(run: _BaseRun, variance: float, samples: int,
     kept = np.flatnonzero(scales <= SCALE_CUTOFF * nominal_scale)
     fids = np.zeros(samples)
     if kept.size:
-        fids[kept] = _batched_fidelities(
-            run.transfer.members(positions[kept], delta[kept], gammas[kept]),
+        fids[kept] = run.transfer.fidelities(
             [run.drive("rabi", 0.0)] * kept.size, run.eval_times,
-            run.base.rtol)
+            run.base.rtol, (positions[kept], delta[kept], gammas[kept]))
     return fids, float(swaps.mean())
 
 

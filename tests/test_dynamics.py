@@ -550,7 +550,9 @@ class TestTwoTone:
             traj = rotate_logical(g, e_mu, e_nu, omega_delta).trajectory
         k = int(re.search(r" K (\d+),", caplog.text).group(1))
         tr = protocols._Transfer("rotate", g, None)
-        hs, psi0, _, unit = tr.nominal_member()
+        hs = static_hamiltonian(tr.coupling, decay=False)[None]
+        psi0 = tr.states(tr.basis.vectors)[0][None]
+        unit = drive_operator(tr.phases(g.positions[:, 0]))[None]
         tones = [(amp * unit, np.array([det])) for amp, det in
                  zip((e_mu, e_nu), tr.detunings(omega_delta))]
         gen, mod, frame = exact_inputs(hs, tones)
@@ -677,6 +679,24 @@ class TestLindblad:
         half[0, 0] = 0.5
         with pytest.raises(ValueError):
             evolve_lindblad(half, c, d, 1.0)
+
+    def test_positivity_check_reaches_the_final_state(self, monkeypatch):
+        # At the 800-sample floor every 25th state is checked; the final
+        # one, the only non-positive state here, is not on that stride.
+        c, d = fig2a_system()
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        bad = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+
+        def propagate(psi0, hs, tones, times, number, rtol=None):
+            states = np.repeat(rho0.ravel()[None, None], len(times), axis=1)
+            states[0, -1] = bad.ravel()
+            return states
+
+        monkeypatch.setattr(dynamics, "_propagate", propagate)
+        traj = evolve_lindblad(rho0, c, d, 1.0)
+        assert len(traj.times) == 800
+        assert traj.positivity_warning
 
     def test_conditional_norm_matches_no_jump_probability(self):
         # The squared norm of the no-jump state vector equals the trace of

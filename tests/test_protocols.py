@@ -211,34 +211,61 @@ class TestTransferMembers:
         ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016, None),
         ("prepare", linear_array_xi(0.5, alpha=0.0), 0.005, 0.0),
         ("rotate", linear_array_xi(0.15, alpha=np.pi / 2), 0.0016, 0.0)])
-    def test_rows_match_one_draw_stacks(self, protocol, g, variance, k_dot_r):
-        # Each row of a stacked build equals that draw built alone, and the
-        # one-row build equals the member read off the draw's collective
-        # basis: coherent H0, initial and target level, unit drive at the
-        # draw's positions.  At k.r = 0 every drive is in phase.
+    def test_rows_match_one_draw_stacks(self, monkeypatch, protocol, g,
+                                        variance, k_dot_r):
+        # Each row of a stacked solve equals that draw solved alone, and
+        # the one-draw solve equals the row read off the draw's collective
+        # basis: coherent H0, initial level, unit drive at the draw's
+        # positions; the scores are the overlaps with the draw's target
+        # level.  The nominal solve is row 0.  At k.r = 0 every drive is
+        # in phase.
         tr = protocols._Transfer(protocol, g, k_dot_r)
         geoms = [g] + sample_disorder(g, DisorderSpec(
             variance=variance, samples=12, seed=20260809))
         couplings = [coupling_matrices(gg) for gg in geoms]
-        stack = tr.members(np.array([gg.positions for gg in geoms]),
-                           np.array([c.delta for c in couplings]),
-                           np.array([c.gammas for c in couplings]))
+        solves, batch = [], protocols.evolve_nojump_batch
+
+        def kept(*args, **kwargs):
+            solves.append((args, batch(*args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(protocols, "evolve_nojump_batch", kept)
+        drive = (((1.0,), tr.detunings(tr.frequency))
+                 if protocol == "prepare" else
+                 ((1.0, 1.0), tr.detunings(170.0)))
+        times = np.linspace(0.0, 1.0, 21)
+
+        def solve(draws, rows):
+            scores = tr.fidelities([drive] * rows, times, draws=draws)
+            (psi0, hs, tones, _), states = solves[-1]
+            return scores, (hs, psi0, tones[0][0]), states
+
+        scores, stack, states = solve(
+            (np.array([gg.positions for gg in geoms]),
+             np.array([c.delta for c in couplings]),
+             np.array([c.gammas for c in couplings])), len(geoms))
         assert all(len(x) == len(geoms) for x in stack)
-        assert all(np.array_equal(x, y[None])
-                   for x, y in zip(tr.nominal_member(), (z[0] for z in stack)))
+        _, nominal, _ = solve(None, 1)
+        assert all(np.array_equal(x, y[:1]) for x, y in zip(nominal, stack))
+        targets = []
         for k, (gg, c) in enumerate(zip(geoms, couplings)):
-            one = tr.members(gg.positions[None], c.delta[None],
-                             c.gammas[None])
+            _, one, _ = solve((gg.positions[None], c.delta[None],
+                               c.gammas[None]), 1)
             assert all(np.array_equal(x[k], y[0]) for x, y in zip(stack, one))
             basis = collective_eigenbasis(c)
             initial = (ground_state(3) if protocol == "prepare"
                        else basis.vector("b"))
             want = (static_hamiltonian(c, decay=False), initial,
-                    basis.vector(tr.target),
                     drive_operator(tr.phases(gg.positions[:, 0])))
             assert all(np.array_equal(y[0], w) for y, w in zip(one, want))
+            targets.append(basis.vector(tr.target))
+        overlaps = np.abs(np.einsum("bi,bti->bt", np.conj(targets),
+                                    states)) ** 2
+        assert np.array_equal(
+            scores,
+            (overlaps / np.sum(np.abs(states) ** 2, axis=2)).max(axis=1))
         if k_dot_r == 0.0:
-            assert np.array_equal(stack[3][0], drive_operator(np.zeros(3)))
+            assert np.array_equal(stack[2][0], drive_operator(np.zeros(3)))
 
 
 class TestSharedTransfer:

@@ -241,6 +241,7 @@ class TestOneTransferPerRun:
             return eigensystems(h)
 
         monkeypatch.setattr(coupling, "_coupling_stack", counted_stack)
+        monkeypatch.setattr(robustness, "_coupling_stack", counted_stack)
         monkeypatch.setattr(hilbert, "_eigensystems", counted_eigensystems)
         monkeypatch.setattr(protocols, "_eigensystems", counted_eigensystems)
         return seen
@@ -248,12 +249,29 @@ class TestOneTransferPerRun:
     @pytest.mark.parametrize("base", ["prep_base", "rot_base"])
     def test_base_run_builds_the_nominal_system_once(self, builds, base,
                                                      request):
-        # The nominal run, the nominal member and the sweep drives all come
-        # from one transfer: one coupling set, one eigendecomposition.
+        # The nominal run and the scoring of the nominal drive come from
+        # one transfer: one coupling set, one eigendecomposition.  The
+        # score at zero deviation lands on the run's own target fidelity.
         run = robustness._BaseRun(request.getfixturevalue(base))
+        fids = robustness._grid_fidelities(run, [("rabi", 0.0)])
         assert builds == {"couplings": [1], "eigensystems": [1]}
-        assert np.array_equal(run.nominal_member[2][0],
-                              run.transfer.basis.vector(run.transfer.target))
+        assert fids[0] == pytest.approx(run.result.fidelity, abs=5e-4)
+
+    @pytest.mark.parametrize("run, stacked", [
+        (lambda base: sweep(SweepSpec(protocol="prepare", axis="rabi",
+                                      values=(-0.05, 0.0, 0.05)), base), []),
+        (lambda base: tolerance_table(base, thresholds=(0.9, 0.98)), []),
+        (lambda base: sweep(SweepSpec(protocol="prepare", axis="position",
+                                      values=(1e-6,), samples=12, seed=5),
+                            base), [12])],
+        ids=["rabi-sweep", "table", "position-sweep"])
+    def test_sweeps_score_on_the_nominal_system(self, builds, prep_base,
+                                                run, stacked):
+        # Scoring nominal drives adds no coupling build and no
+        # eigendecomposition; each variance adds one stacked build of each.
+        run(prep_base)
+        assert builds == {"couplings": [1] + stacked,
+                          "eigensystems": [1] + stacked}
 
     def test_calibration_builds_the_nominal_system_once(self, builds,
                                                         rot_base):
@@ -275,15 +293,15 @@ class TestStackedSweep:
     def test_every_draw_past_the_cutoff_scores_zero(self, table1_run,
                                                     monkeypatch):
         # A draw past the cutoff counts as fidelity 0 in the mean; with
-        # every draw past it, no member stack is built and nothing solved.
+        # every draw past it, no draw's basis is built and nothing solved.
         built = []
-        members = protocols._Transfer.members
+        eigensystems = protocols._eigensystems
 
-        def recorded(self, positions, delta, gammas):
-            built.append(len(positions))
-            return members(self, positions, delta, gammas)
+        def recorded(h):
+            built.append(len(h))
+            return eigensystems(h)
 
-        monkeypatch.setattr(protocols._Transfer, "members", recorded)
+        monkeypatch.setattr(protocols, "_eigensystems", recorded)
         monkeypatch.setattr(robustness, "SCALE_CUTOFF", 0.0)
         monkeypatch.setattr(protocols, "evolve_nojump_batch", None)
         res = robustness._sweep(table1_run, SweepSpec(
