@@ -32,7 +32,10 @@ quarter until the edge amplitude, the state's or
 sum_k |a_k| |phi_{k,+-(K+1)}|, is <= ``_TAIL_LIMIT``; ill-conditioned or
 inexact eigenvectors (``_cond``) step the Sambe state with expm.  DOP853
 integrates only two tones whose beat period spans the window, where K
-would grow as r without bound, and one-tone batches.
+would grow as r without bound, and one-tone batches.  A batch may ask for
+the overlaps <row|psi(t)> with a few rows instead of the states: the exact
+engine then projects the modes (after the tail check) and samples only
+the projections; the other paths project the sampled states.
 """
 
 from __future__ import annotations
@@ -218,6 +221,13 @@ def _stepped(gen: np.ndarray, psi0: np.ndarray, times: np.ndarray,
         psi = np.einsum("bij,bj->bi", u, psi)
 
 
+def _observed(states: np.ndarray, observe: np.ndarray | None) -> np.ndarray:
+    """Sampled ``states`` (B, nt, dim), or their overlaps <row|psi(t)>
+    (B, nt, m) with the rows ``observe`` (B, m, dim) if it is given."""
+    return (states if observe is None
+            else np.einsum("bmi,bti->btm", observe.conj(), states))
+
+
 def _cond(basis: np.ndarray, eig: tuple | None = None) -> float:
     """Largest condition number of the stack ``basis``; given eig's
     (h, vals, vecs), times the largest entry of the residual h v - e v of
@@ -259,13 +269,13 @@ def _sambe(static: np.ndarray, a2: np.ndarray, delta: float,
 
 
 def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
-                  times: np.ndarray, frame: np.ndarray,
-                  k: int | None = None) -> np.ndarray:
+                  times: np.ndarray, frame: np.ndarray, k: int | None = None,
+                  observe: np.ndarray | None = None) -> np.ndarray:
     """States (B, nt, dim) of a stack from the eigenmodes of its Sambe
     matrix (see the module docstring): ``gen`` the frame generators
     (B, dim, dim), ``mod`` the modulated tone (A2, D) or None (then K = 0),
     ``frame`` the frame frequencies (B, dim), and a K to start from instead
-    of the a-priori one."""
+    of the a-priori one; given ``observe``, see ``_observed``."""
     if np.max(np.abs(np.diff(times, 2)), initial=0) > 1e-9 * times[-1]:
         raise ValueError("exact propagation needs an even sample grid")
     (b, dim), eye = psi0.shape, np.eye(psi0.shape[1])
@@ -322,24 +332,39 @@ def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
         if tail <= _TAIL_LIMIT:
             break
         k += max(2, k // 4)
+    if cond <= CONDITION_LIMIT and observe is not None:
+        # One piece of each row per frame frequency (phase) it touches, below
+        # 1e-12 of its largest entry counting as round-off: the modes'
+        # overlaps with the pieces are sampled, then summed per row.
+        freqs, sector = np.unique(frame, axis=1, return_inverse=True)
+        big = np.abs(observe) > 1e-12 * np.abs(observe).max(2, keepdims=True)
+        used = np.unique(sector[np.any(big, axis=(0, 1))])
+        pieces = observe.conj()[:, :, None] * (sector == used[:, None])
+        modes = np.einsum("bqjk,brj->bqrk", modes, pieces.reshape(b, -1, dim))
+        frame = np.tile(freqs[:, used], (1, observe.shape[1]))
     _log.debug("exact (%s): %d members, %d samples, dim %d, K %d, "
-               "tail %.3g, eigenvector cond %.3g",
+               "tail %.3g, eigenvector cond %.3g, sampled %d of %d",
                "expm steps" if cond > CONDITION_LIMIT else "eigh" if hermitian
-               else "eig", b, len(times), h.shape[1], k, tail, cond)
+               else "eig", b, len(times), h.shape[1], k, tail, cond,
+               modes.shape[2], dim)
     if cond > CONDITION_LIMIT:
-        return np.stack(phi, axis=1) * np.exp(
-            -1j * frame[:, None] * times[:, None])
+        return _observed(np.stack(phi, axis=1) * np.exp(
+            -1j * frame[:, None] * times[:, None]), observe)
     # Phases split into coarse and fine grid factors, so that the sum over
     # (k, q) of e^{-i (e_k + q D) t} a_k phi_{k,q} is one product.
     (ce, fe), (cq, fq), (cf, ff) = (_grid_phases(f, times) for f in (
         quasi, delta * np.arange(-n, n + 1), frame))
+    width = modes.shape[2]
     coarse = ((ce[..., None] * cq[:, None])[..., None] * (
         coef[:, :, None, None] * modes.transpose(0, 3, 1, 2))[:, None])
     fine = (fe[..., None] * fq[:, None]).reshape(b, len(fq), -1)
-    phi = fine @ coarse.reshape(b, len(cq), -1, dim).swapaxes(1, 2).reshape(
-        b, fine.shape[2], -1)
-    phi = phi.reshape(b, len(fq), len(cq), dim) * ff[:, :, None] * cf[:, None]
-    return phi.swapaxes(1, 2).reshape(b, -1, dim)[:, :len(times)]
+    phi = fine @ coarse.transpose(0, 2, 3, 1, 4).reshape(
+        b, fine.shape[2], len(cq) * width)
+    phi = phi.reshape(b, len(fq), len(cq), width) * ff[:, :, None] * cf[:, None]
+    phi = phi.swapaxes(1, 2).reshape(b, len(fq) * len(cq), width)[
+        :, :len(times)]
+    return phi if observe is None else phi.reshape(
+        b, len(times), observe.shape[1], len(used)).sum(axis=3)
 
 
 def _evolve_integrated(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
@@ -388,19 +413,21 @@ def _beat(tones: list) -> tuple:
 
 def _propagate(psi0: np.ndarray, hs: np.ndarray, tones: list,
                times: np.ndarray, number: np.ndarray,
-               rtol: float | None = None) -> np.ndarray:
+               rtol: float | None = None,
+               observe: np.ndarray | None = None) -> np.ndarray:
     """States (B, nt, dim) of i dy/dt = G(t) y for a stack, G being ``hs``
     (which conserves the diagonal ``number``) plus e^{-i w t} A + h.c. for
     each tone (A, w) in ``tones``, in the frame of the stronger tone (see
-    the module docstring); ``rtol`` is a batch's tolerance, None for an
-    unbatched run."""
+    the module docstring; given ``observe``, see ``_observed``); ``rtol``
+    is a batch's tolerance, None for an unbatched run."""
     tones, delta = _beat(tones)
     (a1, det1), *rest = tones or [(np.zeros_like(hs), np.zeros(len(hs)))]
     gen = (hs + a1 + a1.conj().transpose(0, 2, 1)
            - det1[:, None, None] * np.diag(number))
     mod = (rest[0][0], delta) if rest else None
     if abs(delta) * times[-1] > 2.0 * np.pi or (rtol is None and not delta):
-        return _evolve_exact(psi0, gen, mod, times, det1[:, None] * number)
+        return _evolve_exact(psi0, gen, mod, times, det1[:, None] * number,
+                             observe=observe)
     # DOP853 takes two tones whose beat period spans the window, where the
     # truncation would grow as |A2| / |D| without bound, and one-tone
     # batches: those stay integrated while perfbench's span test
@@ -408,8 +435,8 @@ def _propagate(psi0: np.ndarray, hs: np.ndarray, tones: list,
     # prep-disorder sweep, whose one-tone batch is its only solver call.
     states = _evolve_integrated(psi0, gen, mod, times,
                                 _WINDOW_RTOL if rtol is None else rtol)
-    return (np.exp(-1j * det1[:, None, None] * times[None, :, None] * number)
-            * states)
+    return _observed(np.exp(-1j * det1[:, None, None] * times[None, :, None]
+                            * number) * states, observe)
 
 
 def evolve_nojump(psi0: np.ndarray, c: CouplingSet, d: DriveSpec,
@@ -490,22 +517,24 @@ def evolve_lindblad(rho0: np.ndarray, c: CouplingSet, d: DriveSpec,
 
 def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
                         tones: list[tuple[np.ndarray, np.ndarray]],
-                        times: np.ndarray,
-                        rtol: float = DEFAULT_RTOL) -> np.ndarray:
+                        times: np.ndarray, rtol: float = DEFAULT_RTOL,
+                        observe: np.ndarray | None = None) -> np.ndarray:
     """Propagate a stack of independent no-jump problems in one call.
 
-    psi0 : (B, dim) initial states
-    hs   : (B, dim, dim) static Hamiltonians
-    tones: one or two (A, detunings), A of shape (B, dim, dim) and
-           detunings of shape (B,)
-    times: ascending sample times, an even grid under two tones
-    Returns the sampled history (B, nt, dim); all members must share their
-    beat.  Two tones over more than one beat period are exact (see the
-    module docstring); one tone, or two whose beat period spans the
-    window, is integrated with DOP853 from 0 at relative tolerance
-    ``rtol`` on the RMS error of the whole stack, so one member can err
-    more than ``rtol`` alone would allow.
+    psi0   : (B, dim) initial states
+    hs     : (B, dim, dim) static Hamiltonians
+    tones  : one or two (A, detunings), A of shape (B, dim, dim) and
+             detunings of shape (B,)
+    times  : ascending sample times, an even grid under two tones
+    observe: optional rows (B, m, dim)
+    Returns the sampled history (B, nt, dim), or only its overlaps
+    <row|psi(t)> (B, nt, m) with ``observe``; all members share their beat.
+    Two tones over more than one beat period are exact (see the module
+    docstring) and sample the Floquet modes' overlaps with the rows; one
+    tone, or two whose beat period spans the window, is integrated with
+    DOP853 from 0 at relative tolerance ``rtol`` on the RMS error of the
+    whole stack, so one member can err more than ``rtol`` alone would allow.
     """
     _check_end(times[-1])
     return _propagate(psi0, hs, tones, times, excitation_numbers(
-        psi0.shape[1].bit_length() - 1), rtol)
+        psi0.shape[1].bit_length() - 1), rtol, observe)

@@ -272,11 +272,13 @@ class _Transfer:
     def fidelities(self, drives: list, times: np.ndarray,
                    rtol: float = DEFAULT_RTOL,
                    draws: tuple | None = None) -> np.ndarray:
-        """Best target fidelity over ``times`` for each (amplitudes,
-        detunings) drive, all in one solve.  Every drive runs on the
+        """Best target population max_t |<target|psi(t)>|^2 over ``times``
+        for each (amplitudes, detunings) drive, all in one solve that
+        samples only the target amplitude.  Every drive runs on the
         nominal geometry, or drive ``i`` on draw ``i`` of ``draws``, the
         (positions (B, n, 3), delta, gammas (B, n, n)) stacks of displaced
         emitters, each from its own coherent H0, basis and drive phases.
+        Coherent members keep unit norm, so the score is not renormalised.
         ``rtol`` governs one-tone batches only."""
         if draws is None:
             positions, delta = (self.geometry.positions[None],
@@ -293,11 +295,9 @@ class _Transfer:
                                   for (amps, _), unit in zip(drives, units)]),
                         np.array([dets[k] for _, dets in drives]))
                        for k in range(len(drives[0][0]))]
-        states = evolve_nojump_batch(psi0, h_stack, tone_stacks, times,
-                                     rtol=rtol)
-        norms2 = np.sum(np.abs(states) ** 2, axis=2)
-        overlaps = np.abs(np.einsum("bi,bti->bt", targets.conj(), states)) ** 2
-        return (overlaps / norms2).max(axis=1)
+        amplitudes = evolve_nojump_batch(psi0, h_stack, tone_stacks, times,
+                                         rtol=rtol, observe=targets[:, None])
+        return (np.abs(amplitudes[..., 0]) ** 2).max(axis=1)
 
 
 def prepare_b(g: Geometry, e_mu: float = 1.0, t_end: float | None = None,
@@ -332,13 +332,15 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
                        omega_delta_nominal: float, *,
                        k_dot_r: float | None = None) -> float:
     """Scan the Raman detuning near its nominal value and return the value
-    maximising the transfer fidelity over the first cycle.
+    maximising the best target population max_t |<c|psi(t)>|^2 over
+    [0, 1.45 t_pi], t_pi being the probe's (the nominal rotation's) first
+    inversion time.  That score is not the smoothed first-inversion
+    fidelity ``rotate_logical`` reports, so the offset it picks need not
+    maximise the latter.
 
     The scan covers ``+- CALIBRATION_WINDOW`` (relative) around the nominal
-    value with two successive batched grids (``_calibrate``); each
-    candidate scores its best transfer fidelity
-    over a window of 1.45 probe inversion times, the probe being the
-    nominal rotation.  Raises if the maximum sits at the scan edge.
+    value with two successive batched grids (``_calibrate``), scored by
+    ``_Transfer.fidelities``.  Raises if the maximum sits at the scan edge.
     """
     tr = _Transfer("rotate", g, k_dot_r)
     probe = tr.run((e_mu, e_nu), omega_delta_nominal)

@@ -370,14 +370,16 @@ class TestOneTone:
                           n_samples=40)
         lines = [re.fullmatch(r"exact \((\w+)\): 1 members, (\d+) samples, "
                               r"dim (\d+), K (\d+), tail (\S+), "
-                              r"eigenvector cond \S+", r.getMessage())
+                              r"eigenvector cond \S+, sampled (\d+) of (\d+)",
+                              r.getMessage())
                  for r in caplog.records]
         assert len(lines) == 3
         # One tone is the K = 0 case: the Sambe matrix is the generator.
-        assert lines[0].groups() == ("eig", "50", "8", "0", "0")
-        assert lines[1].groups() == ("eigh", "50", "8", "0", "0")
-        method, samples, dim, k, tail = lines[2].groups()
-        assert (method, samples) == ("eig", "40")
+        # Unbatched runs sample every component.
+        assert lines[0].groups() == ("eig", "50", "8", "0", "0", "8", "8")
+        assert lines[1].groups() == ("eigh", "50", "8", "0", "0", "8", "8")
+        method, samples, dim, k, tail, width, full = lines[2].groups()
+        assert (method, samples, width, full) == ("eig", "40", "8", "8")
         assert int(dim) == 8 * (2 * int(k) + 1)
         assert float(tail) <= dynamics._TAIL_LIMIT
 
@@ -607,6 +609,77 @@ def test_engine_selection(caplog, drive, periods, batched, engine):
             evolve_nojump(psi0, c, d, t_end, n_samples=40)
     assert [re.match(r"exact|DOP853", r.getMessage()).group()
             for r in caplog.records] == [engine]
+
+
+# Each path a batch can take, as the engine's log line names it: two
+# tones over several beat periods (eigh, since the members are coherent),
+# one tone, two tones within one beat period, and the expm steps.
+OBSERVED_PATHS = [  # drive, window in beat periods, condition limit, engine
+    ("two tones", 2.5, None, "exact (eigh)"),
+    ("one tone", 2.5, None, "DOP853"),
+    ("two tones", 0.5, None, "DOP853"),
+    ("two tones", 2.5, 0.0, "exact (expm steps)"),
+]
+
+
+def observed_batch(drive, periods):
+    """Arguments of a coherent two-member rotation batch, and rows that
+    mix every excitation number."""
+    c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+    tones = [(np.array([a, 0.5 * a]), np.array([w, w]))
+             for a, w in _tone_arrays(c, d)][:1 if drive == "one tone" else 2]
+    rows = np.random.default_rng(7).normal(size=(2, 2, 8, 2)) @ [1.0, 1j]
+    return (np.array([psi0] * 2), np.array([static_hamiltonian(c, False)] * 2),
+            tones, np.linspace(0.0, periods * 2.0 * np.pi / abs(beat), 40)
+            ), rows, collective_eigenbasis(c).vector("c")
+
+
+class TestObservedRows:
+    @pytest.mark.parametrize("drive, periods, limit, engine", OBSERVED_PATHS)
+    def test_overlaps_match_the_full_states(self, monkeypatch, caplog, drive,
+                                            periods, limit, engine):
+        # On every path the overlaps the batch returns are those of its
+        # full states; under two tones the engine samples the projected
+        # Floquet modes, one per frame frequency a row touches.
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
+        args, rows, target = observed_batch(drive, periods)
+        with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+            states = evolve_nojump_batch(*args)
+            got = evolve_nojump_batch(*args, observe=rows)
+            one = evolve_nojump_batch(*args, observe=np.array([[target]] * 2))
+        assert got.shape == (2, 40, 2) and one.shape == (2, 40, 1)
+        assert np.max(np.abs(
+            got - np.einsum("bmi,bti->btm", rows.conj(), states))) < 1e-12
+        assert np.max(np.abs(one[..., 0] - states @ target.conj())) < 1e-12
+        messages = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.DEBUG]
+        assert len(messages) == 3
+        assert all(m.startswith(engine) for m in messages)
+        if engine.startswith("exact"):
+            k, tail = re.search(r" K (\d+), tail (\S+),", messages[0]).groups()
+            assert int(k) > 0 and float(tail) <= dynamics._TAIL_LIMIT
+            assert [m.rsplit(", ", 1)[1] for m in messages] == [
+                "sampled 8 of 8", "sampled 8 of 8",
+                "sampled 8 of 8" if "steps" in engine else "sampled 1 of 8"]
+
+    def test_truncation_grows_on_the_full_modes(self, caplog):
+        # A start far below the truncation that passes is raised by the
+        # tail check as far with rows as without: the check reads the full
+        # modes, before they are projected.
+        args, rows, _ = observed_batch("two tones", 7.3)
+        psi0, hs, tones, times = args
+        gen, mod, frame = exact_inputs(hs, tones)
+        ks, out = [], []
+        for observe in (None, rows):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dfsim.dynamics"):
+                out.append(dynamics._evolve_exact(psi0, gen, mod, times, frame,
+                                                  k=1, observe=observe))
+            ks.append(int(re.search(r" K (\d+),", caplog.text).group(1)))
+        assert ks[0] == ks[1] > 1
+        assert np.max(np.abs(
+            out[1] - np.einsum("bmi,bti->btm", rows.conj(), out[0]))) < 1e-12
 
 
 class TestLindblad:

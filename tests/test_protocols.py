@@ -216,9 +216,9 @@ class TestTransferMembers:
         # Each row of a stacked solve equals that draw solved alone, and
         # the one-draw solve equals the row read off the draw's collective
         # basis: coherent H0, initial level, unit drive at the draw's
-        # positions; the scores are the overlaps with the draw's target
-        # level.  The nominal solve is row 0.  At k.r = 0 every drive is
-        # in phase.
+        # positions; the observed row is the draw's target level, and the
+        # scores are the largest squared amplitudes on it.  The nominal
+        # solve is row 0.  At k.r = 0 every drive is in phase.
         tr = protocols._Transfer(protocol, g, k_dot_r)
         geoms = [g] + sample_disorder(g, DisorderSpec(
             variance=variance, samples=12, seed=20260809))
@@ -226,8 +226,8 @@ class TestTransferMembers:
         solves, batch = [], protocols.evolve_nojump_batch
 
         def kept(*args, **kwargs):
-            solves.append((args, batch(*args, **kwargs)))
-            return solves[-1][1]
+            solves.append((args, kwargs, batch(*args, **kwargs)))
+            return solves[-1][2]
 
         monkeypatch.setattr(protocols, "evolve_nojump_batch", kept)
         drive = (((1.0,), tr.detunings(tr.frequency))
@@ -237,10 +237,10 @@ class TestTransferMembers:
 
         def solve(draws, rows):
             scores = tr.fidelities([drive] * rows, times, draws=draws)
-            (psi0, hs, tones, _), states = solves[-1]
-            return scores, (hs, psi0, tones[0][0]), states
+            (psi0, hs, tones, _), kwargs, amplitudes = solves[-1]
+            return scores, (hs, psi0, tones[0][0]), (kwargs, amplitudes)
 
-        scores, stack, states = solve(
+        scores, stack, (kwargs, amplitudes) = solve(
             (np.array([gg.positions for gg in geoms]),
              np.array([c.delta for c in couplings]),
              np.array([c.gammas for c in couplings])), len(geoms))
@@ -259,11 +259,10 @@ class TestTransferMembers:
                     drive_operator(tr.phases(gg.positions[:, 0])))
             assert all(np.array_equal(y[0], w) for y, w in zip(one, want))
             targets.append(basis.vector(tr.target))
-        overlaps = np.abs(np.einsum("bi,bti->bt", np.conj(targets),
-                                    states)) ** 2
+        assert np.array_equal(kwargs["observe"], np.array(targets)[:, None])
+        assert amplitudes.shape == (len(geoms), len(times), 1)
         assert np.array_equal(
-            scores,
-            (overlaps / np.sum(np.abs(states) ** 2, axis=2)).max(axis=1))
+            scores, (np.abs(amplitudes[..., 0]) ** 2).max(axis=1))
         if k_dot_r == 0.0:
             assert np.array_equal(stack[2][0], drive_operator(np.zeros(3)))
 

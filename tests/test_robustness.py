@@ -161,7 +161,7 @@ def table1_run():
 @pytest.fixture(scope="module")
 def table1_batches(table1_run):
     """Every batched solve of table1's two position variances: variance ->
-    list of (arguments, keyword arguments, states)."""
+    list of (arguments, keyword arguments, returned target amplitudes)."""
     solves, batch = {}, protocols.evolve_nojump_batch
     with pytest.MonkeyPatch.context() as mp:
         for variance in (0.005, 0.08):
@@ -190,17 +190,22 @@ class TestPositionBatches:
         # The step controller weighs the RMS error over the whole stacked
         # state, so each of the 100 members, weakly and strongly coupled
         # alike, is checked on its own.  Members are coherent and one-tone:
-        # G is constant and expm is exact.
-        (psi0, hs, [(a, det)], times), kwargs, states = \
+        # G is constant and expm is exact.  The batch returns the
+        # amplitude on each member's target level.
+        (psi0, hs, [(a, det)], times), kwargs, amplitudes = \
             table1_batches[0.005][0]
         assert len(psi0) == 100 and kwargs["rtol"] == 1e-8
         assert np.array_equal(times, table1_run.eval_times)
+        targets = kwargs["observe"]
+        assert targets.shape == (100, 1, 8)
+        assert amplitudes.shape == (100, len(times), 1)
         number = excitation_numbers(3)
         for k in range(len(psi0)):
             gen = hs[k] - det[k] * np.diag(number) + a[k] + a[k].conj().T
             want = (np.exp(-1j * det[k] * np.outer(times, number))
                     * (expm(-1j * times[:, None, None] * gen) @ psi0[k]))
-            assert np.max(np.abs(states[k] - want)) < 1e-8
+            assert np.max(np.abs(amplitudes[k]
+                                 - want @ targets[k].conj().T)) < 1e-8
 
     def test_small_disorder_is_a_detuned_two_level_transfer(self,
                                                              table1_run):
@@ -222,6 +227,34 @@ class TestPositionBatches:
         predicted = res.fidelity * rabi**2 / w**2 * np.sin(w * res.t_pi)**2
         assert fids.mean() < 0.975
         assert abs(fids.mean() - predicted.mean()) < 2e-3
+
+
+class TestCoherentStacks:
+    @pytest.mark.parametrize("stack", ["rot-fig3a calibration",
+                                       "table1 tolerance ladder"])
+    def test_batched_members_keep_their_norm(self, monkeypatch, table1_run,
+                                             stack):
+        # Every stack the transfer scores is coherent (Hermitian H0 and
+        # drive), so its states keep unit norm to within the engine's own
+        # error and the target populations need no renormalisation.  Each
+        # batched solve runs once more for its full states.
+        drift, batch = [], protocols.evolve_nojump_batch
+
+        def full(*args, **kwargs):
+            states = batch(*args, **dict(kwargs, observe=None))
+            drift.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=2)
+                                       - 1.0)))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "evolve_nojump_batch", full)
+        if stack == "rot-fig3a calibration":
+            assert calibrate_detuning(linear_array_xi(0.15, alpha=np.pi / 2),
+                                      6.0, 15.0, 170.0) \
+                == pytest.approx(170.18, abs=1e-9)
+        else:
+            robustness._tolerances(table1_run, ("rabi", "detuning"),
+                                   (0.9, 0.95, 0.98))
+        assert len(drift) >= 2 and max(drift) <= 1e-9
 
 
 class TestOneTransferPerRun:
