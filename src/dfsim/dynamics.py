@@ -525,7 +525,8 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     hs     : (B, dim, dim) static Hamiltonians
     tones  : one or two (A, detunings), A of shape (B, dim, dim) and
              detunings of shape (B,)
-    times  : ascending sample times, an even grid under two tones
+    times  : increasing sample times from 0 or later, an even grid under
+             two tones
     observe: optional rows (B, m, dim)
     Returns the sampled history (B, nt, dim), or only its overlaps
     <row|psi(t)> (B, nt, m) with ``observe``; all members share their beat.
@@ -536,5 +537,7 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     whole stack, so one member can err more than ``rtol`` alone would allow.
     """
     _check_end(times[-1])
+    if times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must start at 0 or later and increase")
     return _propagate(psi0, hs, tones, times, excitation_numbers(
         psi0.shape[1].bit_length() - 1), rtol, observe)

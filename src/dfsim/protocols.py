@@ -106,21 +106,16 @@ def find_first_inversion(times: np.ndarray, pops: np.ndarray,
                          smooth_window: float = 0.0) -> tuple[float, int]:
     """Time of the first significant population maximum.
 
-    With a nonzero ``smooth_window`` the trace is first averaged over that
-    window to suppress fast off-resonant ripples, the first smoothed local
-    maximum above half the peak level is located, and the raw trace is then
-    refined inside the window (parabolic fit through the raw crest).
+    The trace is first averaged over ``smooth_window``, rounded to a whole
+    number w of samples and at least one (w = 1 leaves it as it is), to
+    suppress fast off-resonant ripples; the first smoothed crest in the
+    near-complete-transfer band is located, and the raw trace is then
+    refined within 2 w samples of it (parabolic fit through the raw crest).
     Returns (t_pi, raw grid index of the crest).
     """
-    dt = times[1] - times[0]
-    w = int(round(smooth_window / dt)) if smooth_window > 0 else 1
-    if w > 1:
-        kernel = np.ones(w) / w
-        smoothed = np.convolve(pops, kernel, mode="same")
-        lo, hi = w, len(pops) - w
-    else:
-        smoothed = pops
-        lo, hi = 1, len(pops) - 1
+    w = max(1, round(smooth_window / (times[1] - times[0])))
+    smoothed = np.convolve(pops, np.ones(w) / w, mode="same")
+    lo, hi = w, len(pops) - w
     if hi - lo < 3:
         raise ProtocolError("trace too short for inversion search")
     seg = smoothed[lo:hi]
@@ -273,11 +268,13 @@ class _Transfer:
                    rtol: float = DEFAULT_RTOL,
                    draws: tuple | None = None) -> np.ndarray:
         """Best target population max_t |<target|psi(t)>|^2 over ``times``
-        for each (amplitudes, detunings) drive, all in one solve that
-        samples only the target amplitude.  Every drive runs on the
-        nominal geometry, or drive ``i`` on draw ``i`` of ``draws``, the
-        (positions (B, n, 3), delta, gammas (B, n, n)) stacks of displaced
-        emitters, each from its own coherent H0, basis and drive phases.
+        for each drive, all in one solve that samples only the target
+        amplitude.  A drive is (amplitudes, frequency), as a run takes it;
+        ``detunings`` maps the frequency to its tones' detunings.  Every
+        drive runs on the nominal geometry, or drive ``i`` on draw ``i`` of
+        ``draws``, the (positions (B, n, 3), delta, gammas (B, n, n)) stacks
+        of displaced emitters, each from its own coherent H0, basis and
+        drive phases.
         Coherent members keep unit norm, so the score is not renormalised.
         ``rtol`` governs one-tone batches only."""
         if draws is None:
@@ -293,7 +290,7 @@ class _Transfer:
                       drive_operator(self.phases(positions[..., 0]))))
         tone_stacks = [(np.array([amps[k] * unit
                                   for (amps, _), unit in zip(drives, units)]),
-                        np.array([dets[k] for _, dets in drives]))
+                        np.array([self.detunings(w)[k] for _, w in drives]))
                        for k in range(len(drives[0][0]))]
         amplitudes = evolve_nojump_batch(psi0, h_stack, tone_stacks, times,
                                          rtol=rtol, observe=targets[:, None])
@@ -350,8 +347,7 @@ def calibrate_detuning(g: Geometry, e_mu: float, e_nu: float,
     times = np.linspace(0.0, t_end, int(min(max(t_end / 2e-3, 1000), 10000)))
 
     def scores(offsets: np.ndarray) -> np.ndarray:
-        return tr.fidelities([((e_mu, e_nu), tr.detunings(w))
-                              for w in offsets], times)
+        return tr.fidelities([((e_mu, e_nu), w) for w in offsets], times)
 
     return _calibrate(scores, omega_delta_nominal, CALIBRATION_WINDOW)
 

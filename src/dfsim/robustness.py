@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import _coupling_stack, coupling_matrices, spectral_params
+from .dynamics import DEFAULT_RTOL
 from .geometry import (DisorderSpec, Geometry, _disorder_positions,
                        linear_array_xi)
 from .protocols import (ProtocolError, _calibrate, _Transfer, prepare_b,
@@ -61,7 +62,7 @@ class ScenarioBase:
     omega_delta: float | None = None
     k_dot_r: float | None = None
     protocol: str = "prepare"
-    rtol: float = 1e-8
+    rtol: float = DEFAULT_RTOL
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -164,18 +165,16 @@ class _BaseRun:
                                       res.t_pi + window, 81)
 
     def drive(self, axis: str, deviation: float) -> tuple:
-        """Tone amplitudes and detunings with the drive off nominal by
-        ``deviation`` along ``axis``.  A detuning deviation scales the swept
-        frequency.  A single-tone rabi deviation scales the amplitude; a
-        two-tone one is the product deviation, so each amplitude takes its
-        square root."""
+        """The drive (amplitudes, frequency), as ``_Transfer.fidelities``
+        takes it, off nominal by ``deviation`` along ``axis``.  A detuning
+        deviation scales the swept frequency.  A single-tone rabi deviation
+        scales the amplitude; a two-tone one is the product deviation, so
+        each amplitude takes its square root."""
         scale = 1.0 + deviation
-        detunings = self.transfer.detunings
         if axis != "rabi":
-            return [*self.amplitudes], detunings(self.frequency * scale)
+            return [*self.amplitudes], self.frequency * scale
         scale = scale if len(self.amplitudes) == 1 else np.sqrt(scale)
-        return ([amp * scale for amp in self.amplitudes],
-                detunings(self.frequency))
+        return [amp * scale for amp in self.amplitudes], self.frequency
 
 
 def _grid_fidelities(run: _BaseRun, points: list) -> np.ndarray:

@@ -611,6 +611,24 @@ def test_engine_selection(caplog, drive, periods, batched, engine):
             for r in caplog.records] == [engine]
 
 
+@pytest.mark.parametrize("drive", ["two tones", "one tone"],
+                         ids=["exact", "DOP853"])
+@pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 41),
+                                  np.linspace(1.0, 0.5, 21),
+                                  np.array([0.0, 0.5, 0.5, 1.0])],
+                         ids=["before 0", "descending", "repeated"])
+def test_batch_rejects_bad_sample_times(drive, grid):
+    # Times before 0 or out of order raise one error, whichever engine the
+    # grid would reach (see ENGINES), before that engine runs: psi0 is the
+    # state at t = 0, and neither engine propagates backwards.
+    c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
+    tones = [(a[None], np.array([w])) for a, w in _tone_arrays(c, d)]
+    with pytest.raises(ValueError, match="sample times must start at 0"):
+        evolve_nojump_batch(psi0[None], static_hamiltonian(c)[None],
+                            tones[:1 if drive == "one tone" else 2],
+                            2.5 * 2.0 * np.pi / abs(beat) * grid)
+
+
 # Each path a batch can take, as the engine's log line names it: two
 # tones over several beat periods (eigh, since the members are coherent),
 # one tone, two tones within one beat period, and the expm steps.

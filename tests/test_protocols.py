@@ -216,7 +216,8 @@ class TestTransferMembers:
         # Each row of a stacked solve equals that draw solved alone, and
         # the one-draw solve equals the row read off the draw's collective
         # basis: coherent H0, initial level, unit drive at the draw's
-        # positions; the observed row is the draw's target level, and the
+        # positions, and tone detunings the transfer maps the drive's
+        # frequency to; the observed row is the draw's target level, and the
         # scores are the largest squared amplitudes on it.  The nominal
         # solve is row 0.  At k.r = 0 every drive is in phase.
         tr = protocols._Transfer(protocol, g, k_dot_r)
@@ -230,14 +231,16 @@ class TestTransferMembers:
             return solves[-1][2]
 
         monkeypatch.setattr(protocols, "evolve_nojump_batch", kept)
-        drive = (((1.0,), tr.detunings(tr.frequency))
-                 if protocol == "prepare" else
-                 ((1.0, 1.0), tr.detunings(170.0)))
+        drive = (((1.0,), tr.frequency) if protocol == "prepare" else
+                 ((1.0, 1.0), 170.0))
         times = np.linspace(0.0, 1.0, 21)
 
         def solve(draws, rows):
             scores = tr.fidelities([drive] * rows, times, draws=draws)
             (psi0, hs, tones, _), kwargs, amplitudes = solves[-1]
+            # Each tone's detunings, one per row, from the drive frequency.
+            assert [list(dets) for _, dets in tones] == [
+                [det] * rows for det in tr.detunings(drive[1])]
             return scores, (hs, psi0, tones[0][0]), (kwargs, amplitudes)
 
         scores, stack, (kwargs, amplitudes) = solve(
@@ -343,13 +346,9 @@ def loop_first_inversion(times, pops, smooth_window=0.0):
     """Oracle for ``find_first_inversion``: the same search with the
     hysteresis scan written as a per-sample loop."""
     dt = times[1] - times[0]
-    w = int(round(smooth_window / dt)) if smooth_window > 0 else 1
-    if w > 1:
-        smoothed = np.convolve(pops, np.ones(w) / w, mode="same")
-        lo, hi = w, len(pops) - w
-    else:
-        smoothed = pops
-        lo, hi = 1, len(pops) - 1
+    w = max(1, int(round(smooth_window / dt)))
+    smoothed = np.convolve(pops, np.ones(w) / w, mode="same")
+    lo, hi = w, len(pops) - w
     if hi - lo < 3:
         raise ProtocolError("trace too short for inversion search")
     seg = smoothed[lo:hi]
@@ -392,14 +391,21 @@ class TestFirstInversion:
                            min_size=4, max_size=60),
            smooth_window=st.sampled_from([0.0, 0.02, 0.05]))
     @example(levels=[0, 48, 47, 50, 0, 0], smooth_window=0.0)
+    @example(levels=[0, 20, 49, 47, 50, 20, 0, 0], smooth_window=0.05)
     def test_matches_per_sample_loop(self, levels, smooth_window):
         # Integer levels give ties and plateaus; at a peak of 50 a drop of
         # one level sits exactly on the hysteresis margin (2 % of the peak),
-        # so the scan must not stop at 47 in the example.
+        # so the scan must not stop at 47 in the first example.  A window
+        # under half a sample is no window: it searches as the zero window
+        # does, so in the second example the crest refinement reaches past
+        # the first crest at 49 to the 50 two samples on.
         times = np.linspace(0.0, 1.0, len(levels))
         pops = np.array(levels, dtype=float)
-        assert _outcome(find_first_inversion, times, pops, smooth_window) \
-            == _outcome(loop_first_inversion, times, pops, smooth_window)
+        got = _outcome(find_first_inversion, times, pops, smooth_window)
+        assert got == _outcome(loop_first_inversion, times, pops,
+                               smooth_window)
+        if smooth_window < 0.5 * times[1]:
+            assert got == _outcome(find_first_inversion, times, pops, 0.0)
 
     def test_clean_sine(self):
         t = np.linspace(0.0, 2.0, 4001)

@@ -1,3 +1,4 @@
+import inspect
 import logging
 
 import numpy as np
@@ -8,7 +9,7 @@ from dfsim import (DisorderSpec, ProtocolError, ScenarioBase, SweepSpec,
                    calibrate_detuning, collective_eigenbasis,
                    coupling_matrices, linear_array_xi, rotate_logical,
                    sample_disorder, spectral_params, sweep, tolerance)
-from dfsim import cli, coupling, hilbert, protocols, robustness
+from dfsim import cli, coupling, dynamics, hilbert, protocols, robustness
 from dfsim.hilbert import excitation_numbers
 from dfsim.robustness import rotate_merit_point, tolerance_table
 
@@ -96,6 +97,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             ScenarioBase(geometry=linear_array_xi(0.5), e_mu=1.0,
                          protocol="rotate")
+
+    def test_one_rtol_default(self):
+        # A sweep base, the [integrator] rtol key, a batch and a transfer's
+        # batched scores share one default tolerance.
+        defaults = {
+            ScenarioBase(geometry=linear_array_xi(0.5), e_mu=1.0).rtol,
+            cli._COMMON["integrator.rtol"][1],
+            *(inspect.signature(f).parameters["rtol"].default
+              for f in (dynamics.evolve_nojump_batch,
+                        protocols._Transfer.fidelities))}
+        assert defaults == {dynamics.DEFAULT_RTOL}
 
 
 class TestSweepEngine:

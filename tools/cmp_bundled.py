@@ -6,15 +6,17 @@ Usage::
 
 OLD and NEW are checkout roots (each holding ``src/dfsim``), for example a
 ``git archive`` export of the parent commit and the working tree.  Every
-bundled scenario (``simulate list``) runs once per checkout, OLD first, each
-in its own interpreter with that checkout's ``src`` first on PYTHONPATH and
-its own output directory.  Every output file whose bytes differ, or that only
-one checkout wrote, is listed, with the largest difference between its
-numbers when nothing else differs.  So is each scenario's wall time per
-checkout: the whole ``simulate run`` process, interpreter start-up and
-imports included.  Manifests record the wall time and the output directory,
-so they are compared with those two lines left out.  Exits 1 if any file
-differs, 0 if none does.
+bundled scenario (``simulate list``) runs once per checkout, each in its own
+interpreter with that checkout's ``src`` first on PYTHONPATH and its own
+output directory.  The checkouts take turns at running first: OLD for the
+first scenario, NEW for the second, and so on, so that neither side's wall
+times gain from always following the other's run.  Every output file whose
+bytes differ, or that only one checkout wrote, is listed, with the largest
+difference between its numbers when nothing else differs.  So is each
+scenario's wall time per checkout: the whole ``simulate run`` process,
+interpreter start-up and imports included.  Manifests record the wall time
+and the output directory, so they are compared with those two lines left
+out.  Exits 1 if any file differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ def _src(root: Path) -> Path:
 def run_all(srcs: dict[str, Path], names: list[str],
             out: Path) -> dict[tuple[str, str], float]:
     """Run every scenario in ``names`` with each side's ``src`` into
-    ``out/<side>/<name>``, the sides in turn for each scenario; returns the
+    ``out/<side>/<name>``, the sides in turn for each scenario, the first
+    side first for every other scenario and last for the rest; returns the
     wall time in seconds of each (name, side)."""
     walls = {}
-    for name in names:
-        for side, src in srcs.items():
+    for k, name in enumerate(names):
+        for side, src in list(srcs.items())[::-1 if k % 2 else 1]:
             print(f"{src.parent}: {name}", file=sys.stderr)
             start = time.perf_counter()
             _simulate(src, "run", name, "--out", str(out / side / name))
