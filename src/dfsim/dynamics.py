@@ -33,9 +33,10 @@ sum_k |a_k| |phi_{k,+-(K+1)}|, is <= ``_TAIL_LIMIT``; ill-conditioned or
 inexact eigenvectors (``_cond``) step the Sambe state with expm.  DOP853
 integrates only two tones whose beat period spans the window, where K
 would grow as r without bound, and one-tone batches.  A batch may ask for
-the overlaps <row|psi(t)> with a few rows instead of the states: the exact
-engine then projects the modes (after the tail check) and samples only
-the projections; the other paths project the sampled states.
+the overlaps <row|psi(t)> with a few rows, each inside one excitation
+sector, instead of the states: the exact engine then projects the modes
+(after the tail check) and samples only the projections, each at its
+row's frame frequency; the other paths project the sampled states.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
     matrix (see the module docstring): ``gen`` the frame generators
     (B, dim, dim), ``mod`` the modulated tone (A2, D) or None (then K = 0),
     ``frame`` the frame frequencies (B, dim), and a K to start from instead
-    of the a-priori one; given ``observe``, see ``_observed``."""
+    of the a-priori one; given ``observe``, see ``_observed``, each row
+    inside one excitation sector."""
     if np.max(np.abs(np.diff(times, 2)), initial=0) > 1e-9 * times[-1]:
         raise ValueError("exact propagation needs an even sample grid")
     (b, dim), eye = psi0.shape, np.eye(psi0.shape[1])
@@ -333,15 +335,11 @@ def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
             break
         k += max(2, k // 4)
     if cond <= CONDITION_LIMIT and observe is not None:
-        # One piece of each row per frame frequency (phase) it touches, below
-        # 1e-12 of its largest entry counting as round-off: the modes'
-        # overlaps with the pieces are sampled, then summed per row.
-        freqs, sector = np.unique(frame, axis=1, return_inverse=True)
-        big = np.abs(observe) > 1e-12 * np.abs(observe).max(2, keepdims=True)
-        used = np.unique(sector[np.any(big, axis=(0, 1))])
-        pieces = observe.conj()[:, :, None] * (sector == used[:, None])
-        modes = np.einsum("bqjk,brj->bqrk", modes, pieces.reshape(b, -1, dim))
-        frame = np.tile(freqs[:, used], (1, observe.shape[1]))
+        # Each row lies in one sector, so its overlap takes that sector's
+        # frame frequency, read at its largest entry.
+        modes = np.einsum("bqjk,brj->bqrk", modes, observe.conj())
+        frame = np.take_along_axis(frame, np.abs(observe).argmax(axis=2),
+                                   axis=1)
     _log.debug("exact (%s): %d members, %d samples, dim %d, K %d, "
                "tail %.3g, eigenvector cond %.3g, sampled %d of %d",
                "expm steps" if cond > CONDITION_LIMIT else "eigh" if hermitian
@@ -361,10 +359,8 @@ def _evolve_exact(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
     phi = fine @ coarse.transpose(0, 2, 3, 1, 4).reshape(
         b, fine.shape[2], len(cq) * width)
     phi = phi.reshape(b, len(fq), len(cq), width) * ff[:, :, None] * cf[:, None]
-    phi = phi.swapaxes(1, 2).reshape(b, len(fq) * len(cq), width)[
+    return phi.swapaxes(1, 2).reshape(b, len(fq) * len(cq), width)[
         :, :len(times)]
-    return phi if observe is None else phi.reshape(
-        b, len(times), observe.shape[1], len(used)).sum(axis=3)
 
 
 def _evolve_integrated(psi0: np.ndarray, gen: np.ndarray, mod: tuple | None,
@@ -527,11 +523,13 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
              detunings of shape (B,)
     times  : increasing sample times from 0 or later, an even grid under
              two tones
-    observe: optional rows (B, m, dim)
+    observe: optional rows (B, m, dim), each nonzero in one excitation
+             sector only, such as collective levels
     Returns the sampled history (B, nt, dim), or only its overlaps
     <row|psi(t)> (B, nt, m) with ``observe``; all members share their beat.
     Two tones over more than one beat period are exact (see the module
-    docstring) and sample the Floquet modes' overlaps with the rows; one
+    docstring) and sample the Floquet modes' overlaps with the rows, each
+    at its sector's frame frequency; one
     tone, or two whose beat period spans the window, is integrated with
     DOP853 from 0 at relative tolerance ``rtol`` on the RMS error of the
     whole stack, so one member can err more than ``rtol`` alone would allow.
@@ -539,5 +537,10 @@ def evolve_nojump_batch(psi0: np.ndarray, hs: np.ndarray,
     _check_end(times[-1])
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("sample times must start at 0 or later and increase")
-    return _propagate(psi0, hs, tones, times, excitation_numbers(
-        psi0.shape[1].bit_length() - 1), rtol, observe)
+    number = excitation_numbers(psi0.shape[1].bit_length() - 1)
+    if observe is not None:
+        top = number[np.abs(observe).argmax(axis=2)]
+        if np.any((observe != 0) & (number != top[..., None])):
+            raise ValueError("each observed row must lie in one excitation "
+                             "sector")
+    return _propagate(psi0, hs, tones, times, number, rtol, observe)

@@ -3,11 +3,15 @@
 Product-basis amplitudes are ordered |0...0> to |1...1> with qubit 1 as the
 leftmost (most significant) label.  Collective levels are labelled
 'a', 'b', ... in order of increasing energy, grouping by excitation number
-first because the carrier frequency dominates the physical energy.
+first because the carrier frequency dominates the physical energy.  The
+drive-free Hamiltonian conserves the excitation number, so each level comes
+from the eigendecomposition of its own excitation sector and lies exactly
+in it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,9 +46,12 @@ def raising_operators(n: int) -> tuple[np.ndarray, ...]:
     return tuple(op.conj().T for op in lowering_operators(n))
 
 
+@lru_cache(maxsize=None)
 def excitation_numbers(n: int) -> np.ndarray:
-    """Excitation count of each computational basis state."""
-    return np.array([bin(i).count("1") for i in range(2**n)])
+    """Excitation count of each computational basis state (read-only)."""
+    number = np.array([bin(i).count("1") for i in range(2**n)])
+    number.flags.writeable = False
+    return number
 
 
 def ground_state(n: int) -> np.ndarray:
@@ -154,12 +161,16 @@ class CollectiveBasis:
 
 
 def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
-    """Eigendecomposition of the full non-Hermitian drive-free Hamiltonian.
+    """Eigendecomposition of the non-Hermitian drive-free Hamiltonian, one
+    excitation sector at a time, for at most four emitters (16 labels).
 
     Levels are sorted by excitation number, then by real energy.  Exactly
     degenerate groups are rotated onto reference zero-separation states so
     labels stay stable across parameter sweeps.
     """
+    if 2**c.n > len(LABELS):
+        raise ValueError(f"collective levels are labelled for at most four "
+                         f"emitters, got {c.n}")
     w, v, nexc = (x[0] for x in _eigensystems(static_hamiltonian(c)[None]))
     return CollectiveBasis(
         eigenvalues=w,
@@ -174,35 +185,56 @@ def collective_eigenbasis(c: CouplingSet) -> CollectiveBasis:
 def _eigensystems(h: np.ndarray) -> tuple[np.ndarray, ...]:
     """Eigenvalues (B, dim), unit right eigenvectors (B, dim, dim, as
     columns) and excitation numbers (B, dim) of a (B, dim, dim) stack of
-    Hamiltonians, each sorted, aligned and phase-fixed as
-    ``collective_eigenbasis`` describes."""
-    w, v = np.linalg.eig(h)
-    n = h.shape[-1].bit_length() - 1
-    weights = np.abs(v) ** 2
-    nexc = np.rint(excitation_numbers(n) @ weights
-                   / weights.sum(axis=1)).astype(int)
-    order = np.lexsort((w.real, nexc))
-    rows = np.arange(len(h))[:, None]
-    w, nexc = w[rows, order], nexc[rows, order]
-    # Indexed this way the sorted matrices come out column-major, as LAPACK
-    # fills them, which fixes the order each column norm is summed in.
-    v = v[rows, :, order].transpose(0, 2, 1)
-    v = v / np.linalg.norm(v, axis=1)[:, None]
+    Hamiltonians that conserve the excitation number, each sorted, aligned
+    and phase-fixed as ``collective_eigenbasis`` describes.  Ordered by
+    excitation number the states make each Hamiltonian block diagonal: one
+    stacked ``eig`` per block of more than one state, each level exactly
+    zero outside its block."""
+    b, dim = h.shape[:2]
+    n = dim.bit_length() - 1
+    order, sectors = _sectors(n)
+    nexc = excitation_numbers(n)[order]
+    h = h[:, order[:, None], order]
+    rows = np.arange(b)[:, None]
+    w = np.empty((b, dim), dtype=complex)
+    v = np.zeros((b, dim, dim), dtype=complex)
+    for s in sectors:
+        if s.stop - s.start == 1:
+            w[:, s], v[:, s, s] = h[:, s, s][:, 0], 1.0
+            continue
+        ws, vs = np.linalg.eig(h[:, s, s])
+        sort = np.argsort(ws.real, axis=1, kind="stable")
+        w[:, s], v[:, s, s] = ws[rows, sort], vs[rows, :, sort].transpose(
+            0, 2, 1)
+    v /= np.linalg.norm(v, axis=1)[:, None]
 
     # A level starts a new group unless it is exactly degenerate with the
     # one below; only rows with such a pair go through the alignment.
     scale = np.maximum(1.0, np.max(np.abs(w.real), axis=1))
-    degenerate = ((nexc[:, 1:] == nexc[:, :-1])
+    degenerate = ((nexc[1:] == nexc[:-1])
                   & (np.abs(np.diff(w.real, axis=1))
                      < DEGENERACY_TOLERANCE * scale[:, None]))
     refs = _reference_states(n)
     for r in np.flatnonzero(degenerate.any(axis=1)):
         starts = np.flatnonzero(~np.r_[False, degenerate[r]])
-        for a, b in zip(starts, np.r_[starts[1:], len(w[r])]):
-            if b - a > 1:
-                v[r, :, a:b] = _align_degenerate(v[r, :, a:b],
-                                                 refs[nexc[r, a]])
-    return w, _fix_phases(v), nexc
+        for a, z in zip(starts, np.r_[starts[1:], dim]):
+            if z - a > 1:
+                s = sectors[nexc[a]]
+                v[r, s, a:z] = _align_degenerate(v[r, s, a:z],
+                                                 refs[nexc[a]][:, order[s]])
+    states = np.empty_like(v)
+    states[:, order] = v
+    return w, _fix_phases(states), np.broadcast_to(nexc, (b, dim))
+
+
+@lru_cache(maxsize=None)
+def _sectors(n: int) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """The computational states ordered by excitation number (read-only),
+    and the slice of that order each excitation number 0..n takes."""
+    order = np.argsort(excitation_numbers(n), kind="stable")
+    order.flags.writeable = False
+    ends = np.cumsum([0] + [math.comb(n, m) for m in range(n + 1)])
+    return order, tuple(map(slice, ends[:-1], ends[1:]))
 
 
 def dfs4_states() -> tuple[np.ndarray, np.ndarray]:

@@ -641,12 +641,14 @@ OBSERVED_PATHS = [  # drive, window in beat periods, condition limit, engine
 
 
 def observed_batch(drive, periods):
-    """Arguments of a coherent two-member rotation batch, and rows that
-    mix every excitation number."""
+    """Arguments of a coherent two-member rotation batch, and random rows,
+    one inside each excitation sector, in a different order per member."""
     c, d, psi0, beat = raman_system(0.15, np.pi / 2, 6.0, 15.0, 170.0)
     tones = [(np.array([a, 0.5 * a]), np.array([w, w]))
              for a, w in _tone_arrays(c, d)][:1 if drive == "one tone" else 2]
-    rows = np.random.default_rng(7).normal(size=(2, 2, 8, 2)) @ [1.0, 1j]
+    sectors = np.array([[0, 1, 2, 3], [2, 0, 3, 1]])[..., None]
+    rows = ((np.random.default_rng(7).normal(size=(2, 4, 8, 2)) @ [1.0, 1j])
+            * (excitation_numbers(3) == sectors))
     return (np.array([psi0] * 2), np.array([static_hamiltonian(c, False)] * 2),
             tones, np.linspace(0.0, periods * 2.0 * np.pi / abs(beat), 40)
             ), rows, collective_eigenbasis(c).vector("c")
@@ -658,7 +660,7 @@ class TestObservedRows:
                                             periods, limit, engine):
         # On every path the overlaps the batch returns are those of its
         # full states; under two tones the engine samples the projected
-        # Floquet modes, one per frame frequency a row touches.
+        # Floquet modes, one per row, each at its sector's frame frequency.
         if limit is not None:
             monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
         args, rows, target = observed_batch(drive, periods)
@@ -666,7 +668,7 @@ class TestObservedRows:
             states = evolve_nojump_batch(*args)
             got = evolve_nojump_batch(*args, observe=rows)
             one = evolve_nojump_batch(*args, observe=np.array([[target]] * 2))
-        assert got.shape == (2, 40, 2) and one.shape == (2, 40, 1)
+        assert got.shape == (2, 40, 4) and one.shape == (2, 40, 1)
         assert np.max(np.abs(
             got - np.einsum("bmi,bti->btm", rows.conj(), states))) < 1e-12
         assert np.max(np.abs(one[..., 0] - states @ target.conj())) < 1e-12
@@ -678,8 +680,22 @@ class TestObservedRows:
             k, tail = re.search(r" K (\d+), tail (\S+),", messages[0]).groups()
             assert int(k) > 0 and float(tail) <= dynamics._TAIL_LIMIT
             assert [m.rsplit(", ", 1)[1] for m in messages] == [
-                "sampled 8 of 8", "sampled 8 of 8",
+                "sampled 8 of 8",
+                "sampled 8 of 8" if "steps" in engine else "sampled 4 of 8",
                 "sampled 8 of 8" if "steps" in engine else "sampled 1 of 8"]
+
+    @pytest.mark.parametrize("drive, periods, limit, engine", OBSERVED_PATHS)
+    def test_rows_spanning_two_sectors_are_rejected(self, monkeypatch, drive,
+                                                    periods, limit, engine):
+        # A row with an entry outside its sector, even one at the round-off
+        # a full-matrix eigendecomposition leaves, has no one frame
+        # frequency: every path refuses it before propagating.
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
+        args, rows, _ = observed_batch(drive, periods)
+        rows[1, 2, 6] = 1e-14  # member 1's 111 row gains state 110
+        with pytest.raises(ValueError, match="one excitation sector"):
+            evolve_nojump_batch(*args, observe=rows)
 
     def test_truncation_grows_on_the_full_modes(self, caplog):
         # A start far below the truncation that passes is raised by the

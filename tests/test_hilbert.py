@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsim import (DisorderSpec, collective_eigenbasis, coupling_matrices,
-                   dfs4_states, dicke_coupling, fidelity, fidelity_raw,
-                   hilbert, linear_array_xi, sample_disorder)
+from dfsim import (DisorderSpec, DriveSpec, Geometry, collective_eigenbasis,
+                   coupling_matrices, dfs4_states, dicke_coupling,
+                   evolve_nojump, fidelity, fidelity_raw, hilbert,
+                   linear_array_xi, sample_disorder)
 from dfsim.hilbert import (DEGENERACY_TOLERANCE, _align_degenerate,
                            _eigensystems, _fix_phases, _reference_states,
                            excitation_numbers, ground_state,
@@ -138,14 +141,20 @@ class TestVectorisedBasis:
 
 
 def eigensystem_oracle(c):
-    """One matrix at a time, as a plain loop over levels and degenerate
-    groups: scipy's eig, sort, column norms, alignment and phase fix."""
-    w, v = scipy.linalg.eig(static_hamiltonian(c))
-    weights = np.abs(v) ** 2
-    nexc = np.rint(excitation_numbers(c.n) @ weights
-                   / weights.sum(axis=0)).astype(int)
-    order = np.lexsort((w.real, nexc))
-    w, v, nexc = w[order], v[:, order], nexc[order]
+    """One matrix at a time, as a plain loop over excitation sectors,
+    levels and degenerate groups: scipy's eig of each sector's block, sort,
+    column norms, alignment within the sector and phase fix."""
+    h = static_hamiltonian(c)
+    numbers = excitation_numbers(c.n)
+    w, v, nexc = [], np.zeros_like(h), []
+    for m in range(c.n + 1):
+        states = np.flatnonzero(numbers == m)
+        wm, vm = scipy.linalg.eig(h[np.ix_(states, states)])
+        order = np.argsort(wm.real, kind="stable")
+        v[np.ix_(states, range(len(w), len(w) + len(states)))] = vm[:, order]
+        w += list(wm[order])
+        nexc += [m] * len(states)
+    w, nexc = np.array(w), np.array(nexc)
     v = v / np.linalg.norm(v, axis=0)
     scale = max(1.0, float(np.max(np.abs(w.real))))
     k = 0
@@ -156,8 +165,10 @@ def eigensystem_oracle(c):
                < DEGENERACY_TOLERANCE * scale):
             end += 1
         if end > k:
-            v[:, k:end + 1] = _align_degenerate(
-                v[:, k:end + 1], _reference_states(c.n)[nexc[k]])
+            states = np.flatnonzero(numbers == nexc[k])
+            v[states, k:end + 1] = _align_degenerate(
+                v[states, k:end + 1],
+                _reference_states(c.n)[nexc[k]][:, states])
         k = end + 1
     return w, fix_phases_loop(v), nexc
 
@@ -241,6 +252,32 @@ class TestStackedEigensystems:
             stack = hilbert._hamiltonians(coeff)
             for k, c in enumerate(couplings):
                 assert np.array_equal(stack[k], static_hamiltonian(c, decay))
+
+
+class TestSectors:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_levels_lie_exactly_in_their_sector(self, n):
+        # Every level is exactly zero outside its excitation number, and
+        # each sector holds binomial(n, m) levels, also at zero shift,
+        # where every level of the Dicke coupling is degenerate in energy.
+        numbers = excitation_numbers(n)
+        for c in mixed_couplings(n) + [dicke_coupling(n, 0.0)]:
+            basis = collective_eigenbasis(c)
+            assert np.bincount(basis.n_excitations).tolist() == [
+                math.comb(n, m) for m in range(n + 1)]
+            outside = numbers[:, None] != basis.n_excitations
+            assert np.all(basis.vectors[outside] == 0)
+
+    def test_more_than_four_emitters_rejected(self):
+        # The labels a-p name the 16 levels of four emitters; a basis or
+        # trajectory of five would hold 32 levels under 16 labels.
+        chain = coupling_matrices(Geometry(
+            np.array([[0.05 * k, 0.0, 0.0] for k in range(5)]), alpha=0.0))
+        for c in (dicke_coupling(5), chain):
+            with pytest.raises(ValueError, match="at most four emitters"):
+                collective_eigenbasis(c)
+        with pytest.raises(ValueError, match="at most four emitters"):
+            evolve_nojump(ground_state(5), chain, DriveSpec.off(), 1.0)
 
 
 class TestDfs4:
