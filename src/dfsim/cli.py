@@ -68,8 +68,12 @@ def _load_config(source: str) -> tuple[configparser.ConfigParser, str]:
             .read_text(encoding="utf-8")
         origin = f"bundled:{source}"
     elif os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {source}: "
+                              f"{exc}") from exc
         origin = source
     else:
         raise ConfigError(f"no such config file or bundled scenario: {source}")
@@ -137,11 +141,14 @@ _AMPLITUDE = _value(float, lambda v: 0 <= v < np.inf,
                     "a finite nonnegative number")
 _FRACTION = _value(float, lambda v: 0 < v < 1, "a number inside (0, 1)")
 _COUNT = _value(int, lambda v: v >= 1, "an integer of at least 1")
+# A scenario name prefixes the output file names, inside the output directory.
+_STEM = _value(str, lambda v: v not in ("", ".", "..")
+               and os.path.basename(v) == v, "a plain file-name stem")
 
 # Schema fragments: "section.key" -> (parser, default).  A default of
 # _REQUIRED makes the key required; None stands for a key left out.
 _REQUIRED = object()
-_COMMON = {"scenario.name": (str, _REQUIRED),
+_COMMON = {"scenario.name": (_STEM, _REQUIRED),
            "scenario.type": (str, _REQUIRED),
            "integrator.rtol": (_POSITIVE, DEFAULT_RTOL),
            "run.seed": (_value(int, lambda v: v >= 0,
@@ -532,6 +539,9 @@ def main(argv=None) -> int:
         return 2
     except (ProtocolError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     for path in written:
         print(path)

@@ -319,47 +319,65 @@ def tolerance_table(base: ScenarioBase,
     return ToleranceTable(base.protocol, thresholds, rows, res)
 
 
+def _largest_passing(attempt, start: float, halvings: int, doublings: int,
+                     ratio: float, f_target: float) -> tuple:
+    """Largest amplitude whose run holds ``f_target``, the fidelity falling
+    with the amplitude: from ``start``, halve while runs fail (at most
+    ``halvings`` times) or double while they pass (at most ``doublings``),
+    then bisect the bracket geometrically until hi/lo <= ``ratio``.
+    ``attempt(amplitude)`` gives a run, or None for one that counts as
+    failing; each amplitude runs once.  Returns the largest passing
+    amplitude (None if none passed), the smallest failing one above it
+    (None if none failed) and every run by amplitude, in the order tried."""
+    runs = {}
+
+    def passes(x: float) -> bool:
+        runs[x] = res = attempt(x)
+        return res is not None and res.fidelity >= f_target
+
+    x, up = start, passes(start)
+    factor = 2.0 if up else 0.5
+    for _ in range(doublings if up else halvings):
+        if passes(x * factor) != up:
+            lo, hi = sorted((x, x * factor))
+            break
+        x *= factor
+    else:
+        return (x, None, runs) if up else (None, x, runs)
+    while hi / lo > ratio:
+        mid = np.sqrt(lo * hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, runs
+
+
 def prepare_merit_point(xi: float, alpha: float, f_target: float) -> dict:
     """Largest drive amplitude holding the preparation fidelity at the
     target, and the figure of merit there.
 
     The fidelity decreases with amplitude from its weak-drive limit, so the
     crossing is bracketed by halving or doubling from a spectral-scale seed
-    and then bisected; each amplitude is solved once.  Raises
-    ``ProtocolError`` if seven halvings never reach the target or seven
-    doublings never fall below it.
+    and then bisected (``_largest_passing``).  Raises ``ProtocolError`` if
+    seven halvings never reach the target or seven doublings never fall
+    below it.
     """
     g = linear_array_xi(xi, alpha=alpha)
     e_seed = spectral_params(coupling_matrices(g)).omega / 40.0
-    lo, res_lo = e_seed, prepare_b(g, e_seed)
-    hi, best = None, res_lo.fidelity
-    while res_lo.fidelity < f_target:
-        if lo < e_seed / 64.0:
-            raise ProtocolError(f"preparation fidelity at xi={xi} never "
-                                f"reaches {f_target} (best {best:.6g})")
-        hi, lo = lo, lo / 2.0
-        res_lo = prepare_b(g, lo)
-        best = max(best, res_lo.fidelity)
-    while hi is None:
-        if lo > 64.0 * e_seed:
-            raise ProtocolError(f"preparation fidelity at xi={xi} stays at "
-                                f"or above {f_target} up to e_mu={lo:.6g}")
-        res_hi = prepare_b(g, 2.0 * lo)
-        if res_hi.fidelity < f_target:
-            hi = 2.0 * lo
-        else:
-            lo, res_lo = 2.0 * lo, res_hi
-    while hi / lo > 1.004:
-        mid = np.sqrt(lo * hi)
-        res_mid = prepare_b(g, mid)
-        if res_mid.fidelity >= f_target:
-            lo, res_lo = mid, res_mid
-        else:
-            hi = mid
-    return {"e_mu": lo, "t_pi": res_lo.t_pi, "fidelity": res_lo.fidelity,
-            "gamma_b": res_lo.params_used["gamma_b"],
-            "merit": res_lo.merit,
-            "gamma_b_t_pi": res_lo.params_used["gamma_b"] * res_lo.t_pi}
+    lo, hi, runs = _largest_passing(lambda e: prepare_b(g, e), e_seed, 7, 7,
+                                    1.004, f_target)
+    if lo is None:
+        best = max(r.fidelity for r in runs.values())
+        raise ProtocolError(f"preparation fidelity at xi={xi} never "
+                            f"reaches {f_target} (best {best:.6g})")
+    if hi is None:
+        raise ProtocolError(f"preparation fidelity at xi={xi} stays at "
+                            f"or above {f_target} up to e_mu={lo:.6g}")
+    res = runs[lo]
+    return {"e_mu": lo, "t_pi": res.t_pi, "fidelity": res.fidelity,
+            "gamma_b": res.params_used["gamma_b"], "merit": res.merit,
+            "gamma_b_t_pi": res.params_used["gamma_b"] * res.t_pi}
 
 
 def rotate_merit_point(xi: float, alpha: float, f_target: float,
@@ -373,11 +391,12 @@ def rotate_merit_point(xi: float, alpha: float, f_target: float,
     amplitudes and Raman offset -- is first scaled with the collective
     splitting relative to the reference spacing ``MERIT_XI_REF``; this keeps
     the offset-to-gap ratio fixed and the transfer in the same regime at
-    every point.  The amplitude scale is then searched downward so that
-    every evaluated run is at least as fast as the returned one (the
-    effective rate grows with the amplitude product, making weak drives
-    expensive).  The calibration and every run of the search share one
-    transfer of the chain.
+    every point.  The amplitude scale is then searched downward from 16
+    (``_largest_passing``) so that every evaluated run is at least as fast
+    as the returned one (the effective rate grows with the amplitude
+    product, making weak drives expensive); if no rung holds the target,
+    the best rung is returned unsaturated.  The calibration and every run
+    of the search share one transfer of the chain.
     """
     g = linear_array_xi(xi, alpha=alpha)
     tr = _Transfer("rotate", g, None)
@@ -409,31 +428,17 @@ def rotate_merit_point(xi: float, alpha: float, f_target: float,
         except ProtocolError:
             return None
 
-    results, lo, hi = {}, None, None
-    for s in (16.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.25):
-        res = attempt(s)
-        results[s] = res
-        if res is not None and res.fidelity >= f_target:
-            lo = s
-            break
-        hi = s
-    if lo is None:
-        usable = {s: r for s, r in results.items() if r is not None}
+    lo, _, runs = _largest_passing(attempt, 16.0, 6, 0, 1.02, f_target)
+    saturated = lo is not None
+    if not saturated:
+        usable = {s: r for s, r in runs.items() if r is not None}
         if not usable:
             raise ProtocolError(f"rotation never converged at xi={xi}")
-        s = max(usable, key=lambda k: usable[k].fidelity)
-        return _merit_dict(s, usable[s], saturated=False)
-    res_lo = results[lo]
-    if hi is None:
-        return _merit_dict(lo, res_lo, saturated=True)
-    while hi / lo > 1.02:
-        mid = np.sqrt(lo * hi)
-        res_mid = attempt(mid)
-        if res_mid is not None and res_mid.fidelity >= f_target:
-            lo, res_lo = mid, res_mid
-        else:
-            hi = mid
-    return _merit_dict(lo, res_lo, saturated=True)
+        lo = max(usable, key=lambda k: usable[k].fidelity)
+    res = runs[lo]
+    gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
+    return {"scale": lo, "t_pi": res.t_pi, "fidelity": res.fidelity,
+            "gamma_mean": gm, "merit": res.merit, "saturated": saturated}
 
 
 def _merit_offset(tr: _Transfer, e_mu: float, e_nu: float,
@@ -451,9 +456,3 @@ def _merit_offset(tr: _Transfer, e_mu: float, e_nu: float,
     return _calibrate(
         lambda offsets: np.array([first_inversion(w) for w in offsets]),
         omega_delta, MERIT_CALIBRATION_WINDOW)
-
-
-def _merit_dict(scale, res, saturated: bool) -> dict:
-    gm = 0.5 * (res.params_used["gamma_b"] + res.params_used["gamma_c"])
-    return {"scale": scale, "t_pi": res.t_pi, "fidelity": res.fidelity,
-            "gamma_mean": gm, "merit": res.merit, "saturated": saturated}

@@ -166,6 +166,15 @@ class TestRun:
         assert cli._configure(str(out / "g_manifest.cfg"))[1]["run.out"] \
             == str(out)
 
+    def test_unwritable_output_directory_exits_1(self, tmp_path, capsys):
+        # The output directory would lie under a regular file.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert main(["run", "cluster-growth", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs") and str(out) in err
+
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -300,6 +309,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(str(cfg))
 
+    @pytest.mark.parametrize("content", [None, b"[scenario]\nname = \xff\n"],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        # A directory, or a file that is not UTF-8 text.
+        path = tmp_path / "bad.cfg"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}")
+        assert not out.exists()
+
     def test_main_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nname = x\ntype = mystery\n")
@@ -358,6 +382,12 @@ class TestConfigValidation:
         ("table-rotate", "geometry", "n", "4"),
         ("cphase4", "geometry", "n", "3"),
         ("readout", "drive", "transition", "xy"),
+        # The name prefixes each output file name.
+        ("cluster-growth", "scenario", "name", ""),
+        ("cluster-growth", "scenario", "name", "."),
+        ("cluster-growth", "scenario", "name", ".."),
+        ("cluster-growth", "scenario", "name", "../esc"),
+        ("cluster-growth", "scenario", "name", "a/b"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, no_solve,
                                       kind, section, key, value):

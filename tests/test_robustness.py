@@ -1,5 +1,6 @@
 import inspect
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,3 +552,48 @@ class TestPrepareMeritPoint:
         assert point["e_mu"] == pytest.approx(0.29398008858471164, rel=1e-12)
         assert point["fidelity"] == pytest.approx(0.9990042018418894,
                                                   rel=1e-9)
+
+
+class TestRotateMeritPoint:
+    # At the reference spacing the drive is not rescaled, so with e_mu = 1
+    # the first amplitude of a run is its scale.  Scales of 1 and below
+    # exceed MERIT_T_CAP there and are skipped without a run.
+    def search(self, monkeypatch, fidelity):
+        scales = []
+
+        def run(transfer, amplitudes, frequency):
+            scales.append(amplitudes[0])
+            return SimpleNamespace(
+                fidelity=fidelity(amplitudes[0]), t_pi=1.0, merit=1.0,
+                params_used={"gamma_b": 1.0, "gamma_c": 1.0})
+
+        monkeypatch.setattr(protocols._Transfer, "run", run)
+        monkeypatch.setattr(robustness, "_merit_offset",
+                            lambda tr, e_mu, e_nu, w: w)
+        point = rotate_merit_point(robustness.MERIT_XI_REF, np.pi / 2, 0.98,
+                                   e_mu=1.0, e_nu=2.5)
+        return scales, point
+
+    def test_each_scale_run_once(self, monkeypatch):
+        # F falls with the scale and holds 0.98 up to 8/3: the ladder halves
+        # from 16 to the first pass at 2, then bisects [2, 4] geometrically.
+        def fidelity(s):
+            return 1.0 - 0.0075 * s
+
+        scales, point = self.search(monkeypatch, fidelity)
+        expected, lo, hi = [16.0, 8.0, 4.0, 2.0], 2.0, 4.0
+        while hi / lo > 1.02:
+            mid = np.sqrt(lo * hi)
+            expected.append(mid)
+            lo, hi = (mid, hi) if fidelity(mid) >= 0.98 else (lo, mid)
+        assert scales == expected and len(set(scales)) == len(scales) == 10
+        assert lo < 8.0 / 3.0 < hi
+        assert point["scale"] == lo and point["saturated"]
+
+    def test_no_passing_rung_returns_best_finished_rung(self, monkeypatch):
+        # No rung reaches 0.98; the best run is the smallest finished scale,
+        # 2, since the rungs below it are skipped.
+        scales, point = self.search(monkeypatch, lambda s: 0.95 - 0.001 * s)
+        assert scales == [16.0, 8.0, 4.0, 2.0]
+        assert point["scale"] == 2.0 and not point["saturated"]
+        assert point["fidelity"] == pytest.approx(0.948)

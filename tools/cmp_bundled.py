@@ -35,11 +35,15 @@ VOLATILE = ("# wall_time_s = ", "out = ")
 NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 
-def _simulate(src: Path, *args: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env(src: Path) -> dict:
+    """This process's environment with ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _simulate(src: Path, *args: str) -> str:
     return subprocess.run([sys.executable, "-m", "dfsim.cli", *args],
-                          env=env, check=True, capture_output=True,
+                          env=_env(src), check=True, capture_output=True,
                           text=True).stdout
 
 
